@@ -33,8 +33,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .adjust import AdjustMode, adjusted_allocation, adjustment_factors, zero_sum_defect
 from .domain import (
     Allocation,
@@ -434,22 +432,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shapley(args: argparse.Namespace) -> int:
-    incomes = _parse_money_list(args.incomes)
-    spec = CoalitionSpec(
-        member_incomes=tuple(incomes),
-        scale_benefit=_parse_size_table(args.scale_benefit, len(incomes), "--scale-benefit"),
-        coordination_cost=_parse_size_table(
-            args.coordination_cost, len(incomes), "--coordination-cost"
-        ),
-    )
-    result = shapley_values(spec)
-    for idx, value in enumerate(result.values):
-        print(f"member {idx} {value}")
-    print(f"total {result.total}")
-    return 0
-
-
 def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money]:
     if not text:
         return {}
@@ -459,15 +441,27 @@ def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money
     return {size: amount for size, amount in enumerate(amounts, start=1)}
 
 
-def _cmd_coalition(args: argparse.Namespace) -> int:
+def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
     incomes = _parse_money_list(args.incomes)
-    spec = CoalitionSpec(
+    return CoalitionSpec(
         member_incomes=tuple(incomes),
         scale_benefit=_parse_size_table(args.scale_benefit, len(incomes), "--scale-benefit"),
         coordination_cost=_parse_size_table(
             args.coordination_cost, len(incomes), "--coordination-cost"
         ),
     )
+
+
+def _cmd_shapley(args: argparse.Namespace) -> int:
+    result = shapley_values(_coalition_from_args(args))
+    for idx, value in enumerate(result.values):
+        print(f"member {idx} {value}")
+    print(f"total {result.total}")
+    return 0
+
+
+def _cmd_coalition(args: argparse.Namespace) -> int:
+    spec = _coalition_from_args(args)
     members = [int(part) for part in args.members.split(",") if part.strip() != ""]
     print(f"value {coalition_value(spec, members)}")
     if args.check_superadditive:

@@ -67,7 +67,12 @@ class Money:
             except InvalidOperation as exc:
                 raise ValidationError(f"cannot parse money amount {amount!r}") from exc
         if isinstance(amount, Decimal):
-            quantized = amount.quantize(_CENT, rounding=ROUND_HALF_EVEN)
+            if not amount.is_finite():
+                raise ValidationError("money amount must be finite")
+            try:
+                quantized = amount.quantize(_CENT, rounding=ROUND_HALF_EVEN)
+            except InvalidOperation as exc:
+                raise ValidationError(f"money amount {amount} is out of range") from exc
             return cls(int(quantized.scaleb(2)))
         raise ValidationError(f"cannot build money from {type(amount).__name__}")
 
@@ -214,24 +219,36 @@ class Allocation:
             )
 
 
-def make_allocation(income: Money, fractions: Sequence[FractionLike]) -> Allocation:
-    """Split income by a fraction triple.
+def _settle_residual(income_c: int, debt_c: int, savings_c: int) -> tuple[int, int, int]:
+    """Complete a split whose debt and savings buckets are already rounded.
 
-    Debt and savings round half-to-even; expenses absorb the residual so
-    the identity is exact.  In the degenerate case where both roundings
-    land high, the residual is recovered from savings then debt.
+    Expenses take the residual cents, so the three buckets sum exactly to
+    income.  When the rounded debt and savings overshoot income, the
+    overshoot comes back from savings first, then from debt.
     """
-    f_debt, f_savings, _ = check_fractions(fractions)
-    cents = income.cents
-    debt_c = _round_div(cents * f_debt.numerator, f_debt.denominator)
-    savings_c = _round_div(cents * f_savings.numerator, f_savings.denominator)
-    expenses_c = cents - debt_c - savings_c
+    expenses_c = income_c - debt_c - savings_c
     while expenses_c < 0:
         if savings_c > 0:
             savings_c -= 1
         else:
             debt_c -= 1
         expenses_c += 1
+    return debt_c, savings_c, expenses_c
+
+
+def make_allocation(income: Money, fractions: Sequence[FractionLike]) -> Allocation:
+    """Split income by a fraction triple.
+
+    Debt and savings round half-to-even; ``_settle_residual`` gives the
+    rest to expenses so the identity is exact.
+    """
+    f_debt, f_savings, _ = check_fractions(fractions)
+    cents = income.cents
+    debt_c, savings_c, expenses_c = _settle_residual(
+        cents,
+        _round_div(cents * f_debt.numerator, f_debt.denominator),
+        _round_div(cents * f_savings.numerator, f_savings.denominator),
+    )
     return Allocation(income, Money(debt_c), Money(savings_c), Money(expenses_c))
 
 
@@ -323,7 +340,7 @@ class HouseholdProfile:
 
     @property
     def income(self) -> Money:
-        return Money(sum(m.cents for m in self.member_incomes))
+        return total_income(self.member_incomes)
 
 
 def total_income(members: Iterable[Money]) -> Money:

@@ -41,6 +41,9 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 THREADS_ENV_VAR = "THIRDRULE_THREADS"
+# The stress pool submits one future per trial, so an unbounded worker
+# count could ask the OS for one thread per trial.
+MAX_THREADS = 64
 
 
 def derive_stream_seed(master_seed: int, trial_index: int) -> int:
@@ -129,27 +132,16 @@ def income_levels(
 
 
 @dataclass(frozen=True, eq=False)
-class IncomePath:
-    """One simulated income trajectory, cent-quantized per step."""
+class SimulatedPath:
+    """One simulated income or savings trajectory, cent-quantized per step.
+
+    floored_steps counts the income steps whose raw level fell below zero
+    before the floor; it stays 0 for savings paths.
+    """
 
     times: np.ndarray
     cents: np.ndarray
     floored_steps: int = 0
-
-    @property
-    def units(self) -> np.ndarray:
-        return self.cents / 100.0
-
-    def values(self) -> list[Money]:
-        return [Money(int(c)) for c in self.cents]
-
-
-@dataclass(frozen=True, eq=False)
-class SavingsPath:
-    """One simulated savings trajectory, cent-quantized per step."""
-
-    times: np.ndarray
-    cents: np.ndarray
 
     @property
     def units(self) -> np.ndarray:
@@ -165,7 +157,7 @@ def simulate_income_path(
     sigma_income: float,
     cfg: PathConfig,
     rng: np.random.Generator,
-) -> IncomePath:
+) -> SimulatedPath:
     """Simulate one income path on cfg's step grid.
 
     Draws cfg.steps standard normals from rng in a single call.
@@ -175,16 +167,15 @@ def simulate_income_path(
     n = cfg.steps
     dt = cfg.dt_years
     z = rng.standard_normal(n)
-    t = np.arange(1, n + 1) * dt
-    w = np.cumsum(math.sqrt(dt) * z)
-    raw = i0.units * (1.0 + mu * t + sigma_income * w)
-    floored = int(np.count_nonzero(raw < 0.0))
-    levels = np.empty(n + 1)
-    levels[0] = i0.units
-    levels[1:] = np.maximum(raw, 0.0)
+    levels = income_levels(i0.units, mu, sigma_income, dt, z)
+    # A raw level is below zero exactly where the mirrored path (start
+    # -I0, same shocks) is above its floor: negating I0 negates each raw
+    # level exactly.  A raw level of exactly zero is not a floored step.
+    mirrored = income_levels(-i0.units, mu, sigma_income, dt, z)
+    floored = int(np.count_nonzero(mirrored[1:] > 0.0))
     times = np.arange(n + 1) * dt
     cents = np.rint(levels * 100.0).astype(np.int64)
-    return IncomePath(times=times, cents=cents, floored_steps=floored)
+    return SimulatedPath(times=times, cents=cents, floored_steps=floored)
 
 
 def simulate_savings_path(
@@ -195,7 +186,7 @@ def simulate_savings_path(
     cfg: PathConfig,
     rng: np.random.Generator,
     shocks: np.ndarray | None = None,
-) -> SavingsPath:
+) -> SimulatedPath:
     """Simulate one savings path with an end-of-period contribution.
 
     Each step applies the factor (1 + rate * dt + sigma_market * sqrt(dt) * z)
@@ -223,11 +214,12 @@ def simulate_savings_path(
         values.append(value)
     times = np.arange(n + 1) * dt
     cents = np.rint(np.asarray(values) * 100.0).astype(np.int64)
-    return SavingsPath(times=times, cents=cents)
+    return SimulatedPath(times=times, cents=cents)
 
 
 def thread_count() -> int:
-    """Worker cap from the THIRDRULE_THREADS env var.  0 or unset = auto."""
+    """Worker cap from the THIRDRULE_THREADS env var.  0 or unset = auto
+    (at most 8); values above MAX_THREADS are rejected."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if raw == "":
         requested = 0
@@ -238,6 +230,8 @@ def thread_count() -> int:
             raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
     if requested < 0:
         raise ValidationError(f"{THREADS_ENV_VAR} must be nonnegative")
+    if requested > MAX_THREADS:
+        raise ValidationError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {requested}")
     if requested == 0:
         return min(8, os.cpu_count() or 1)
     return requested

@@ -25,7 +25,7 @@ completed month satisfies the cash identity
     income + savings withdrawals ==
     expenses paid + debt service + savings deposits + residual cash
 
-exactly in cents; the loop asserts it.
+exactly in cents; the loop checks it and raises ``DomainError`` if not.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .domain import AllocationRule, HouseholdProfile, Money, RuleId, _round_div
-from .errors import DebtNeverClearsError, ValidationError
+from .domain import AllocationRule, HouseholdProfile, Money, RuleId, _round_div, _settle_residual
+from .errors import DebtNeverClearsError, DomainError, ValidationError
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
 from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng, thread_count
 
@@ -183,16 +183,11 @@ def run_trial(
             income_units *= 1.0 + scenario.income_shock
         income_c = round(income_units * 100.0)
 
-        # rule split, residual cent(s) to expenses
-        alloc_debt_c = _round_div(income_c * fd_num, fd_den)
-        alloc_savings_c = _round_div(income_c * fs_num, fs_den)
-        alloc_expenses_c = income_c - alloc_debt_c - alloc_savings_c
-        while alloc_expenses_c < 0:
-            if alloc_savings_c > 0:
-                alloc_savings_c -= 1
-            else:
-                alloc_debt_c -= 1
-            alloc_expenses_c += 1
+        alloc_debt_c, alloc_savings_c, alloc_expenses_c = _settle_residual(
+            income_c,
+            _round_div(income_c * fd_num, fd_den),
+            _round_div(income_c * fs_num, fs_den),
+        )
 
         due_c = _expenses_due_cents(baseline_monthly_c, scenario, month)
         paid_from_bucket = min(alloc_expenses_c, due_c)
@@ -244,7 +239,8 @@ def run_trial(
 
         ledger_in = income_c + needed_c
         ledger_out = due_c + debt_service_c + deposit_c + residual_c
-        assert ledger_in == ledger_out, "monthly cash identity violated"
+        if ledger_in != ledger_out:
+            raise DomainError(f"monthly cash identity violated in month {month}")
 
     return TrialOutcome(
         defaulted=False,
@@ -336,7 +332,7 @@ def run_stress(
 
         if workers > 1 and cfg.trials > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(one, range(cfg.trials), chunksize=64)
+                outcomes = pool.map(one, range(cfg.trials))
                 metrics.append(
                     _aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials)
                 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import Allocation, Money, SignedMoney
+from .domain import Allocation, Money, SignedMoney, _settle_residual
 from .errors import DomainError, ValidationError
 
 _EXPONENT_SUM_TOL = 1e-12
@@ -82,15 +82,9 @@ def optimal_allocation(params: UtilityParams, income: Money) -> Allocation:
     """Budget-constrained utility maximizer: income split in proportion to
     the exponents.  Cent rounding sends the residual to expenses."""
     cents = income.cents
-    debt_c = round(params.alpha * cents)
-    savings_c = round(params.beta * cents)
-    expenses_c = cents - debt_c - savings_c
-    while expenses_c < 0:
-        if savings_c > 0:
-            savings_c -= 1
-        else:
-            debt_c -= 1
-        expenses_c += 1
+    debt_c, savings_c, expenses_c = _settle_residual(
+        cents, round(params.alpha * cents), round(params.beta * cents)
+    )
     return Allocation(income, Money(debt_c), Money(savings_c), Money(expenses_c))
 
 

@@ -260,6 +260,20 @@ class TestMainExitCodes:
         assert main(["allocate", "--income", "-5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allocate", "--income", "inf"],
+            ["allocate", "--income", "1e26"],
+            ["shapley", "--incomes", "1e40,1"],
+        ],
+    )
+    def test_out_of_range_money_is_one_line_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error:", "usage error:"))
+        assert err.count("\n") == 1
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         scen = _write(tmp_path, "s.json", json.dumps({"name": "a"}))
         code = main(
@@ -452,6 +466,15 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "final_mean 1200" in out
 
+    def test_floored_step_rate_counts_only_negative_raw_income(self, capsys):
+        # with mu = -1 the raw level is exactly 0 after year 1 (not floored)
+        # and -100 after year 2 (floored); a zero start is never floored
+        base = ["simulate", "--mu", "-1", "--horizon-years", "2", "--dt-years", "1"]
+        assert main(base + ["--start", "100"]) == 0
+        assert "floored_step_rate 0.5\n" in capsys.readouterr().out
+        assert main(base + ["--start", "0"]) == 0
+        assert "floored_step_rate 0\n" in capsys.readouterr().out
+
     def test_fraction_arg_rejected_text(self, capsys):
         assert main(
             ["simulate", "--start", "1", "--horizon-years", "x/y"]
@@ -574,6 +597,15 @@ class TestStressCommand:
         out = capsys.readouterr().out
         assert "compare h1/baseline: rank 1" in out
         assert "rank 2" in out
+
+    def test_infinite_money_cell_is_one_line_error(self, tmp_path, capsys):
+        bad = "h1,single_income,inf,0,0.18,18000,0.1,0.1,0.0,0.0,0.0"
+        profiles = _profiles_file(tmp_path, [bad])
+        scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))
+        assert main(["stress", "--profiles", profiles, "--scenarios", scenarios]) == 1
+        assert capsys.readouterr().err == (
+            "error: row 2, field income_annual: money amount must be finite\n"
+        )
 
     def test_unknown_rule_name(self, tmp_path, capsys):
         profiles = _profiles_file(tmp_path, [GOOD_ROWS[0]])

@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thirdrule import (
     Allocation,
@@ -174,6 +176,22 @@ class TestMakeAllocation:
             a = rule_allocation(AllocationRule.one_third(), Money.of(raw))
             assert str(a.debt) == third
             assert str(a.savings) == third
+
+    @given(
+        cents=st.integers(min_value=0, max_value=10**15),
+        den=st.integers(min_value=1, max_value=10**6),
+        data=st.data(),
+    )
+    def test_split_is_exact_and_near_the_fractions(self, cents, den, data):
+        a = data.draw(st.integers(min_value=0, max_value=den))
+        b = data.draw(st.integers(min_value=0, max_value=den - a))
+        fractions = (Fraction(a, den), Fraction(b, den), Fraction(den - a - b, den))
+        alloc = make_allocation(Money(cents), fractions)
+        debt, savings, expenses = alloc.debt.cents, alloc.savings.cents, alloc.expenses.cents
+        assert min(debt, savings, expenses) >= 0
+        assert debt + savings + expenses == cents
+        assert abs(debt - cents * fractions[0]) <= 1
+        assert abs(savings - cents * fractions[1]) <= 1
 
     def test_allocation_validates_identity(self):
         with pytest.raises(ValidationError):

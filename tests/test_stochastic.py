@@ -26,6 +26,7 @@ from thirdrule import (
     simulate_savings_path,
     thread_count,
 )
+from thirdrule.stochastic import MAX_THREADS
 
 MASK = (1 << 64) - 1
 
@@ -260,6 +261,16 @@ class TestThreadCount:
     def test_zero_means_auto(self):
         with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "0"}):
             assert thread_count() == min(8, os.cpu_count() or 1)
+
+    def test_upper_bound(self):
+        # checked through thread_count alone: no pool is started
+        assert MAX_THREADS >= 8
+        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: str(MAX_THREADS)}):
+            assert thread_count() == MAX_THREADS
+        for raw in (str(MAX_THREADS + 1), "100000"):
+            with mock.patch.dict(os.environ, {THREADS_ENV_VAR: raw}):
+                with pytest.raises(ValidationError, match="at most"):
+                    thread_count()
 
     def test_garbage_rejected(self):
         with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "many"}):

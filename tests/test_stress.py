@@ -8,10 +8,14 @@ plain summation loops written here.
 import math
 import os
 import statistics
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import pytest
 
+import thirdrule
 from thirdrule import (
     AllocationRule,
     AnnuityTiming,
@@ -106,6 +110,38 @@ class TestRunTrial:
         assert out.dti_series[0] == pytest.approx(0.3333326659565778, abs=1e-16)
         assert out.ser_series[0] == pytest.approx(1.1099266666666667, abs=1e-16)
         assert out.ser_series[-1] == pytest.approx(3.24432, abs=1e-12)
+
+    def test_cash_identity_checked_under_python_O(self):
+        # Expenses get one cent more than the split leaves; the monthly
+        # identity check must still catch it when asserts are stripped.
+        code = textwrap.dedent(
+            """
+            import sys
+            from thirdrule import stress
+            from thirdrule import (AllocationRule, BASELINE_SCENARIO, DomainError,
+                HouseholdProfile, HouseholdType, Money, derive_trial_rng)
+
+            real = stress._settle_residual
+            def one_cent_more(*args):
+                debt, savings, expenses = real(*args)
+                return debt, savings, expenses + 1
+            stress._settle_residual = one_cent_more
+            profile = HouseholdProfile("h1", HouseholdType.SINGLE_INCOME, (Money.of("60000"),),
+                Money.of("20000"), 0.18, Money.of("18000"), 0.1, 0.15, 0.3, 0.02, 0.04)
+            try:
+                stress.run_trial(profile, AllocationRule.one_third(), BASELINE_SCENARIO, 12,
+                                 derive_trial_rng(0, 0))
+            except DomainError as exc:
+                print(sys.flags.optimize, exc)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 monthly cash identity violated in month 1\n"
 
     def test_deterministic_across_calls(self):
         a = run_trial(
