@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .domain import Allocation, Money
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite_number
 from .risk import RiskParams
 
 # Shares must stay positive, so shift magnitudes are capped just under 1/3.
@@ -47,12 +47,7 @@ class AdjustmentFactors:
 
     def __post_init__(self) -> None:
         for name in ("debt_shift", "savings_shift", "expenses_shift"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
-            if abs(value) > MAX_SHIFT:
+            if abs(finite_number(getattr(self, name), name)) > MAX_SHIFT:
                 raise ValidationError(f"{name} magnitude must not exceed {MAX_SHIFT}")
 
 

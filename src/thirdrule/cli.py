@@ -1,8 +1,8 @@
 """Command line interface and file formats.
 
 Subcommands: allocate, risk, simulate, stress, shapley, coalition, plan,
-adjust, report.  Exit codes: 0 success, 1 validation or usage error,
-2 I/O error.
+adjust, report.  Exit codes: 0 success, 1 validation, usage or arithmetic
+error, 2 I/O error; every error is one stderr line.
 
 Profile CSV columns, in order:
 id, household_type, income_annual, debt_balance, debt_apr,
@@ -27,9 +27,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import statistics
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -44,7 +44,7 @@ from .domain import (
     rule_allocation,
 )
 from .dynamic import HouseholdState, default_config, policy_adjustments, solve_plan
-from .errors import DomainError, ValidationError
+from .errors import ValidationError, finite_number, is_int
 from .game import CoalitionSpec, coalition_value, is_superadditive, shapley_values
 from .risk import RiskParams, bankruptcy_probability, classify_stability
 from .stochastic import PathConfig, derive_trial_rng, simulate_income_path, simulate_savings_path
@@ -152,9 +152,7 @@ def _parse_profile(
             value = float(record[field])
         except ValueError:
             raise fail(field, f"cannot parse number {record[field]!r}") from None
-        if not math.isfinite(value):
-            raise fail(field, "must be finite")
-        return value
+        return finite_number(value, f"row {row_no}, field {field}:")
 
     kwargs = dict(
         profile_id=profile_id,
@@ -203,10 +201,10 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
         if not isinstance(obj["name"], str):
             raise ValidationError(f"{where}.name: must be a string")
         for key in ("income_shock", "apr_multiplier", "inflation_annual"):
-            if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], (int, float))):
-                raise ValidationError(f"{where}.{key}: must be a number")
+            if key in obj:
+                finite_number(obj[key], f"{where}.{key}:")
         for key in ("onset_month", "duration_months"):
-            if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], int)):
+            if key in obj and not is_int(obj[key]):
                 raise ValidationError(f"{where}.{key}: must be an integer")
         try:
             scenario = ScenarioSpec(**obj)
@@ -304,14 +302,17 @@ def emit_report(rows: Sequence[dict], fmt: str, path: Optional[str]) -> str:
 
 
 def _parse_money_arg(text: str) -> Money:
-    return Money.of(text)
+    try:
+        return Money.of(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_fraction_arg(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"cannot parse fraction {text!r}") from None
+    except (ValueError, ArithmeticError):
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite fraction") from None
 
 
 def _parse_money_list(text: str) -> list[Money]:
@@ -462,7 +463,12 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
 
 def _cmd_coalition(args: argparse.Namespace) -> int:
     spec = _coalition_from_args(args)
-    members = [int(part) for part in args.members.split(",") if part.strip() != ""]
+    members = []
+    for part in filter(str.strip, args.members.split(",")):
+        try:
+            members.append(int(part))
+        except ValueError:
+            raise ValidationError(f"member index {part.strip()!r} is not an integer") from None
     print(f"value {coalition_value(spec, members)}")
     if args.check_superadditive:
         print(f"superadditive {is_superadditive(spec)}")
@@ -517,13 +523,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        print(f"usage error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def build_parser() -> _Parser:
@@ -619,23 +622,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        code = exc.code
-        return int(code) if isinstance(code, int) else 0
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
-    except (ValidationError, DomainError) as exc:
+        with warnings.catch_warnings():
+            # numpy reports float overflow as a RuntimeWarning: make it one
+            # error line, not a warning beside a meaningless result.
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
+    except (ValueError, ArithmeticError, RuntimeWarning, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -18,12 +18,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite_number, is_int
 
 # Signed amount in currency units.  Not quantized to cents.
 SignedMoney = float
 
 _CENT = Decimal("0.01")
+# Largest Money in cents: every cent count up to it is exact as a float,
+# and int64 sums of a few such amounts cannot overflow.
+MAX_CENTS = 2**53
 
 
 def _round_div(num: int, den: int) -> int:
@@ -42,10 +45,12 @@ class Money:
     cents: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cents, int) or isinstance(self.cents, bool):
+        if not is_int(self.cents):
             raise ValidationError("money cents must be an integer")
         if self.cents < 0:
             raise ValidationError("money amount must be nonnegative")
+        if self.cents > MAX_CENTS:
+            raise ValidationError(f"money amount {self} is out of range")
 
     @classmethod
     def of(cls, amount: Union["Money", int, float, str, Decimal]) -> "Money":
@@ -322,11 +327,7 @@ class HouseholdProfile:
                 f"{lo if lo == hi else f'at least {lo}'} member income(s), got {n}"
             )
         for name in ("debt_apr", "sigma_income", "sigma_market", "rho", "mu", "r_savings"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number")
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ValidationError(f"{name} must be finite")
+            finite_number(getattr(self, name), name)
         if self.debt_apr < 0:
             raise ValidationError("debt_apr must be nonnegative")
         if self.sigma_income < 0:

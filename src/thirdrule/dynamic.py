@@ -24,11 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import Allocation, Money
-from .errors import ValidationError
+from .errors import ValidationError, finite_number, is_int
 from .utility_opt import UtilityParams
 
 DEFAULT_ACTION_STEP = Fraction(1, 30)
 DEFAULT_GRID_NODES = 11
+# Gauss-Hermite nodes come from an eigenproblem on a square matrix of this
+# order, so an unbounded count can exhaust memory before solving starts.
+MAX_SHOCK_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class DynamicConfig:
     state_weight: float = 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 1:
+        if not is_int(self.horizon) or self.horizon < 1:
             raise ValidationError("horizon must be a positive integer of periods")
         for name in ("income_grid", "debt_grid", "savings_grid"):
             raw = getattr(self, name)
@@ -71,29 +74,25 @@ class DynamicConfig:
             if grid[0] < 0:
                 raise ValidationError(f"{name} must be nonnegative")
             object.__setattr__(self, name, grid)
-        if not 0.0 < self.discount <= 1.0:
+        if not 0.0 < finite_number(self.discount, "discount") <= 1.0:
             raise ValidationError("discount must lie in (0, 1]")
-        if self.debt_apr < 0 or not math.isfinite(self.debt_apr):
-            raise ValidationError("debt_apr must be nonnegative and finite")
-        if self.savings_return <= -1.0 or not math.isfinite(self.savings_return):
+        if finite_number(self.debt_apr, "debt_apr") < 0:
+            raise ValidationError("debt_apr must be nonnegative")
+        if finite_number(self.savings_return, "savings_return") <= -1.0:
             raise ValidationError("savings_return must exceed -1")
-        if self.income_growth <= -1.0 or not math.isfinite(self.income_growth):
+        if finite_number(self.income_growth, "income_growth") <= -1.0:
             raise ValidationError("income_growth must exceed -1")
-        if self.shock_std < 0 or not math.isfinite(self.shock_std):
-            raise ValidationError("shock_std must be nonnegative and finite")
-        if (
-            not isinstance(self.shock_samples, int)
-            or isinstance(self.shock_samples, bool)
-            or self.shock_samples < 1
-        ):
-            raise ValidationError("shock_samples must be a positive integer")
+        if finite_number(self.shock_std, "shock_std") < 0:
+            raise ValidationError("shock_std must be nonnegative")
+        if not is_int(self.shock_samples) or not 1 <= self.shock_samples <= MAX_SHOCK_SAMPLES:
+            raise ValidationError(f"shock_samples must be an integer in 1..{MAX_SHOCK_SAMPLES}")
         step = self.action_step
         if not isinstance(step, Fraction) or step <= 0 or step > 1:
             raise ValidationError("action_step must be a Fraction in (0, 1]")
         if (1 / step).denominator != 1:
             raise ValidationError("action_step must divide 1 exactly")
-        if self.state_weight < 0 or not math.isfinite(self.state_weight):
-            raise ValidationError("state_weight must be nonnegative and finite")
+        if finite_number(self.state_weight, "state_weight") < 0:
+            raise ValidationError("state_weight must be nonnegative")
 
 
 def default_config(initial: HouseholdState, horizon: int, **overrides) -> DynamicConfig:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package."""
+
+import math
 
 
 class ValidationError(ValueError):
@@ -11,3 +13,18 @@ class DomainError(ValueError):
 
 class DebtNeverClearsError(DomainError):
     """Raised when a payment schedule can never amortize the balance."""
+
+
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def finite_number(value, name: str):
+    """Return value if it is a finite int or float (not a bool); raise
+    ``ValidationError`` naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
+    return value

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .domain import Allocation, AllocationRule, Money, make_allocation, total_income
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, is_int
 from .utility_opt import UtilityParams, utility
 
 import numpy as np
@@ -100,7 +100,7 @@ def coalition_value(spec: CoalitionSpec, members: Iterable[int]) -> Money:
     seen = set()
     mask = 0
     for i in member_list:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < spec.n_members:
+        if not is_int(i) or not 0 <= i < spec.n_members:
             raise ValidationError(f"member index {i!r} out of range 0..{spec.n_members - 1}")
         if i in seen:
             raise ValidationError(f"member index {i} listed twice")

@@ -10,9 +10,9 @@ illustrative, not fitted to data, and every field can be overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError, finite_number
 
 DEFAULT_DTI_LIMIT = 0.36
 DEFAULT_SER_FLOOR = 1.0
@@ -30,19 +30,8 @@ class RiskParams:
     ser_floor: float = DEFAULT_SER_FLOOR
 
     def __post_init__(self) -> None:
-        for name in (
-            "beta_dti",
-            "beta_ser",
-            "beta_sigma_income",
-            "beta_sigma_market",
-            "dti_limit",
-            "ser_floor",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+        for field in fields(self):
+            finite_number(getattr(self, field.name), field.name)
         if self.dti_limit <= 0:
             raise ValidationError("dti_limit must be positive")
         if self.ser_floor <= 0:
@@ -86,6 +75,8 @@ def bankruptcy_probability(
         + params.beta_sigma_income * sigma_income
         + params.beta_sigma_market * sigma_market
     )
+    if not math.isfinite(index):
+        raise DomainError("risk index overflows a float")
     return std_normal_cdf(index)
 
 

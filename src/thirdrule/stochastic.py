@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Money
-from .errors import ValidationError
+from .domain import MAX_CENTS, Money
+from .errors import DomainError, ValidationError, finite_number, is_int
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -100,9 +100,9 @@ class PathConfig:
         ratio = self.horizon_years / self.dt_years
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValidationError("horizon_years must be a whole number of dt_years steps")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+        if not is_int(self.trials) or self.trials < 1:
             raise ValidationError("trials must be a positive integer")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
+        if not is_int(self.master_seed):
             raise ValidationError("master_seed must be an integer")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError("master_seed must fit in 64 bits")
@@ -151,6 +151,16 @@ class SimulatedPath:
         return [Money(int(c)) for c in self.cents]
 
 
+def _quantized_path(levels, dt: float, floored_steps: int = 0) -> SimulatedPath:
+    """Round per-step levels in units to int64 cents.  A level past
+    Money's bound (or NaN) is a DomainError, not a wrapped int64."""
+    cents = np.rint(np.asarray(levels) * 100.0)
+    if not cents.max() <= MAX_CENTS:
+        raise DomainError(f"a simulated level exceeds the money bound of {MAX_CENTS} cents")
+    times = np.arange(len(cents)) * dt
+    return SimulatedPath(times=times, cents=cents.astype(np.int64), floored_steps=floored_steps)
+
+
 def simulate_income_path(
     i0: Money,
     mu: float,
@@ -162,20 +172,17 @@ def simulate_income_path(
 
     Draws cfg.steps standard normals from rng in a single call.
     """
-    if sigma_income < 0:
+    finite_number(mu, "mu")
+    if finite_number(sigma_income, "sigma_income") < 0:
         raise ValidationError("sigma_income must be nonnegative")
-    n = cfg.steps
     dt = cfg.dt_years
-    z = rng.standard_normal(n)
+    z = rng.standard_normal(cfg.steps)
     levels = income_levels(i0.units, mu, sigma_income, dt, z)
     # A raw level is below zero exactly where the mirrored path (start
     # -I0, same shocks) is above its floor: negating I0 negates each raw
     # level exactly.  A raw level of exactly zero is not a floored step.
     mirrored = income_levels(-i0.units, mu, sigma_income, dt, z)
-    floored = int(np.count_nonzero(mirrored[1:] > 0.0))
-    times = np.arange(n + 1) * dt
-    cents = np.rint(levels * 100.0).astype(np.int64)
-    return SimulatedPath(times=times, cents=cents, floored_steps=floored)
+    return _quantized_path(levels, dt, int(np.count_nonzero(mirrored[1:] > 0.0)))
 
 
 def simulate_savings_path(
@@ -195,7 +202,8 @@ def simulate_savings_path(
     Pass ``shocks`` to reuse an externally drawn normal stream, for
     example one correlated with an income path.
     """
-    if sigma_market < 0:
+    finite_number(rate, "rate")
+    if finite_number(sigma_market, "sigma_market") < 0:
         raise ValidationError("sigma_market must be nonnegative")
     n = cfg.steps
     dt = cfg.dt_years
@@ -212,9 +220,7 @@ def simulate_savings_path(
     for k in range(n):
         value = value * max(1.0 + rate * dt + sigma_market * sqrt_dt * z[k], 0.0) + c
         values.append(value)
-    times = np.arange(n + 1) * dt
-    cents = np.rint(np.asarray(values) * 100.0).astype(np.int64)
-    return SimulatedPath(times=times, cents=cents)
+    return _quantized_path(values, dt)
 
 
 def thread_count() -> int:

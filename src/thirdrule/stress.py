@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .domain import AllocationRule, HouseholdProfile, Money, RuleId, _round_div, _settle_residual
-from .errors import DebtNeverClearsError, DomainError, ValidationError
+from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
 from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng, thread_count
 
@@ -66,11 +66,7 @@ class ScenarioSpec:
         if not self.name:
             raise ValidationError("scenario name must be nonempty")
         for field_name in ("income_shock", "apr_multiplier", "inflation_annual"):
-            value = getattr(self, field_name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{field_name} must be a number")
-            if not math.isfinite(value):
-                raise ValidationError(f"{field_name} must be finite")
+            finite_number(getattr(self, field_name), field_name)
         if self.income_shock < -1.0:
             raise ValidationError("income_shock cannot cut income below zero")
         if self.apr_multiplier <= 0:
@@ -78,8 +74,7 @@ class ScenarioSpec:
         if self.inflation_annual <= -1.0:
             raise ValidationError("inflation_annual must exceed -1")
         for field_name in ("onset_month", "duration_months"):
-            value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(getattr(self, field_name)):
                 raise ValidationError(f"{field_name} must be an integer")
         if self.onset_month < 1:
             raise ValidationError("onset_month counts from 1")
@@ -388,7 +383,7 @@ def savings_future_value(
     rate / 12.
     """
     timing = AnnuityTiming(timing)
-    if not isinstance(years, int) or isinstance(years, bool) or years < 0:
+    if not is_int(years) or years < 0:
         raise ValidationError("years must be a nonnegative integer")
     if not math.isfinite(rate) or rate <= -1.0:
         raise ValidationError("rate must be a finite return above -1")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import Allocation, Money, SignedMoney, _settle_residual
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite_number
 
 _EXPONENT_SUM_TOL = 1e-12
 
@@ -28,11 +28,7 @@ class UtilityParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+            value = finite_number(getattr(self, name), name)
             if value <= 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
         total = self.alpha + self.beta + self.gamma

@@ -1,0 +1,110 @@
+"""Inputs that must end with exit code 1 and one stderr line: no garbage
+on stdout, no warning and no traceback."""
+
+import json
+import os
+import warnings
+from unittest import mock
+
+import pytest
+
+from thirdrule import THREADS_ENV_VAR
+from thirdrule.cli import PROFILE_COLUMNS, main
+from thirdrule.dynamic import MAX_SHOCK_SAMPLES
+
+PROFILE = dict(
+    id="h1",
+    household_type="single_income",
+    income_annual="60000",
+    debt_balance="20000",
+    debt_apr="0.18",
+    baseline_expenses_annual="18000",
+    sigma_income="0.1",
+    sigma_market="0.15",
+    rho="0.3",
+    mu="0.02",
+    r_savings="0.04",
+)
+
+
+def _one_line_error(capsys, argv):
+    """Run argv and return its stderr, which must be one error line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1, out
+    assert err.startswith(("error:", "usage error:"))
+    assert err.count("\n") == 1
+    assert not caught, [str(w.message) for w in caught]
+    return err
+
+
+def test_usage_error_says_why(capsys):
+    err = _one_line_error(capsys, ["allocate", "--income", "1e26"])
+    assert err == "usage error: argument --income: money amount 1E+26 is out of range\n"
+
+
+def test_oversized_fraction_argument_is_a_usage_error(capsys):
+    err = _one_line_error(capsys, ["simulate", "--start", "100", "--horizon-years", "1e400"])
+    assert err.startswith("usage error: argument --horizon-years: ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigma-income", "nan"], "error: sigma_income must be finite\n"),
+        (["--mu", "inf"], "error: mu must be finite\n"),
+        (["--kind", "savings", "--rate", "nan"], "error: rate must be finite\n"),
+        (
+            ["--mu", "1e300"],
+            "error: a simulated level exceeds the money bound of 9007199254740992 cents\n",
+        ),
+    ],
+)
+def test_simulate_never_prints_garbage(flags, message, capsys):
+    argv = ["simulate", "--start", "100", "--horizon-years", "1", *flags]
+    assert _one_line_error(capsys, argv) == message
+
+
+@pytest.mark.parametrize("samples", [MAX_SHOCK_SAMPLES + 1, 100000])
+def test_plan_caps_shock_samples(samples, capsys):
+    argv = ["plan", "--income", "100", "--shock-std", "0.1", "--shock-samples", str(samples)]
+    err = _one_line_error(capsys, argv)
+    assert err == f"error: shock_samples must be an integer in 1..{MAX_SHOCK_SAMPLES}\n"
+
+
+def test_numpy_overflow_is_an_error_not_a_warning(capsys):
+    _one_line_error(capsys, ["plan", "--income", "100", "--horizon", "2", "--debt-apr", "1e308"])
+
+
+def test_risk_index_overflow_is_an_error(capsys):
+    argv = ["risk", "--dti=1e308", "--ser=1e308", "--beta-dti=1e308", "--beta-ser=-1e308"]
+    assert _one_line_error(capsys, argv) == "error: risk index overflows a float\n"
+
+
+def test_coalition_names_the_bad_member(capsys):
+    argv = ["coalition", "--incomes", "1,2", "--members", "0,a"]
+    assert _one_line_error(capsys, argv) == "error: member index 'a' is not an integer\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "profile, scenario",
+    [
+        ({"mu": "1e308"}, {}),
+        ({"debt_apr": "1e308"}, {}),
+        ({}, {"inflation_annual": 1e300}),
+    ],
+)
+def test_stress_overflow_is_one_line_error(profile, scenario, threads, tmp_path, capsys):
+    row = dict(PROFILE, **profile)
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a", **scenario)))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+    with mock.patch.dict(os.environ, {THREADS_ENV_VAR: threads}):
+        _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
