@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import statistics
 import sys
 import warnings
@@ -523,7 +524,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# argparse's own pattern, ^-\d+$|^-\d*\.\d+$, has no exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors.  Negative numbers in exponent
+    notation (``--mu -2e-2``) read as values, as ``-0.02`` already does;
+    subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str) -> None:  # type: ignore[override]
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(1)

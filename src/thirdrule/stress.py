@@ -26,6 +26,15 @@ completed month satisfies the cash identity
     expenses paid + debt service + savings deposits + residual cash
 
 exactly in cents; the loop checks it and raises ``DomainError`` if not.
+
+The month-only terms (the shock window's income factor, the expenses
+due and the monthly debt rate) do not depend on the draws or the
+balances, so they are computed once per (profile, scenario) cell and
+shared by its trials and rules; the month loop carries only the debt and
+savings recursion, the default test and the cash identity.  Building
+that schedule checks that income drift, expenses due and interest on the
+opening debt stay within ``MAX_CENTS``, and a ``DomainError`` names the
+profile or scenario field that breaks the bound.
 """
 
 from __future__ import annotations
@@ -35,11 +44,20 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .domain import AllocationRule, HouseholdProfile, Money, RuleId, _round_div, _settle_residual
+from .domain import (
+    MAX_CENTS,
+    AllocationRule,
+    HouseholdProfile,
+    Money,
+    RuleId,
+    _round_div,
+    _settle_residual,
+)
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
 from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng, thread_count
@@ -136,6 +154,66 @@ def _expenses_due_cents(
     return round(baseline_monthly_cents * factor)
 
 
+class _CellTerms(NamedTuple):
+    """What a trial's month loop reads that no draw changes."""
+
+    income_units: float
+    income_factor: tuple[float, ...]
+    due_c: tuple[int, ...]
+    rate: tuple[float, ...]
+
+
+def _out_of_range(field: str, value: float, owner: str, what: str) -> DomainError:
+    return DomainError(f"{owner}: {field} {value!r} puts {what} past the money bound")
+
+
+@lru_cache(maxsize=64)
+def _cell_terms(
+    profile: HouseholdProfile, scenario: ScenarioSpec, horizon_months: int
+) -> _CellTerms:
+    """Month schedule of one (profile, scenario) cell, built on its first
+    trial and shared by the rest.
+
+    Checks that income drift, expenses due and interest on the opening
+    debt stay finite and within ``MAX_CENTS``; the balance only falls, so
+    no later month can owe more interest.
+    """
+    who = f"profile {profile.profile_id!r}"
+    where = f"scenario {scenario.name!r}"
+    income_units = profile.income.units
+    drift_c = income_units * (1.0 + profile.mu * horizon_months * _DT) / _MONTHS_PER_YEAR * 100.0
+    if not -math.inf < drift_c <= MAX_CENTS:
+        raise _out_of_range("mu", profile.mu, who, "income")
+
+    shock_factor = 1.0 + scenario.income_shock
+    monthly_rate_base = profile.debt_apr / _MONTHS_PER_YEAR
+    active_rate = monthly_rate_base * scenario.apr_multiplier
+    months = range(1, horizon_months + 1)
+    active = [scenario.active(month) for month in months]
+    income_factor = tuple(shock_factor if a else 1.0 for a in active)
+    rate = tuple(active_rate if a else monthly_rate_base for a in active)
+
+    debt_c = profile.debt_balance.cents
+    if not debt_c * monthly_rate_base <= MAX_CENTS:
+        raise _out_of_range("debt_apr", profile.debt_apr, who, "monthly interest")
+    if not debt_c * max(rate) <= MAX_CENTS:
+        raise _out_of_range(
+            "apr_multiplier", scenario.apr_multiplier, where, f"monthly interest for {who}"
+        )
+
+    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
+    try:
+        due_c = tuple(_expenses_due_cents(baseline_monthly_c, scenario, month) for month in months)
+    except OverflowError:
+        due_c = None
+    if due_c is None or max(due_c) > MAX_CENTS:
+        raise _out_of_range(
+            "inflation_annual", scenario.inflation_annual, where, f"expenses due for {who}"
+        )
+
+    return _CellTerms(income_units, income_factor, due_c, rate)
+
+
 def run_trial(
     profile: HouseholdProfile,
     rule: AllocationRule,
@@ -149,34 +227,33 @@ def run_trial(
         raise ValidationError("horizon_months must be positive")
     if scenario.onset_month > horizon_months:
         raise ValidationError("scenario onset lies beyond the simulation horizon")
+    cell = _cell_terms(profile, scenario, horizon_months)
     f_debt, f_savings, _ = rule.fractions
     fd_num, fd_den = f_debt.numerator, f_debt.denominator
     fs_num, fs_den = f_savings.numerator, f_savings.denominator
 
     shocks = rng.standard_normal((2, horizon_months))
     z_income = shocks[0]
-    z_market = mix_correlated(profile.rho, z_income, shocks[1])
+    z_market = mix_correlated(profile.rho, z_income, shocks[1]).tolist()
     levels = income_levels(
-        profile.income.units, profile.mu, profile.sigma_income, _DT, z_income
-    )
+        cell.income_units, profile.mu, profile.sigma_income, _DT, z_income
+    )[1:].tolist()
 
-    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
-    sqrt_dt = math.sqrt(_DT)
-    monthly_rate_base = profile.debt_apr / _MONTHS_PER_YEAR
-
+    growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
+    growth_scale = profile.sigma_market * math.sqrt(_DT)
     debt_c = profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
-    min_buffer_c: Optional[int] = None
+    # month 1's buffer is at most the opening savings of 0, so starting
+    # the minimum there gives the minimum over the months walked
+    min_buffer_c = savings_c
     dti_series: list[float] = []
     ser_series: list[float] = []
 
-    for month in range(1, horizon_months + 1):
-        active = scenario.active(month)
-        income_units = levels[month] / _MONTHS_PER_YEAR
-        if active:
-            income_units *= 1.0 + scenario.income_shock
-        income_c = round(income_units * 100.0)
+    for month, level, z, factor, due_c, rate in zip(
+        range(1, horizon_months + 1), levels, z_market, cell.income_factor, cell.due_c, cell.rate
+    ):
+        income_c = round(level / _MONTHS_PER_YEAR * factor * 100.0)
 
         alloc_debt_c, alloc_savings_c, alloc_expenses_c = _settle_residual(
             income_c,
@@ -184,19 +261,26 @@ def run_trial(
             _round_div(income_c * fs_num, fs_den),
         )
 
-        due_c = _expenses_due_cents(baseline_monthly_c, scenario, month)
-        paid_from_bucket = min(alloc_expenses_c, due_c)
-        shortfall_c = due_c - paid_from_bucket
-        residual_c = alloc_expenses_c - paid_from_bucket
+        if alloc_expenses_c < due_c:
+            shortfall_c = due_c - alloc_expenses_c
+            residual_c = 0
+        else:
+            shortfall_c = 0
+            residual_c = alloc_expenses_c - due_c
 
-        rate = monthly_rate_base * (scenario.apr_multiplier if active else 1.0)
+        # interest first; what the debt bucket cannot cover comes from savings
         interest_c = round(debt_c * rate)
-        interest_from_bucket = min(alloc_debt_c, interest_c)
-        interest_gap_c = interest_c - interest_from_bucket
+        spare_c = alloc_debt_c - interest_c
+        if spare_c < 0:
+            needed_c = shortfall_c - spare_c
+            principal_c = excess_c = 0
+        else:
+            needed_c = shortfall_c
+            principal_c = debt_c if debt_c < spare_c else spare_c
+            excess_c = spare_c - principal_c
 
-        needed_c = shortfall_c + interest_gap_c
         buffer_c = savings_c - needed_c
-        if min_buffer_c is None or buffer_c < min_buffer_c:
+        if buffer_c < min_buffer_c:
             min_buffer_c = buffer_c
         if buffer_c < 0:
             return TrialOutcome(
@@ -208,33 +292,25 @@ def run_trial(
                 dti_series=tuple(dti_series),
                 ser_series=tuple(ser_series),
             )
-        savings_c -= needed_c
 
-        principal_c = min(debt_c, max(0, alloc_debt_c - interest_c))
-        excess_c = max(0, alloc_debt_c - interest_c - principal_c)
         debt_c -= principal_c
         if debt_c == 0 and cleared is None:
             cleared = month
 
-        growth = max(
-            1.0
-            + profile.r_savings / _MONTHS_PER_YEAR
-            + profile.sigma_market * sqrt_dt * z_market[month - 1],
-            0.0,
-        )
+        growth = growth_base + growth_scale * z
+        if growth < 0.0:
+            growth = 0.0
         deposit_c = alloc_savings_c + excess_c
-        savings_c = round(savings_c * growth) + deposit_c
+        savings_c = round(buffer_c * growth) + deposit_c
 
         debt_service_c = interest_c + principal_c
         dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
         if due_c > 0:
             ser_series.append(deposit_c / due_c)
         else:
-            ser_series.append(float("inf") if deposit_c > 0 else 1.0)
+            ser_series.append(math.inf if deposit_c > 0 else 1.0)
 
-        ledger_in = income_c + needed_c
-        ledger_out = due_c + debt_service_c + deposit_c + residual_c
-        if ledger_in != ledger_out:
+        if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
             raise DomainError(f"monthly cash identity violated in month {month}")
 
     return TrialOutcome(
@@ -242,7 +318,7 @@ def run_trial(
         default_month=None,
         debt_cleared_month=cleared,
         final_savings=Money(savings_c),
-        min_cash_buffer=(min_buffer_c if min_buffer_c is not None else savings_c) / 100.0,
+        min_cash_buffer=min_buffer_c / 100.0,
         dti_series=tuple(dti_series),
         ser_series=tuple(ser_series),
     )
@@ -275,8 +351,7 @@ def _aggregate(
         statistics.median(clearance_months) / _MONTHS_PER_YEAR if clearance_months else None
     )
     mean_final = Money(_round_div(final_cents_total, trials))
-    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
-    final_due_c = _expenses_due_cents(baseline_monthly_c, scenario, horizon_months)
+    final_due_c = _cell_terms(profile, scenario, horizon_months).due_c[-1]
     coverage = mean_final.cents / final_due_c if final_due_c > 0 else None
     return StressMetrics(
         profile_id=profile.profile_id,

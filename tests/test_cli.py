@@ -632,3 +632,18 @@ class TestReportCommand:
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["risk", "--dti", "0.3", "--ser", "1"], "--beta-ser", "-1e-3"),
+        (["risk", "--dti", "0.3", "--ser", "1"], "--beta-ser", "-.5E+2"),
+        (["simulate", "--start", "100", "--horizon-years", "1"], "--mu", "-2e-2"),
+    ],
+)
+def test_negative_exponent_value_reads_as_a_value(argv, flag, value, capsys):
+    assert main(argv + [flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert main(argv + [f"{flag}={value}"]) == 0
+    assert capsys.readouterr() == spaced

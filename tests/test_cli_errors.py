@@ -108,3 +108,33 @@ def test_stress_overflow_is_one_line_error(profile, scenario, threads, tmp_path,
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     with mock.patch.dict(os.environ, {THREADS_ENV_VAR: threads}):
         _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
+
+
+@pytest.mark.parametrize(
+    "profile, scenario, message",
+    [
+        ({"mu": "1e308"}, {}, "profile 'h1': mu 1e+308 puts income"),
+        ({"debt_apr": "1e308"}, {}, "profile 'h1': debt_apr 1e+308 puts monthly interest"),
+        (
+            {},
+            {"inflation_annual": 1e300},
+            "scenario 'a': inflation_annual 1e+300 puts expenses due for profile 'h1'",
+        ),
+        (
+            {},
+            {"apr_multiplier": 1e307},
+            "scenario 'a': apr_multiplier 1e+307 puts monthly interest for profile 'h1'",
+        ),
+    ],
+)
+def test_stress_overflow_names_its_input(profile, scenario, message, tmp_path, capsys):
+    row = dict(PROFILE, **profile)
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a", **scenario)))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+    err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
+    assert err == f"error: {message} past the money bound\n"
