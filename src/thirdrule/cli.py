@@ -290,6 +290,11 @@ def load_report_json(path: str) -> list[dict]:
     for idx, obj in enumerate(data):
         if not isinstance(obj, dict) or set(obj) != set(REPORT_COLUMNS):
             raise ValidationError(f"$[{idx}]: report rows need exactly the standard columns")
+        for column, value in obj.items():
+            if column in _TEXT_COLUMNS and not isinstance(value, str):
+                raise ValidationError(f"$[{idx}].{column}: must be a string")
+            if column not in _TEXT_COLUMNS and value is not None:
+                finite_number(value, f"$[{idx}].{column}:")
         rows.append(obj)
     return rows
 
@@ -408,10 +413,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_stress(args: argparse.Namespace) -> int:
     profiles = load_profiles(args.profiles)
     scenarios = load_scenarios(args.scenarios)
-    rule_names = [part.strip() for part in args.rules.split(",") if part.strip()]
-    if not rule_names:
-        raise ValidationError("at least one rule name is required")
-    rules = [AllocationRule.named(name) for name in rule_names]
+    rules = [AllocationRule.named(part.strip()) for part in args.rules.split(",") if part.strip()]
+    for idx, rule in enumerate(rules):
+        if rule in rules[:idx]:
+            raise ValidationError(f"--rules names {rule.rule_id.value!r} twice")
     cfg = PathConfig(
         horizon_years=args.horizon_years,
         dt_years=1.0 / 12.0,
@@ -504,12 +509,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_adjust(args: argparse.Namespace) -> int:
     params = _risk_params_from_args(args)
     factors = adjustment_factors(params, args.sigma_income, args.sigma_market)
+    allocation = adjusted_allocation(args.income, factors, AdjustMode(args.mode))
     print(f"debt_shift {factors.debt_shift:.6g}")
     print(f"savings_shift {factors.savings_shift:.6g}")
     print(f"expenses_shift {factors.expenses_shift:.6g}")
     print(f"clamped {factors.clamped}")
     print(f"zero_sum_defect {zero_sum_defect(factors):.6g}")
-    allocation = adjusted_allocation(args.income, factors, AdjustMode(args.mode))
     _print_allocation(allocation)
     return 0
 

@@ -19,15 +19,13 @@ Every Monte Carlo trial draws from its own generator derived from
 
 ``derive_stream_seed(m, k)`` equals the (k+1)-th output of the reference
 SplitMix64 sequence started at state m.  The derived 64-bit seed feeds
-numpy's PCG64 bit generator.  Results are therefore independent of worker
-count and of trial completion order as long as aggregation walks trials in
-index order.
+numpy's PCG64 bit generator.  A trial's draws therefore depend only on
+(master_seed, trial_index), not on which other trials run or in what order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +38,8 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
+# Read by nothing (stress runs on one thread); kept because tests and perfbench set it.
 THREADS_ENV_VAR = "THIRDRULE_THREADS"
-# The stress pool submits one future per trial, so an unbounded worker
-# count could ask the OS for one thread per trial.
-MAX_THREADS = 64
 
 
 def derive_stream_seed(master_seed: int, trial_index: int) -> int:
@@ -221,23 +217,3 @@ def simulate_savings_path(
         value = value * max(1.0 + rate * dt + sigma_market * sqrt_dt * z[k], 0.0) + c
         values.append(value)
     return _quantized_path(values, dt)
-
-
-def thread_count() -> int:
-    """Worker cap from the THIRDRULE_THREADS env var.  0 or unset = auto
-    (at most 8); values above MAX_THREADS are rejected."""
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if raw == "":
-        requested = 0
-    else:
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if requested < 0:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be nonnegative")
-    if requested > MAX_THREADS:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be at most {MAX_THREADS}, got {requested}")
-    if requested == 0:
-        return min(8, os.cpu_count() or 1)
-    return requested

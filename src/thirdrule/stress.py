@@ -34,17 +34,18 @@ shared by its trials and rules; the month loop carries only the debt and
 savings recursion, the default test and the cash identity.  Building
 that schedule checks that income drift, expenses due and interest on the
 opening debt stay within ``MAX_CENTS``, and a ``DomainError`` names the
-profile or scenario field that breaks the bound.
+profile or scenario field that breaks the bound.  A trial whose income or
+savings still outgrows Money or a float names the field behind it.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ from .domain import (
 )
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
-from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng, thread_count
+from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng
 
 _MONTHS_PER_YEAR = 12
 _DT = 1.0 / 12.0
@@ -214,6 +215,31 @@ def _cell_terms(
     return _CellTerms(income_units, income_factor, due_c, rate)
 
 
+def _overflow_cause(
+    profile: HouseholdProfile,
+    scenario: ScenarioSpec,
+    cell: _CellTerms,
+    levels: Optional[list[float]],
+    z_market: list[float],
+) -> DomainError:
+    """Name the field behind a trial whose income or savings outgrew a
+    float or ``MAX_CENTS``.  ``_cell_terms`` bounds the other fields, so
+    income past the bound over the trial is sigma_income's doing, or
+    income_shock's when only the shocked months pass it; otherwise the
+    larger term of the savings growth factor is."""
+    who = f"profile {profile.profile_id!r}"
+    if levels is None or not sum(levels) / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
+        return _out_of_range("sigma_income", profile.sigma_income, who, "income")
+    shocked = sum(level * f for level, f in zip(levels, cell.income_factor))
+    if not shocked / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
+        where = f"scenario {scenario.name!r}"
+        return _out_of_range("income_shock", scenario.income_shock, where, f"income for {who}")
+    volatility = profile.sigma_market * math.sqrt(_DT) * max(map(abs, z_market))
+    if profile.r_savings / _MONTHS_PER_YEAR >= volatility:
+        return _out_of_range("r_savings", profile.r_savings, who, "savings")
+    return _out_of_range("sigma_market", profile.sigma_market, who, "savings")
+
+
 def run_trial(
     profile: HouseholdProfile,
     rule: AllocationRule,
@@ -235,9 +261,6 @@ def run_trial(
     shocks = rng.standard_normal((2, horizon_months))
     z_income = shocks[0]
     z_market = mix_correlated(profile.rho, z_income, shocks[1]).tolist()
-    levels = income_levels(
-        cell.income_units, profile.mu, profile.sigma_income, _DT, z_income
-    )[1:].tolist()
 
     growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
     growth_scale = profile.sigma_market * math.sqrt(_DT)
@@ -249,79 +272,83 @@ def run_trial(
     min_buffer_c = savings_c
     dti_series: list[float] = []
     ser_series: list[float] = []
+    default_month: Optional[int] = None
 
-    for month, level, z, factor, due_c, rate in zip(
-        range(1, horizon_months + 1), levels, z_market, cell.income_factor, cell.due_c, cell.rate
-    ):
-        income_c = round(level / _MONTHS_PER_YEAR * factor * 100.0)
+    levels: Optional[list[float]] = None
+    try:
+        levels = income_levels(
+            cell.income_units, profile.mu, profile.sigma_income, _DT, z_income
+        )[1:].tolist()
 
-        alloc_debt_c, alloc_savings_c, alloc_expenses_c = _settle_residual(
-            income_c,
-            _round_div(income_c * fd_num, fd_den),
-            _round_div(income_c * fs_num, fs_den),
-        )
+        for month, level, z, factor, due_c, rate in zip(
+            count(1), levels, z_market, cell.income_factor, cell.due_c, cell.rate
+        ):
+            income_c = round(level / _MONTHS_PER_YEAR * factor * 100.0)
 
-        if alloc_expenses_c < due_c:
-            shortfall_c = due_c - alloc_expenses_c
-            residual_c = 0
-        else:
-            shortfall_c = 0
-            residual_c = alloc_expenses_c - due_c
-
-        # interest first; what the debt bucket cannot cover comes from savings
-        interest_c = round(debt_c * rate)
-        spare_c = alloc_debt_c - interest_c
-        if spare_c < 0:
-            needed_c = shortfall_c - spare_c
-            principal_c = excess_c = 0
-        else:
-            needed_c = shortfall_c
-            principal_c = debt_c if debt_c < spare_c else spare_c
-            excess_c = spare_c - principal_c
-
-        buffer_c = savings_c - needed_c
-        if buffer_c < min_buffer_c:
-            min_buffer_c = buffer_c
-        if buffer_c < 0:
-            return TrialOutcome(
-                defaulted=True,
-                default_month=month,
-                debt_cleared_month=cleared,
-                final_savings=Money(savings_c),
-                min_cash_buffer=buffer_c / 100.0,
-                dti_series=tuple(dti_series),
-                ser_series=tuple(ser_series),
+            alloc_debt_c, alloc_savings_c, alloc_expenses_c = _settle_residual(
+                income_c,
+                _round_div(income_c * fd_num, fd_den),
+                _round_div(income_c * fs_num, fs_den),
             )
 
-        debt_c -= principal_c
-        if debt_c == 0 and cleared is None:
-            cleared = month
+            if alloc_expenses_c < due_c:
+                shortfall_c = due_c - alloc_expenses_c
+                residual_c = 0
+            else:
+                shortfall_c = 0
+                residual_c = alloc_expenses_c - due_c
 
-        growth = growth_base + growth_scale * z
-        if growth < 0.0:
-            growth = 0.0
-        deposit_c = alloc_savings_c + excess_c
-        savings_c = round(buffer_c * growth) + deposit_c
+            # interest first; what the debt bucket cannot cover comes from savings
+            interest_c = round(debt_c * rate)
+            spare_c = alloc_debt_c - interest_c
+            if spare_c < 0:
+                needed_c = shortfall_c - spare_c
+                principal_c = excess_c = 0
+            else:
+                needed_c = shortfall_c
+                principal_c = debt_c if debt_c < spare_c else spare_c
+                excess_c = spare_c - principal_c
 
-        debt_service_c = interest_c + principal_c
-        dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
-        if due_c > 0:
-            ser_series.append(deposit_c / due_c)
-        else:
-            ser_series.append(math.inf if deposit_c > 0 else 1.0)
+            buffer_c = savings_c - needed_c
+            if buffer_c < min_buffer_c:
+                min_buffer_c = buffer_c
+            if buffer_c < 0:
+                default_month = month
+                break
 
-        if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
-            raise DomainError(f"monthly cash identity violated in month {month}")
+            debt_c -= principal_c
+            if debt_c == 0 and cleared is None:
+                cleared = month
 
-    return TrialOutcome(
-        defaulted=False,
-        default_month=None,
-        debt_cleared_month=cleared,
-        final_savings=Money(savings_c),
-        min_cash_buffer=min_buffer_c / 100.0,
-        dti_series=tuple(dti_series),
-        ser_series=tuple(ser_series),
-    )
+            growth = growth_base + growth_scale * z
+            if growth < 0.0:
+                growth = 0.0
+            deposit_c = alloc_savings_c + excess_c
+            savings_c = round(buffer_c * growth) + deposit_c
+
+            debt_service_c = interest_c + principal_c
+            dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
+            if due_c > 0:
+                ser_series.append(deposit_c / due_c)
+            else:
+                ser_series.append(math.inf if deposit_c > 0 else 1.0)
+
+            if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
+                raise DomainError(f"monthly cash identity violated in month {month}")
+
+        return TrialOutcome(
+            defaulted=default_month is not None,
+            default_month=default_month,
+            debt_cleared_month=cleared,
+            final_savings=Money(savings_c),
+            min_cash_buffer=min_buffer_c / 100.0,
+            dti_series=tuple(dti_series),
+            ser_series=tuple(ser_series),
+        )
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError, RuntimeWarning):  # an amount outgrew Money or a float
+        raise _overflow_cause(profile, scenario, cell, levels, z_market) from None
 
 
 def _aggregate(
@@ -377,8 +404,9 @@ def run_stress(
 
     Trial k always draws from the stream derived from
     (cfg.master_seed, k), so all combinations share shocks (common random
-    numbers) and results do not depend on worker count or completion
-    order.  Output rows are sorted by (profile_id, rule, scenario).
+    numbers).  Trials run one at a time on the calling thread, each
+    aggregated as it finishes.  Output rows are sorted by (profile_id,
+    rule, scenario).
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -389,7 +417,6 @@ def run_stress(
     if abs(cfg.dt_years * _MONTHS_PER_YEAR - 1.0) > 1e-9:
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
-    workers = thread_count()
     metrics: list[StressMetrics] = []
     combos = sorted(
         ((p, r, s) for p in profiles for r in rules for s in scenarios),
@@ -400,17 +427,8 @@ def run_stress(
         def one(k: int, _p=profile, _r=rule, _s=scenario) -> TrialOutcome:
             return run_trial(_p, _r, _s, horizon_months, derive_trial_rng(cfg.master_seed, k))
 
-        if workers > 1 and cfg.trials > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(one, range(cfg.trials))
-                metrics.append(
-                    _aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials)
-                )
-        else:
-            outcomes = map(one, range(cfg.trials))
-            metrics.append(
-                _aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials)
-            )
+        outcomes = map(one, range(cfg.trials))
+        metrics.append(_aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials))
     return metrics
 
 

@@ -607,6 +607,17 @@ class TestStressCommand:
             "error: row 2, field income_annual: money amount must be finite\n"
         )
 
+    @pytest.mark.parametrize("extra", [[], ["--compare"], ["--output", "report.csv"]])
+    def test_repeated_rule_is_rejected_before_any_run(self, extra, tmp_path, capsys):
+        profiles = _profiles_file(tmp_path, [GOOD_ROWS[0]])
+        scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))
+        extra = [str(tmp_path / arg) if arg == "report.csv" else arg for arg in extra]
+        argv = ["stress", "--profiles", profiles, "--scenarios", scenarios, "--trials", "2"]
+        argv += ["--horizon-years", "1", "--rules", "one_third,fifty_thirty_twenty,one_third"]
+        assert main(argv + extra) == 1
+        assert capsys.readouterr() == ("", "error: --rules names 'one_third' twice\n")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_unknown_rule_name(self, tmp_path, capsys):
         profiles = _profiles_file(tmp_path, [GOOD_ROWS[0]])
         scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))

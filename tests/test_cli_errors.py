@@ -83,6 +83,14 @@ def test_risk_index_overflow_is_an_error(capsys):
     assert _one_line_error(capsys, argv) == "error: risk index overflows a float\n"
 
 
+def test_adjust_failure_prints_no_partial_result(capsys):
+    argv = ["adjust", "--income=1", "--sigma-income=1", "--sigma-market=0", "--beta-dti=-1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: adjusted expenses share is negative")
+
+
 def test_coalition_names_the_bad_member(capsys):
     argv = ["coalition", "--incomes", "1,2", "--members", "0,a"]
     assert _one_line_error(capsys, argv) == "error: member index 'a' is not an integer\n"
@@ -125,6 +133,26 @@ def test_stress_overflow_is_one_line_error(profile, scenario, threads, tmp_path,
             {"apr_multiplier": 1e307},
             "scenario 'a': apr_multiplier 1e+307 puts monthly interest for profile 'h1'",
         ),
+        ({"sigma_income": "1e308"}, {}, "profile 'h1': sigma_income 1e+308 puts income"),
+        ({"sigma_income": "1e300"}, {}, "profile 'h1': sigma_income 1e+300 puts income"),
+        (
+            {"sigma_income": "1e12"},
+            {},
+            "profile 'h1': sigma_income 1000000000000.0 puts income",
+        ),
+        ({"sigma_market": "1e308"}, {}, "profile 'h1': sigma_market 1e+308 puts savings"),
+        ({"r_savings": "1e300"}, {}, "profile 'h1': r_savings 1e+300 puts savings"),
+        ({"r_savings": "1e3"}, {}, "profile 'h1': r_savings 1000.0 puts savings"),
+        (
+            {},
+            {"income_shock": 1e300},
+            "scenario 'a': income_shock 1e+300 puts income for profile 'h1'",
+        ),
+        (
+            {},
+            {"income_shock": 1e12},
+            "scenario 'a': income_shock 1000000000000.0 puts income for profile 'h1'",
+        ),
     ],
 )
 def test_stress_overflow_names_its_input(profile, scenario, message, tmp_path, capsys):
@@ -138,3 +166,19 @@ def test_stress_overflow_names_its_input(profile, scenario, message, tmp_path, c
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
     assert err == f"error: {message} past the money bound\n"
+
+
+def test_stress_near_the_money_bound_still_reports(tmp_path, capsys):
+    # Only inputs that overflow get the named error: a volatility just
+    # short of that keeps the report it gave before the fields were named.
+    row = dict(PROFILE, sigma_income="1e9")
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a")))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+    assert main(argv + ["--trials", "3", "--horizon-years", "2"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == "h1,one_third,a,0,0.0833333,37576572339612.04,2.5051e+10,0,0.0972222"

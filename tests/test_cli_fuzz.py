@@ -1,17 +1,21 @@
 """Property test of the CLI contract: any argv built from the option
-grammar ends with exit code 0, 1 or 2, never an uncaught exception or a
-warning; an error is one stderr line; a success prints no NaN, no
-infinity and no wrapped int64."""
+grammar, with any profile, scenario or report file it names, ends with
+exit code 0, 1 or 2, never an uncaught exception or a warning; an error
+is one stderr line and prints nothing on stdout; a success prints no NaN,
+no infinity and no wrapped int64."""
 
 import contextlib
 import io
+import json
+import os
 import re
+import tempfile
 import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thirdrule.cli import main
+from thirdrule.cli import PROFILE_COLUMNS, REPORT_COLUMNS, main
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308]
 # At least half the draws are plain values, so that commands also get
@@ -115,9 +119,7 @@ PLAN = _command(
 )
 
 
-@settings(max_examples=250, deadline=None)
-@given(st.one_of(ALLOCATE, RISK, ADJUST, SIMULATE, PLAN))
-def test_cli_keeps_the_exit_contract(argv):
+def _assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -133,3 +135,108 @@ def test_cli_keeps_the_exit_contract(argv):
     else:
         assert stderr.startswith(("error:", "usage error:")), (argv, stderr)
         assert stderr.count("\n") == 1, (argv, stderr)
+        assert stdout == "", (argv, stdout)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(ALLOCATE, RISK, ADJUST, SIMULATE, PLAN))
+def test_cli_keeps_the_exit_contract(argv):
+    _assert_contract(argv)
+
+
+# One profile row and one scenario; at most 3 trials over at most 2 years
+# keep each run to a few milliseconds.  Up to three cells of a plain row
+# are redrawn, so that most runs get past validation.  Rule lists may
+# repeat a rule.
+_PLAIN_ROW = dict(
+    id="h1",
+    household_type="single_income",
+    income_annual="60000",
+    debt_balance="20000",
+    debt_apr="0.18",
+    baseline_expenses_annual="18000",
+    sigma_income="0.1",
+    sigma_market="0.15",
+    rho="0.3",
+    mu="0.02",
+    r_savings="0.04",
+)
+_CELLS = {
+    column: MONEY if column.endswith(("_annual", "_balance")) else FLOATS
+    for column in PROFILE_COLUMNS[2:]
+}
+_CELLS["household_type"] = st.sampled_from(["single_income", "dual_income", "couple"])
+PROFILE_ROW = (
+    st.sets(st.sampled_from(sorted(_CELLS)), max_size=3)
+    .flatmap(lambda columns: st.fixed_dictionaries({c: _CELLS[c] for c in columns}))
+    .map(lambda cells: ",".join({**_PLAIN_ROW, **cells}[c] for c in PROFILE_COLUMNS))
+)
+_MONTHS = st.integers(min_value=-1, max_value=30)
+SCENARIO = st.fixed_dictionaries(
+    {"name": st.just("a")},
+    optional={
+        "income_shock": FLOATS.map(float),
+        "apr_multiplier": FLOATS.map(float),
+        "inflation_annual": FLOATS.map(float),
+        "onset_month": _MONTHS,
+        "duration_months": _MONTHS,
+    },
+)
+_RULES = st.sampled_from(["one_third", "fifty_thirty_twenty", "seventy_twenty_ten"])
+STRESS_OPTIONS = _command(
+    "stress",
+    [
+        ("--rules", st.lists(_RULES, min_size=1, max_size=3).map(",".join)),
+        ("--trials", st.integers(min_value=1, max_value=3)),
+        ("--horizon-years", st.sampled_from(["1", "2"])),
+    ],
+    **{
+        "--seed": st.integers(min_value=0, max_value=2**64 - 1),
+        "--format": st.sampled_from(["csv", "json"]),
+    },
+)
+
+# Report rows: the standard columns with values of any JSON type, or a
+# column missing, or no array at all.
+_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["h1", "one_third", "", "x,y", "1.5"]),
+    st.lists(st.integers(), max_size=2),
+)
+_REPORT_ROW = st.fixed_dictionaries({column: _JSON_VALUE for column in REPORT_COLUMNS})
+REPORT_DATA = st.one_of(
+    st.lists(_REPORT_ROW, max_size=3),
+    st.lists(_REPORT_ROW.map(lambda row: dict(list(row.items())[1:])), min_size=1, max_size=1),
+    _JSON_VALUE,
+)
+
+
+def _with_output(tmp, argv, output):
+    return argv + ["--output", os.path.join(tmp, "out.txt")] if output else argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROFILE_ROW, SCENARIO, STRESS_OPTIONS, st.booleans(), st.booleans())
+def test_stress_keeps_the_exit_contract(row, scenario, argv, compare, output):
+    with tempfile.TemporaryDirectory() as tmp:
+        profiles = os.path.join(tmp, "p.csv")
+        with open(profiles, "w") as handle:
+            handle.write(",".join(PROFILE_COLUMNS) + "\n" + row + "\n")
+        scenarios = os.path.join(tmp, "s.json")
+        with open(scenarios, "w") as handle:
+            json.dump(scenario, handle)
+        argv = argv + ["--profiles", profiles, "--scenarios", scenarios]
+        _assert_contract(_with_output(tmp, argv + ["--compare"] * compare, output))
+
+
+@settings(max_examples=150, deadline=None)
+@given(REPORT_DATA, st.sampled_from(["csv", "json"]), st.booleans())
+def test_report_keeps_the_exit_contract(data, fmt, output):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "r.json")
+        with open(report, "w") as handle:
+            json.dump(data, handle)
+        _assert_contract(_with_output(tmp, ["report", "--input", report, "--format", fmt], output))

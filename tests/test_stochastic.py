@@ -6,8 +6,6 @@ a simultaneous bug in both implementations cannot slip through.
 """
 
 import math
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ import pytest
 from thirdrule import (
     Money,
     PathConfig,
-    THREADS_ENV_VAR,
     ValidationError,
     correlated_normal_pair,
     derive_stream_seed,
@@ -24,9 +21,7 @@ from thirdrule import (
     mix_correlated,
     simulate_income_path,
     simulate_savings_path,
-    thread_count,
 )
-from thirdrule.stochastic import MAX_THREADS
 
 MASK = (1 << 64) - 1
 
@@ -246,36 +241,3 @@ class TestSavingsPath:
         mean = float(np.mean(finals))
         std = float(np.std(finals))
         assert abs(mean - value) <= 3 * std / math.sqrt(n)
-
-
-class TestThreadCount:
-    def test_default_caps_at_eight(self):
-        with mock.patch.dict(os.environ, {}, clear=False):
-            os.environ.pop(THREADS_ENV_VAR, None)
-            assert thread_count() == min(8, os.cpu_count() or 1)
-
-    def test_explicit_value(self):
-        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "4"}):
-            assert thread_count() == 4
-
-    def test_zero_means_auto(self):
-        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "0"}):
-            assert thread_count() == min(8, os.cpu_count() or 1)
-
-    def test_upper_bound(self):
-        # checked through thread_count alone: no pool is started
-        assert MAX_THREADS >= 8
-        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: str(MAX_THREADS)}):
-            assert thread_count() == MAX_THREADS
-        for raw in (str(MAX_THREADS + 1), "100000"):
-            with mock.patch.dict(os.environ, {THREADS_ENV_VAR: raw}):
-                with pytest.raises(ValidationError, match="at most"):
-                    thread_count()
-
-    def test_garbage_rejected(self):
-        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "many"}):
-            with pytest.raises(ValidationError):
-                thread_count()
-        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "-2"}):
-            with pytest.raises(ValidationError):
-                thread_count()

@@ -11,6 +11,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import threading
 from unittest import mock
 
 import pytest
@@ -328,6 +329,24 @@ class TestRunStress:
         with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "8"}):
             threaded = run_stress([p], [AllocationRule.one_third()], [BASELINE_SCENARIO], cfg)
         assert serial == threaded
+
+    def test_runs_on_the_calling_thread(self):
+        p = _profile()
+        cfg = _cfg(trials=16, seed=3, years=2)
+        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "8"}), mock.patch.object(
+            threading.Thread, "start", side_effect=AssertionError("stress started a thread")
+        ):
+            rows = run_stress([p], [AllocationRule.one_third()], [BASELINE_SCENARIO], cfg)
+        assert rows[0].trials == 16
+
+    def test_cli_import_leaves_out_concurrent_futures(self):
+        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, thirdrule.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     def test_deeper_shock_is_weakly_worse(self):
         p = _profile()
