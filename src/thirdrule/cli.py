@@ -461,9 +461,10 @@ def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
 
 def _cmd_shapley(args: argparse.Namespace) -> int:
     result = shapley_values(_coalition_from_args(args))
+    total = result.total  # checks the money bound before anything prints
     for idx, value in enumerate(result.values):
         print(f"member {idx} {value}")
-    print(f"total {result.total}")
+    print(f"total {total}")
     return 0
 
 

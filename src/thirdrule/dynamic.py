@@ -10,6 +10,17 @@ savings valuable and carried debt costly.  Income shocks are integrated
 with Gauss-Hermite quadrature; continuation values are interpolated
 multilinearly, clamping states that leave the grid to its edges.
 
+The interpolation is separable.  Next-period debt depends on the action,
+income and debt only, and next-period savings on the savings numerator,
+income and savings only.  So each period first blends the expected value
+surface along savings once per savings numerator, a (q + 1, ni, nb, ns)
+array, and then blends that along debt per action with two row gathers.
+Blending savings first and adding the precomputed reward and state term
+after the discounted continuation evaluates the textbook expression
+(1 - bw) * ((1 - sw) * v00 + sw * v01) + bw * ((1 - sw) * v10 + sw * v11)
+operation for operation, so values and chosen actions are exactly those
+of a sweep that gathers all four corners per action.
+
 Ties in the action choice break toward the action closest to the
 equal-thirds point in L1 distance (action lists are pre-sorted by that
 distance, so the first maximum wins).
@@ -32,6 +43,9 @@ DEFAULT_GRID_NODES = 11
 # Gauss-Hermite nodes come from an eigenproblem on a square matrix of this
 # order, so an unbounded count can exhaust memory before solving starts.
 MAX_SHOCK_SAMPLES = 64
+# The policy stores 14 bytes per grid node and period: about 19 MB at this
+# many periods on the default 11^3 grid.
+MAX_HORIZON = 1000
 
 
 @dataclass(frozen=True)
@@ -60,8 +74,8 @@ class DynamicConfig:
     state_weight: float = 0.1
 
     def __post_init__(self) -> None:
-        if not is_int(self.horizon) or self.horizon < 1:
-            raise ValidationError("horizon must be a positive integer of periods")
+        if not is_int(self.horizon) or not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValidationError(f"horizon must be an integer in 1..{MAX_HORIZON} periods")
         for name in ("income_grid", "debt_grid", "savings_grid"):
             raw = getattr(self, name)
             grid = tuple(float(x) for x in raw)
@@ -206,7 +220,6 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     sav_g = np.asarray(cfg.savings_grid)
     ni, nb, ns = len(inc_g), len(debt_g), len(sav_g)
     acts, q = _simplex_actions(cfg.action_step)
-    n_a = len(acts)
     frac = acts / q  # (n_a, 3) float
     p = cfg.params
     u_act = frac[:, 0] ** p.alpha * frac[:, 1] ** p.beta * frac[:, 2] ** p.gamma
@@ -228,36 +241,49 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
         0.0,
     )  # (n_a, ni, nb)
     bi0, bi1, bw = _bracket(debt_g, debt_next)
+    # Savings-next depends on the action only through its savings
+    # numerator, so its brackets are computed once per numerator.
     sav_next = (
         sav_g[None, None, :] * (1.0 + cfg.savings_return)
-        + frac[:, 1][:, None, None] * inc_g[None, :, None]
-    )  # (n_a, ni, ns)
+        + (np.arange(q + 1) / q)[:, None, None] * inc_g[None, :, None]
+    )  # (q + 1, ni, ns)
     si0, si1, sw = _bracket(sav_g, sav_next)
 
-    ii = np.arange(ni).reshape(1, ni, 1, 1)
-    b0 = bi0[:, :, :, None]
-    b1 = bi1[:, :, :, None]
-    bwx = bw[:, :, :, None]
-    s0 = si0[:, :, None, :]
-    s1 = si1[:, :, None, :]
+    # Flat indices into vbar for the savings blend, (q + 1, ni, nb, ns).
+    node_row = np.arange(ni * nb).reshape(1, ni, nb, 1) * ns
+    s_lo = node_row + si0[:, :, None, :]
+    s_hi = node_row + si1[:, :, None, :]
     swx = sw[:, :, None, :]
+    swx_c = 1.0 - swx
+    # Row indices into the savings blend for the debt blend, (n_a, ni, nb).
+    blend_row = (acts[:, 1][:, None] * ni + np.arange(ni)[None, :]) * nb
+    b_lo = blend_row[:, :, None] + bi0
+    b_hi = blend_row[:, :, None] + bi1
+    bwx = bw[:, :, :, None]
+    bwx_c = 1.0 - bwx
+    base = reward[:, :, None, None] + state_term[None, None, :, :]  # (n_a, ni, nb, ns)
+    total = np.empty_like(base)
+    upper = np.empty_like(base)
+    acts16 = acts.astype(np.int16)
 
     numerators = np.empty((cfg.horizon, ni, nb, ns, 3), dtype=np.int16)
     values = np.empty((cfg.horizon, ni, nb, ns))
     v_next = np.zeros((ni, nb, ns))
     for t in range(cfg.horizon, 0, -1):
-        vbar = (mix @ v_next.reshape(ni, -1)).reshape(ni, nb, ns)
-        g00 = vbar[ii, b0, s0]
-        g01 = vbar[ii, b0, s1]
-        g10 = vbar[ii, b1, s0]
-        g11 = vbar[ii, b1, s1]
-        cont = (1.0 - bwx) * ((1.0 - swx) * g00 + swx * g01) + bwx * (
-            (1.0 - swx) * g10 + swx * g11
-        )
-        total = reward[:, :, None, None] + state_term[None, None, :, :] + cfg.discount * cont
+        vbar = mix @ v_next.reshape(ni, -1)
+        blend = (swx_c * vbar.take(s_lo) + swx * vbar.take(s_hi)).reshape(-1, ns)
+        np.take(blend, b_lo, axis=0, out=total)
+        np.take(blend, b_hi, axis=0, out=upper)
+        # base + discount * ((1 - bw) * lower + bw * upper), operation for
+        # operation, so the maxima and their first argmax are exact
+        total *= bwx_c
+        upper *= bwx
+        total += upper
+        total *= cfg.discount
+        total += base
         best = np.argmax(total, axis=0)
         v_next = np.take_along_axis(total, best[None, :, :, :], axis=0)[0]
-        numerators[t - 1] = acts.astype(np.int16)[best]
+        numerators[t - 1] = acts16[best]
         values[t - 1] = v_next
     return Policy(
         config=cfg,

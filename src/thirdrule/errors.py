@@ -21,10 +21,14 @@ def is_int(value) -> bool:
 
 
 def finite_number(value, name: str):
-    """Return value if it is a finite int or float (not a bool); raise
-    ``ValidationError`` naming it otherwise."""
+    """Return value if it is a finite int or float (not a bool) within
+    the float range; raise ``ValidationError`` naming it otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{name} must be within the float range") from None
+    if not finite:
         raise ValidationError(f"{name} must be finite")
     return value

@@ -9,8 +9,8 @@ from unittest import mock
 import pytest
 
 from thirdrule import THREADS_ENV_VAR
-from thirdrule.cli import PROFILE_COLUMNS, main
-from thirdrule.dynamic import MAX_SHOCK_SAMPLES
+from thirdrule.cli import PROFILE_COLUMNS, REPORT_COLUMNS, main
+from thirdrule.dynamic import MAX_HORIZON, MAX_SHOCK_SAMPLES
 
 PROFILE = dict(
     id="h1",
@@ -74,6 +74,12 @@ def test_plan_caps_shock_samples(samples, capsys):
     assert err == f"error: shock_samples must be an integer in 1..{MAX_SHOCK_SAMPLES}\n"
 
 
+@pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 1000000000])
+def test_plan_caps_horizon(horizon, capsys):
+    err = _one_line_error(capsys, ["plan", "--income", "60000", "--horizon", str(horizon)])
+    assert err == f"error: horizon must be an integer in 1..{MAX_HORIZON} periods\n"
+
+
 def test_numpy_overflow_is_an_error_not_a_warning(capsys):
     _one_line_error(capsys, ["plan", "--income", "100", "--horizon", "2", "--debt-apr", "1e308"])
 
@@ -89,6 +95,12 @@ def test_adjust_failure_prints_no_partial_result(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: adjusted expenses share is negative")
+
+
+def test_shapley_past_the_money_bound_prints_no_partial_result(capsys):
+    # each share is within the bound, the grand coalition's total is not
+    err = _one_line_error(capsys, ["shapley", "--incomes", "9e13,9e13"])
+    assert err == "error: money amount 180000000000000.00 is out of range\n"
 
 
 def test_coalition_names_the_bad_member(capsys):
@@ -182,3 +194,24 @@ def test_stress_near_the_money_bound_still_reports(tmp_path, capsys):
     assert main(argv + ["--trials", "3", "--horizon-years", "2"]) == 0
     row = capsys.readouterr().out.splitlines()[1]
     assert row == "h1,one_third,a,0,0.0833333,37576572339612.04,2.5051e+10,0,0.0972222"
+
+
+def test_stress_int_past_the_float_range_names_its_field(tmp_path, capsys):
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a", income_shock=10**400)))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+    err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
+    assert err == "error: $.income_shock: must be within the float range\n"
+
+
+def test_report_int_past_the_float_range_names_its_cell(tmp_path, capsys):
+    row = dict.fromkeys(REPORT_COLUMNS, 0.5)
+    row.update(profile_id="h1", rule="one_third", scenario="a", default_rate=10**400)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps([row]))
+    err = _one_line_error(capsys, ["report", "--input", str(report)])
+    assert err == "error: $[0].default_rate: must be within the float range\n"

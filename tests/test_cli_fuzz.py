@@ -119,6 +119,25 @@ PLAN = _command(
 )
 
 
+# Member lists run past the Shapley cap of 10; size tables may list more
+# sizes than members; member indices may repeat, fall out of range or not
+# parse.
+_MONEY_LIST = st.lists(MONEY, max_size=12).map(",".join)
+_SIZE_TABLES = {"--scale-benefit": _MONEY_LIST, "--coordination-cost": _MONEY_LIST}
+SHAPLEY = _command("shapley", [("--incomes", _MONEY_LIST)], **_SIZE_TABLES)
+_MEMBER = st.one_of(
+    st.integers(min_value=-1, max_value=12).map(str), st.sampled_from(["a", " 1", "1.5", ""])
+)
+COALITION = st.tuples(
+    _command(
+        "coalition",
+        [("--incomes", _MONEY_LIST), ("--members", st.lists(_MEMBER, max_size=4).map(",".join))],
+        **_SIZE_TABLES,
+    ),
+    st.booleans(),
+).map(lambda drawn: drawn[0] + ["--check-superadditive"] * drawn[1])
+
+
 def _assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
@@ -141,6 +160,12 @@ def _assert_contract(argv):
 @settings(max_examples=250, deadline=None)
 @given(st.one_of(ALLOCATE, RISK, ADJUST, SIMULATE, PLAN))
 def test_cli_keeps_the_exit_contract(argv):
+    _assert_contract(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(SHAPLEY, COALITION))
+def test_game_commands_keep_the_exit_contract(argv):
     _assert_contract(argv)
 
 

@@ -7,11 +7,14 @@ through subset weights.  The two must agree to the cent, including the
 largest-remainder distribution of leftover cents.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thirdrule import (
     CoalitionSpec,
@@ -202,6 +205,46 @@ class TestShapley:
         )
         with pytest.raises(DomainError):
             shapley_values(spec)
+
+
+# Incomes of at least 3000.00 against size tables of at most 1000.00 keep
+# every coalition value and every fair share nonnegative.
+_INCOME_CENTS = st.integers(min_value=300_000, max_value=10**9)
+_TABLE_CENTS = st.integers(min_value=0, max_value=100_000)
+
+
+@st.composite
+def _games(draw, min_members=1):
+    n = draw(st.integers(min_value=min_members, max_value=7))
+    incomes = draw(st.lists(_INCOME_CENTS, min_size=n, max_size=n))
+    sizes = st.dictionaries(st.integers(min_value=1, max_value=n), _TABLE_CENTS.map(Money))
+    return CoalitionSpec(
+        member_incomes=tuple(Money(c) for c in incomes),
+        scale_benefit=draw(sizes),
+        coordination_cost=draw(sizes),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games())
+def test_shapley_efficiency_in_exact_cents(spec):
+    values = shapley_values(spec).values
+    grand = coalition_value(spec, range(spec.n_members))
+    assert sum(v.cents for v in values) == grand.cents
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games(min_members=2), st.data())
+def test_shapley_symmetry_for_equal_incomes(spec, data):
+    # size-indexed tables treat members alike, so two equal incomes have
+    # equal exact shares; the leftover cent may go only to the lower index
+    i, j = sorted(
+        data.draw(st.lists(st.integers(0, spec.n_members - 1), min_size=2, max_size=2, unique=True))
+    )
+    incomes = list(spec.member_incomes)
+    incomes[j] = incomes[i]
+    values = shapley_values(dataclasses.replace(spec, member_incomes=tuple(incomes))).values
+    assert values[i].cents - values[j].cents in (0, 1)
 
 
 class TestSuperadditivity:

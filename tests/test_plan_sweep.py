@@ -1,0 +1,173 @@
+"""The planner's backward sweep against a frozen reference sweep.
+
+``_reference_sweep`` is the period loop of ``solve_plan`` as it stood
+before the separable continuation blend: every period gathers the four
+corners of each action's (debt, savings) cell from the expected value
+surface and blends them in one expression.  It is kept here only as an
+oracle; ``solve_plan`` must return bit-identical numerators and values
+for any config, and the ``plan`` command must keep its bytes.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thirdrule import DynamicConfig, HouseholdState, Money, UtilityParams, solve_plan
+from thirdrule.cli import main
+from thirdrule.dynamic import _bracket, _quad_nodes, _simplex_actions
+
+
+def _reference_sweep(cfg):
+    """(numerators, values) of the four-gather sweep."""
+    inc_g = np.asarray(cfg.income_grid)
+    debt_g = np.asarray(cfg.debt_grid)
+    sav_g = np.asarray(cfg.savings_grid)
+    ni, nb, ns = len(inc_g), len(debt_g), len(sav_g)
+    acts, q = _simplex_actions(cfg.action_step)
+    frac = acts / q
+    p = cfg.params
+    u_act = frac[:, 0] ** p.alpha * frac[:, 1] ** p.beta * frac[:, 2] ** p.gamma
+    reward = inc_g[None, :] * u_act[:, None]
+    state_term = cfg.state_weight * (np.log1p(sav_g)[None, :] - np.log1p(debt_g)[:, None])
+
+    z_nodes, z_weights = _quad_nodes(cfg)
+    mix = np.zeros((ni, ni))
+    for z, wq in zip(z_nodes, z_weights):
+        nxt = np.maximum(inc_g * (1.0 + cfg.income_growth + cfg.shock_std * z), 0.0)
+        lo, hi, w = _bracket(inc_g, nxt)
+        np.add.at(mix, (np.arange(ni), lo), wq * (1.0 - w))
+        np.add.at(mix, (np.arange(ni), hi), wq * w)
+
+    debt_next = np.maximum(
+        debt_g[None, None, :] * (1.0 + cfg.debt_apr) - frac[:, 0][:, None, None] * inc_g[None, :, None],
+        0.0,
+    )
+    bi0, bi1, bw = _bracket(debt_g, debt_next)
+    sav_next = (
+        sav_g[None, None, :] * (1.0 + cfg.savings_return)
+        + frac[:, 1][:, None, None] * inc_g[None, :, None]
+    )
+    si0, si1, sw = _bracket(sav_g, sav_next)
+
+    ii = np.arange(ni).reshape(1, ni, 1, 1)
+    b0 = bi0[:, :, :, None]
+    b1 = bi1[:, :, :, None]
+    bwx = bw[:, :, :, None]
+    s0 = si0[:, :, None, :]
+    s1 = si1[:, :, None, :]
+    swx = sw[:, :, None, :]
+
+    numerators = np.empty((cfg.horizon, ni, nb, ns, 3), dtype=np.int16)
+    values = np.empty((cfg.horizon, ni, nb, ns))
+    v_next = np.zeros((ni, nb, ns))
+    for t in range(cfg.horizon, 0, -1):
+        vbar = (mix @ v_next.reshape(ni, -1)).reshape(ni, nb, ns)
+        g00 = vbar[ii, b0, s0]
+        g01 = vbar[ii, b0, s1]
+        g10 = vbar[ii, b1, s0]
+        g11 = vbar[ii, b1, s1]
+        cont = (1.0 - bwx) * ((1.0 - swx) * g00 + swx * g01) + bwx * (
+            (1.0 - swx) * g10 + swx * g11
+        )
+        total = reward[:, :, None, None] + state_term[None, None, :, :] + cfg.discount * cont
+        best = np.argmax(total, axis=0)
+        v_next = np.take_along_axis(total, best[None, :, :, :], axis=0)[0]
+        numerators[t - 1] = acts.astype(np.int16)[best]
+        values[t - 1] = v_next
+    return numerators, values
+
+
+# Grids of 2-6 nodes with uneven gaps.  Balances on a scale of a few
+# thousand units against incomes of up to a few thousand, so next-period
+# states land inside the grid, below its first node and past its last.
+def _grid(low, high_gap):
+    return st.tuples(
+        st.floats(min_value=0.0, max_value=low),
+        st.lists(st.floats(min_value=1.0, max_value=high_gap), min_size=1, max_size=5),
+    ).map(lambda drawn: tuple(np.cumsum((drawn[0],) + tuple(drawn[1]))))
+
+
+_PARAMS = st.sampled_from(
+    [
+        UtilityParams.symmetric(),
+        UtilityParams(alpha=0.5, beta=0.3, gamma=0.2),
+        UtilityParams(alpha=0.2, beta=0.7, gamma=0.1),
+    ]
+)
+CONFIGS = st.builds(
+    DynamicConfig,
+    horizon=st.integers(min_value=1, max_value=4),
+    income_grid=_grid(500.0, 3000.0),
+    debt_grid=_grid(100.0, 2000.0),
+    savings_grid=_grid(100.0, 2000.0),
+    discount=st.floats(min_value=0.5, max_value=1.0),
+    debt_apr=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5), st.just(50.0)),
+    savings_return=st.floats(min_value=-0.9, max_value=0.5),
+    income_growth=st.floats(min_value=-0.5, max_value=0.5),
+    shock_std=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.5)),
+    shock_samples=st.sampled_from([1, 7]),
+    action_step=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 30)]),
+    params=_PARAMS,
+    state_weight=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0), st.just(1e4)),
+)
+_INITIAL = HouseholdState(income=Money.of("1000"), debt=Money.zero(), savings=Money.zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS)
+def test_solve_plan_matches_reference_sweep(cfg):
+    policy = solve_plan(_INITIAL, cfg)
+    numerators, values = _reference_sweep(cfg)
+    assert np.array_equal(policy.numerators, numerators)
+    assert np.array_equal(policy.values, values)
+
+
+def test_solve_plan_matches_reference_sweep_on_the_default_grid():
+    # the plan_deep benchmark's shape: 11 nodes per axis, 496 actions,
+    # seven shock samples, states clamped at both ends of every grid
+    initial = HouseholdState(
+        income=Money.of("60000"), debt=Money.of("20000"), savings=Money.of("5000")
+    )
+    cfg = DynamicConfig(
+        horizon=3,
+        income_grid=tuple(np.geomspace(15000.0, 240000.0, 11)),
+        debt_grid=tuple(np.linspace(0.0, 180000.0, 11)),
+        savings_grid=tuple(np.linspace(0.0, 180000.0, 11)),
+        debt_apr=0.18,
+        savings_return=0.04,
+        income_growth=0.02,
+        shock_std=0.1,
+    )
+    policy = solve_plan(initial, cfg)
+    numerators, values = _reference_sweep(cfg)
+    assert np.array_equal(policy.numerators, numerators)
+    assert np.array_equal(policy.values, values)
+
+
+# sha256 of ``thirdrule plan`` stdout, recorded from the four-gather sweep:
+# the benchmark's plan_deep argv at horizons 3 and 30, and the README
+# example.
+_PLAN_DEEP = (
+    "--income 60000 --debt 20000 --savings 5000 --horizon {} --debt-apr 0.18 "
+    "--savings-return 0.04 --income-growth 0.02 --shock-std 0.1"
+)
+_GOLDEN = {
+    _PLAN_DEEP.format(3): "33c757d5b1e85c7ab390255c6a6e1ddc7264e24884e97a1572f791a0fcd4974d",
+    _PLAN_DEEP.format(30): "26ffeec47697db3067e65aadd9ad44161f4ed4fcf9b29f7a6bc3a9994b79ea00",
+    "--income 36000 --horizon 5 --state-weight 0": (
+        "b7a7fa71c2eac28be31059c11489d7f1dfd28209d58678fe8cf45ec7ae2c193a"
+    ),
+}
+
+
+def test_plan_report_bytes_are_pinned(capsys):
+    got = {}
+    for args in _GOLDEN:
+        code = main(["plan"] + args.split())
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        got[args] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == _GOLDEN
