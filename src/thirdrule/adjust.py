@@ -65,9 +65,8 @@ def adjustment_factors(
         raise ValidationError("volatilities must be nonnegative")
     income_var = params.beta_sigma_income * sigma_income * sigma_income
     market_var = params.beta_sigma_market * sigma_market * sigma_market
-    raw_debt = income_var / (2.0 * params.beta_dti)
+    raw_debt = raw_expenses = income_var / (2.0 * params.beta_dti)
     raw_savings = (income_var + market_var) / (2.0 * abs(params.beta_ser))
-    raw_expenses = income_var / (2.0 * params.beta_dti)
     clamped = False
     shifts = []
     for raw in (raw_debt, raw_savings, raw_expenses):

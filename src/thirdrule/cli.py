@@ -31,6 +31,7 @@ import re
 import statistics
 import sys
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -44,7 +45,7 @@ from .domain import (
     RuleId,
     rule_allocation,
 )
-from .dynamic import HouseholdState, default_config, policy_adjustments, solve_plan
+from .dynamic import DynamicConfig, HouseholdState, default_config, policy_adjustments, solve_plan
 from .errors import ValidationError, finite_number, is_int
 from .game import CoalitionSpec, coalition_value, is_superadditive, shapley_values
 from .risk import RiskParams, bankruptcy_probability, classify_stability
@@ -65,14 +66,7 @@ PROFILE_COLUMNS = (
     "r_savings",
 )
 
-SCENARIO_KEYS = (
-    "name",
-    "income_shock",
-    "apr_multiplier",
-    "inflation_annual",
-    "onset_month",
-    "duration_months",
-)
+SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
 
 REPORT_COLUMNS = (
     "profile_id",
@@ -220,10 +214,6 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
     return scenarios
 
 
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
 def metrics_rows(metrics: Sequence[StressMetrics]) -> list[dict]:
     rows = []
     for m in metrics:
@@ -256,9 +246,7 @@ def _csv_cell(column: str, value) -> str:
 def _json_cell(column: str, value):
     if value is None or column in _TEXT_COLUMNS:
         return value
-    if column in _MONEY_COLUMNS:
-        return float(str(value)) if isinstance(value, Money) else float(f"{float(value):.2f}")
-    return _sig6(float(value))
+    return float(_csv_cell(column, value))
 
 
 def render_report(rows: Sequence[dict], fmt: str) -> str:
@@ -299,12 +287,15 @@ def load_report_json(path: str) -> list[dict]:
     return rows
 
 
-def emit_report(rows: Sequence[dict], fmt: str, path: Optional[str]) -> str:
+def emit_report(rows: Sequence[dict], fmt: str, path: Optional[str]) -> None:
+    """Write the rendered report to path and say so, or to stdout."""
     text = render_report(rows, fmt)
     if path:
         with open(path, "w", newline="") as handle:
             handle.write(text)
-    return text
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_money_arg(text: str) -> Money:
@@ -336,24 +327,31 @@ def _rule_from_args(args: argparse.Namespace) -> AllocationRule:
     return AllocationRule.named(rule_id)
 
 
-def _risk_params_from_args(args: argparse.Namespace) -> RiskParams:
-    return RiskParams(
-        beta_dti=args.beta_dti,
-        beta_ser=args.beta_ser,
-        beta_sigma_income=args.beta_sigma_income,
-        beta_sigma_market=args.beta_sigma_market,
-        dti_limit=args.dti_limit,
-        ser_floor=args.ser_floor,
-    )
+_RISK_FIELDS = tuple(f.name for f in fields(RiskParams))
+_PLAN_FIELDS = (
+    "discount",
+    "debt_apr",
+    "savings_return",
+    "income_growth",
+    "shock_std",
+    "shock_samples",
+    "state_weight",
+)
 
 
-def _add_risk_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta-dti", type=float, default=2.0)
-    parser.add_argument("--beta-ser", type=float, default=-1.0)
-    parser.add_argument("--beta-sigma-income", type=float, default=1.0)
-    parser.add_argument("--beta-sigma-market", type=float, default=0.5)
-    parser.add_argument("--dti-limit", type=float, default=0.36)
-    parser.add_argument("--ser-floor", type=float, default=1.0)
+def _add_field_flags(parser: argparse.ArgumentParser, cls: type, names: Sequence[str]) -> None:
+    """One --name-with-dashes flag per named field, typed and defaulted by the field."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for name in names:
+        default = defaults[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
+
+def _add_coalition_flags(parser: argparse.ArgumentParser) -> None:
+    by_size = "comma list by coalition size, starting at size 1"
+    parser.add_argument("--incomes", required=True, help="comma list of member incomes")
+    parser.add_argument("--scale-benefit", help=by_size)
+    parser.add_argument("--coordination-cost", help=by_size)
 
 
 def _print_allocation(allocation: Allocation) -> None:
@@ -370,7 +368,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
-    params = _risk_params_from_args(args)
+    params = RiskParams(**{name: getattr(args, name) for name in _RISK_FIELDS})
     probability = bankruptcy_probability(
         params, args.dti, args.ser, args.sigma_income, args.sigma_market
     )
@@ -417,18 +415,9 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     for idx, rule in enumerate(rules):
         if rule in rules[:idx]:
             raise ValidationError(f"--rules names {rule.rule_id.value!r} twice")
-    cfg = PathConfig(
-        horizon_years=args.horizon_years,
-        dt_years=1.0 / 12.0,
-        trials=args.trials,
-        master_seed=args.seed,
-    )
+    cfg = PathConfig(horizon_years=args.horizon_years, trials=args.trials, master_seed=args.seed)
     metrics = run_stress(profiles, rules, scenarios, cfg)
-    text = emit_report(metrics_rows(metrics), args.format, args.output)
-    if args.output:
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    emit_report(metrics_rows(metrics), args.format, args.output)
     if args.compare and len(rules) > 1:
         for row in compare_rules(metrics):
             delta = f" (+{row.default_rate_delta:.6g} default rate)" if row.rank > 1 else ""
@@ -484,17 +473,8 @@ def _cmd_coalition(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     initial = HouseholdState(income=args.income, debt=args.debt, savings=args.savings)
-    cfg = default_config(
-        initial,
-        args.horizon,
-        discount=args.discount,
-        debt_apr=args.debt_apr,
-        savings_return=args.savings_return,
-        income_growth=args.income_growth,
-        shock_std=args.shock_std,
-        shock_samples=args.shock_samples,
-        state_weight=args.state_weight,
-    )
+    overrides = {name: getattr(args, name) for name in _PLAN_FIELDS}
+    cfg = default_config(initial, args.horizon, **overrides)
     policy = solve_plan(initial, cfg)
     node = policy.nearest_node(initial)
     for t in range(1, cfg.horizon + 1):
@@ -508,7 +488,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> int:
-    params = _risk_params_from_args(args)
+    params = RiskParams(**{name: getattr(args, name) for name in _RISK_FIELDS})
     factors = adjustment_factors(params, args.sigma_income, args.sigma_market)
     allocation = adjusted_allocation(args.income, factors, AdjustMode(args.mode))
     print(f"debt_shift {factors.debt_shift:.6g}")
@@ -521,12 +501,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = load_report_json(args.input)
-    text = emit_report(rows, args.format, args.output)
-    if args.output:
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    emit_report(load_report_json(args.input), args.format, args.output)
     return 0
 
 
@@ -563,7 +538,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ser", type=float, required=True)
     p.add_argument("--sigma-income", type=float, default=0.0)
     p.add_argument("--sigma-market", type=float, default=0.0)
-    _add_risk_param_flags(p)
+    _add_field_flags(p, RiskParams, _RISK_FIELDS)
     p.set_defaults(func=_cmd_risk)
 
     p = sub.add_parser("simulate", help="simulate income or savings paths")
@@ -575,7 +550,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rate", type=float, default=0.0)
     p.add_argument("--sigma-market", type=float, default=0.0)
     p.add_argument("--horizon-years", type=_parse_fraction_arg, required=True)
-    p.add_argument("--dt-years", type=_parse_fraction_arg, default=1.0 / 12.0)
+    p.add_argument("--dt-years", type=_parse_fraction_arg, default=PathConfig.dt_years)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
@@ -593,15 +568,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_stress)
 
     p = sub.add_parser("shapley", help="fair split of pooled household value")
-    p.add_argument("--incomes", required=True, help="comma list of member incomes")
-    p.add_argument("--scale-benefit", help="comma list by coalition size, starting at size 1")
-    p.add_argument("--coordination-cost", help="comma list by coalition size, starting at size 1")
+    _add_coalition_flags(p)
     p.set_defaults(func=_cmd_shapley)
 
     p = sub.add_parser("coalition", help="value of one coalition")
-    p.add_argument("--incomes", required=True)
-    p.add_argument("--scale-benefit")
-    p.add_argument("--coordination-cost")
+    _add_coalition_flags(p)
     p.add_argument("--members", required=True, help="comma list of member indices")
     p.add_argument("--check-superadditive", action="store_true")
     p.set_defaults(func=_cmd_coalition)
@@ -611,13 +582,7 @@ def build_parser() -> _Parser:
     p.add_argument("--debt", type=_parse_money_arg, default=Money.zero())
     p.add_argument("--savings", type=_parse_money_arg, default=Money.zero())
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--discount", type=float, default=0.95)
-    p.add_argument("--debt-apr", type=float, default=0.0)
-    p.add_argument("--savings-return", type=float, default=0.0)
-    p.add_argument("--income-growth", type=float, default=0.0)
-    p.add_argument("--shock-std", type=float, default=0.0)
-    p.add_argument("--shock-samples", type=int, default=7)
-    p.add_argument("--state-weight", type=float, default=0.1)
+    _add_field_flags(p, DynamicConfig, _PLAN_FIELDS)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("adjust", help="volatility-adjusted allocation")
@@ -625,7 +590,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-income", type=float, required=True)
     p.add_argument("--sigma-market", type=float, required=True)
     p.add_argument("--mode", choices=[m.value for m in AdjustMode], default="residual_expenses")
-    _add_risk_param_flags(p)
+    _add_field_flags(p, RiskParams, _RISK_FIELDS)
     p.set_defaults(func=_cmd_adjust)
 
     p = sub.add_parser("report", help="re-emit a JSON report as CSV or JSON")

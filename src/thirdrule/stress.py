@@ -423,11 +423,11 @@ def run_stress(
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
     for profile, rule, scenario in combos:
-
-        def one(k: int, _p=profile, _r=rule, _s=scenario) -> TrialOutcome:
-            return run_trial(_p, _r, _s, horizon_months, derive_trial_rng(cfg.master_seed, k))
-
-        outcomes = map(one, range(cfg.trials))
+        # lazy, so each trial runs (and can be traced) inside _aggregate
+        outcomes = (
+            run_trial(profile, rule, scenario, horizon_months, derive_trial_rng(cfg.master_seed, k))
+            for k in range(cfg.trials)
+        )
         metrics.append(_aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials))
     return metrics
 
