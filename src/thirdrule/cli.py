@@ -252,11 +252,16 @@ def _json_cell(column: str, value):
 def render_report(rows: Sequence[dict], fmt: str) -> str:
     """Render report rows as CSV or JSON text (deterministic bytes)."""
     if fmt == "csv":
+        lines = [[_csv_cell(col, row[col]) for col in REPORT_COLUMNS] for row in rows]
+        # The writer quotes a cell holding "\n" but not a bare "\r", which
+        # reads back as a row break; quote every cell of such a report.
+        bare_cr = any("\r" in cell for line in lines for cell in line)
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(
+            buffer, lineterminator="\n", quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL
+        )
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(col, row[col]) for col in REPORT_COLUMNS])
+        writer.writerows(lines)
         return buffer.getvalue()
     if fmt == "json":
         payload = [

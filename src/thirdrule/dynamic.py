@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .domain import Allocation, Money
 from .errors import ValidationError, finite_number, is_int
 from .utility_opt import UtilityParams
@@ -292,48 +291,6 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
         numerators=numerators,
         values=values,
     )
-
-
-def replay_node_value(policy: Policy, t: int, node: tuple[int, int, int]) -> float:
-    """Recompute the stored value at one node with scalar arithmetic.
-
-    Used to cross-check the vectorized sweep: reward of the stored action
-    plus the discounted quadrature expectation of the next period's
-    interpolated value.
-    """
-    cfg = policy.config
-    if not 1 <= t <= cfg.horizon:
-        raise ValidationError(f"period must lie in 1..{cfg.horizon}")
-    i, b, s = node
-    inc = cfg.income_grid[i]
-    debt = cfg.debt_grid[b]
-    sav = cfg.savings_grid[s]
-    fd, fs, fe = (float(f) for f in policy.node_fractions(t, node))
-    p = cfg.params
-    reward = inc * (fd**p.alpha * fs**p.beta * fe**p.gamma)
-    reward += cfg.state_weight * (math.log1p(sav) - math.log1p(debt))
-    if t == cfg.horizon:
-        return reward
-    v_next = policy.values[t]
-    inc_g = np.asarray(cfg.income_grid)
-    debt_g = np.asarray(cfg.debt_grid)
-    sav_g = np.asarray(cfg.savings_grid)
-    debt_nxt = max(0.0, debt * (1.0 + cfg.debt_apr) - fd * inc)
-    sav_nxt = sav * (1.0 + cfg.savings_return) + fs * inc
-    blo, bhi, bw = _bracket(debt_g, np.asarray([debt_nxt]))
-    slo, shi, sw = _bracket(sav_g, np.asarray([sav_nxt]))
-    z_nodes, z_weights = _quad_nodes(cfg)
-    expected = 0.0
-    for z, wq in zip(z_nodes, z_weights):
-        inc_nxt = max(0.0, inc * (1.0 + cfg.income_growth + cfg.shock_std * z))
-        ilo, ihi, iw = _bracket(inc_g, np.asarray([inc_nxt]))
-        acc = 0.0
-        for idx, w_i in ((ilo[0], 1.0 - iw[0]), (ihi[0], iw[0])):
-            for bdx, w_b in ((blo[0], 1.0 - bw[0]), (bhi[0], bw[0])):
-                for sdx, w_s in ((slo[0], 1.0 - sw[0]), (shi[0], sw[0])):
-                    acc += w_i * w_b * w_s * v_next[idx, bdx, sdx]
-        expected += wq * acc
-    return reward + cfg.discount * expected
 
 
 def policy_adjustments(

@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._numpy import np
 from .domain import Allocation, AllocationRule, Money, make_allocation, total_income
 from .errors import DomainError, ValidationError, is_int
 from .utility_opt import UtilityParams, utility
-
-import numpy as np
 
 SHAPLEY_MAX_MEMBERS = 10
 SUPERADDITIVITY_MAX_MEMBERS = 16

@@ -5,7 +5,7 @@ floored at zero, with W a standard Brownian motion discretized on the step
 grid.  Savings follow a geometric Euler step
 S <- S * (1 + r * dt + sigma_m * sqrt(dt) * z) plus an end-of-period
 contribution.  The two shock streams can be correlated through
-``correlated_normal_pair``.
+``mix_correlated``.
 
 Reproducibility contract
 ------------------------
@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .domain import MAX_CENTS, Money
 from .errors import DomainError, ValidationError, finite_number, is_int
 
@@ -68,12 +67,6 @@ def mix_correlated(rho: float, z_first: np.ndarray, z_second: np.ndarray) -> np.
     if not -1.0 <= rho <= 1.0:
         raise ValidationError("rho must lie in [-1, 1]")
     return rho * z_first + math.sqrt(1.0 - rho * rho) * z_second
-
-
-def correlated_normal_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw (z1, z2) standard normal with corr(z1, z2) = rho."""
-    z = rng.standard_normal(2)
-    return float(z[0]), float(mix_correlated(rho, z[0], z[1]))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .domain import (
     MAX_CENTS,
     AllocationRule,

@@ -3,6 +3,7 @@
 flag lists in ``--help``, and the JSON report number format."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -282,11 +283,11 @@ MONEY_CELLS = st.one_of(
 
 
 @st.composite
-def report_rows(draw):
+def report_rows(draw, text=st.text(max_size=6)):
     row = {}
     for column in REPORT_COLUMNS:
         if column in _TEXT_COLUMNS:
-            row[column] = draw(st.text(max_size=6))
+            row[column] = draw(text)
         elif column in _MONEY_COLUMNS:
             row[column] = draw(MONEY_CELLS)
         else:
@@ -298,6 +299,22 @@ def report_rows(draw):
 @given(st.lists(report_rows(), max_size=4))
 def test_json_cells_match_the_oracle(rows):
     assert render_report(rows, "json") == _oracle_json(rows)
+
+
+# Line breaks, quotes and commas in the text cells, alone and mixed in.
+_AWKWARD_TEXT = st.one_of(st.text(max_size=6), st.text(alphabet='a\r\n",', max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(report_rows(_AWKWARD_TEXT), max_size=4))
+def test_csv_report_reads_back_one_record_per_row(rows):
+    text = render_report(rows, "csv")
+    header, *records = csv.reader(io.StringIO(text, newline=""))
+    assert header == list(REPORT_COLUMNS)
+    assert len(records) == len(rows)
+    for row, record in zip(rows, records):
+        cells = dict(zip(REPORT_COLUMNS, record, strict=True))
+        assert {c: cells[c] for c in _TEXT_COLUMNS} == {c: row[c] for c in _TEXT_COLUMNS}
 
 
 # Above 2**52 cents (about 4.5e13) the float nearest an amount can print as

@@ -15,16 +15,53 @@ from thirdrule import (
     default_config,
     make_allocation,
     policy_adjustments,
-    replay_node_value,
     solve_plan,
     transition,
 )
+from thirdrule.dynamic import _bracket, _quad_nodes
 
 
 def _state(income="36000", debt="10000", savings="5000"):
     return HouseholdState(
         income=Money.of(income), debt=Money.of(debt), savings=Money.of(savings)
     )
+
+
+def replay_node_value(policy, t, node):
+    """Recompute the stored value at one node with scalar arithmetic:
+    reward of the stored action plus the discounted quadrature expectation
+    of the next period's interpolated value."""
+    cfg = policy.config
+    i, b, s = node
+    inc = cfg.income_grid[i]
+    debt = cfg.debt_grid[b]
+    sav = cfg.savings_grid[s]
+    fd, fs, fe = (float(f) for f in policy.node_fractions(t, node))
+    p = cfg.params
+    reward = inc * (fd**p.alpha * fs**p.beta * fe**p.gamma)
+    reward += cfg.state_weight * (math.log1p(sav) - math.log1p(debt))
+    if t == cfg.horizon:
+        return reward
+    v_next = policy.values[t]
+    inc_g = np.asarray(cfg.income_grid)
+    debt_g = np.asarray(cfg.debt_grid)
+    sav_g = np.asarray(cfg.savings_grid)
+    debt_nxt = max(0.0, debt * (1.0 + cfg.debt_apr) - fd * inc)
+    sav_nxt = sav * (1.0 + cfg.savings_return) + fs * inc
+    blo, bhi, bw = _bracket(debt_g, np.asarray([debt_nxt]))
+    slo, shi, sw = _bracket(sav_g, np.asarray([sav_nxt]))
+    z_nodes, z_weights = _quad_nodes(cfg)
+    expected = 0.0
+    for z, wq in zip(z_nodes, z_weights):
+        inc_nxt = max(0.0, inc * (1.0 + cfg.income_growth + cfg.shock_std * z))
+        ilo, ihi, iw = _bracket(inc_g, np.asarray([inc_nxt]))
+        acc = 0.0
+        for idx, w_i in ((ilo[0], 1.0 - iw[0]), (ihi[0], iw[0])):
+            for bdx, w_b in ((blo[0], 1.0 - bw[0]), (bhi[0], bw[0])):
+                for sdx, w_s in ((slo[0], 1.0 - sw[0]), (shi[0], sw[0])):
+                    acc += w_i * w_b * w_s * v_next[idx, bdx, sdx]
+        expected += wq * acc
+    return reward + cfg.discount * expected
 
 
 class TestConfig:

@@ -14,7 +14,6 @@ from thirdrule import (
     Money,
     PathConfig,
     ValidationError,
-    correlated_normal_pair,
     derive_stream_seed,
     derive_trial_rng,
     income_levels,
@@ -24,6 +23,12 @@ from thirdrule import (
 )
 
 MASK = (1 << 64) - 1
+
+
+def correlated_normal_pair(rho, rng):
+    """Draw (z1, z2) standard normal with corr(z1, z2) = rho."""
+    z = rng.standard_normal(2)
+    return float(z[0]), float(mix_correlated(rho, z[0], z[1]))
 
 
 def _reference_stream_seed(master_seed: int, trial_index: int) -> int:

@@ -5,6 +5,7 @@ tests prove the ledger balances; the closed forms are checked against
 plain summation loops written here.
 """
 
+import json
 import math
 import os
 import statistics
@@ -37,6 +38,7 @@ from thirdrule import (
     run_trial,
     savings_future_value,
 )
+from thirdrule.cli import PROFILE_COLUMNS
 
 
 def _profile(**kw):
@@ -59,6 +61,28 @@ def _profile(**kw):
 
 def _cfg(trials=1, seed=0, years=10):
     return PathConfig(horizon_years=years, dt_years=1 / 12, trials=trials, master_seed=seed)
+
+
+# The five commands of the benchmark's cli_quick workload, none of which
+# needs an array.
+ARRAY_FREE_COMMANDS = [
+    ["allocate", "--income", "60000", "--rule", "fifty_thirty_twenty"],
+    ["risk", "--dti", "0.4", "--ser", "0.8", "--sigma-income", "0.1", "--sigma-market", "0.15"],
+    ["adjust", "--income", "90000", "--sigma-income", "0.1", "--sigma-market", "0.1"],
+    ["coalition", "--incomes", "30000,30000,20000", "--members", "0,1", "--scale-benefit",
+     "0,1200,2000", "--coordination-cost", "0,200,500", "--check-superadditive"],
+    ["shapley", "--incomes", "52000,48000,45000", "--scale-benefit", "0,1200,2100",
+     "--coordination-cost", "0,200,450"],
+]
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's thirdrule."""
+    src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 class TestScenarioSpec:
@@ -136,11 +160,7 @@ class TestRunTrial:
                 print(sys.flags.optimize, exc)
             """
         )
-        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = _fresh_python("-O", "-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "1 monthly cash identity violated in month 1\n"
 
@@ -340,13 +360,57 @@ class TestRunStress:
         assert rows[0].trials == 16
 
     def test_cli_import_leaves_out_concurrent_futures(self):
-        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, thirdrule.cli; print('concurrent.futures' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = _fresh_python("-c", code)
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    @pytest.mark.parametrize("argv", [[]] + ARRAY_FREE_COMMANDS, ids=lambda a: a[0] if a else "import")
+    def test_array_free_commands_never_load_numpy(self, argv):
+        # The lazy loader registers ``numpy`` itself, so look for submodules:
+        # any of them means numpy's package body ran.
+        code = textwrap.dedent(
+            """
+            import json, sys
+            from thirdrule import cli
+            argv = json.loads(sys.argv[1])
+            status = cli.main(argv) if argv else 0
+            loaded = [m for m in sys.modules if m.startswith("numpy.")]
+            print(status, loaded[:3], file=sys.stderr)
+            """
+        )
+        done = _fresh_python("-c", code, json.dumps(argv))
+        assert (done.returncode, done.stderr) == (0, "0 []\n")
+
+    @pytest.mark.parametrize("command", ["plan", "stress", "simulate"])
+    def test_first_numpy_load_runs_inside_the_cli(self, command, tmp_path):
+        # numpy's first load runs inside cli.main's RuntimeWarning-as-error
+        # filter, and must leave a plain module, not a per-access proxy.
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text(
+            ",".join(PROFILE_COLUMNS)
+            + "\nh1,single_income,60000,20000,0.18,18000,0.10,0.15,0.3,0.02,0.04\n"
+        )
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text('{"name": "baseline"}')
+        argv = {
+            "plan": ["plan", "--income", "36000", "--horizon", "1"],
+            "stress": ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios),
+                       "--trials", "2", "--horizon-years", "1"],
+            "simulate": ["simulate", "--start", "100", "--horizon-years", "1"],
+        }[command]
+        code = textwrap.dedent(
+            """
+            import json, sys, types
+            from thirdrule import cli, stress
+            lazy = type(stress.np) is not types.ModuleType
+            status = cli.main(json.loads(sys.argv[1]))
+            assert lazy and type(stress.np) is types.ModuleType, type(stress.np)
+            sys.exit(status)
+            """
+        )
+        done = _fresh_python("-c", code, json.dumps(argv))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout
 
     def test_deeper_shock_is_weakly_worse(self):
         p = _profile()
