@@ -228,16 +228,13 @@ def _settle_residual(income_c: int, debt_c: int, savings_c: int) -> tuple[int, i
     """Complete a split whose debt and savings buckets are already rounded.
 
     Expenses take the residual cents, so the three buckets sum exactly to
-    income.  When the rounded debt and savings overshoot income, the
-    overshoot comes back from savings first, then from debt.
+    income.  When the rounded (nonnegative) debt and savings overshoot
+    income, the overshoot comes back from savings first, then from debt.
     """
     expenses_c = income_c - debt_c - savings_c
-    while expenses_c < 0:
-        if savings_c > 0:
-            savings_c -= 1
-        else:
-            debt_c -= 1
-        expenses_c += 1
+    if expenses_c < 0:
+        take = min(-expenses_c, savings_c)
+        return debt_c + expenses_c + take, savings_c - take, 0
     return debt_c, savings_c, expenses_c
 
 

@@ -39,6 +39,9 @@ _MIX_2 = 0x94D049BB133111EB
 
 # Read by nothing (stress runs on one thread); kept because tests and perfbench set it.
 THREADS_ENV_VAR = "THIRDRULE_THREADS"
+# One float64 per step is 0.8 MB per path array at this bound (over 8000
+# years of months); an unbounded count can exhaust memory before any draw.
+MAX_STEPS = 100_000
 
 
 def derive_stream_seed(master_seed: int, trial_index: int) -> int:
@@ -87,6 +90,8 @@ class PathConfig:
         if not math.isfinite(self.dt_years) or self.dt_years <= 0:
             raise ValidationError("dt_years must be positive and finite")
         ratio = self.horizon_years / self.dt_years
+        if not ratio < MAX_STEPS + 0.5:
+            raise ValidationError(f"horizon_years must span at most {MAX_STEPS} dt_years steps")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValidationError("horizon_years must be a whole number of dt_years steps")
         if not is_int(self.trials) or self.trials < 1:
@@ -101,23 +106,26 @@ class PathConfig:
         return round(self.horizon_years / self.dt_years)
 
 
+def _unit_path(mu: float, sigma_income: float, dt: float, shocks: np.ndarray) -> np.ndarray:
+    """Raw income per unit of I0, 1 + mu t + sigma_income W(t), at t = dt, 2 dt, ..."""
+    t = np.arange(1, len(shocks) + 1) * dt
+    w = np.cumsum(math.sqrt(dt) * np.asarray(shocks, dtype=float))
+    return 1.0 + mu * t + sigma_income * w
+
+
+def _floored(i0_units: float, raw: np.ndarray) -> np.ndarray:
+    return np.concatenate(((i0_units,), np.maximum(raw, 0.0)))
+
+
 def income_levels(
     i0_units: float, mu: float, sigma_income: float, dt: float, shocks: np.ndarray
 ) -> np.ndarray:
     """Income level at each step given the per-step normal shocks.
 
     Returns an array of len(shocks) + 1 values starting at I0, floored at
-    zero.  Shared by the path op and the stress harness so both see the
-    same discretization.
+    zero: the discretization ``simulate_income_path`` shares.
     """
-    steps = len(shocks)
-    t = np.arange(1, steps + 1) * dt
-    w = np.cumsum(math.sqrt(dt) * np.asarray(shocks, dtype=float))
-    levels = i0_units * (1.0 + mu * t + sigma_income * w)
-    out = np.empty(steps + 1)
-    out[0] = i0_units
-    out[1:] = np.maximum(levels, 0.0)
-    return out
+    return _floored(i0_units, i0_units * _unit_path(mu, sigma_income, dt, shocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,13 +173,9 @@ def simulate_income_path(
     if finite_number(sigma_income, "sigma_income") < 0:
         raise ValidationError("sigma_income must be nonnegative")
     dt = cfg.dt_years
-    z = rng.standard_normal(cfg.steps)
-    levels = income_levels(i0.units, mu, sigma_income, dt, z)
-    # A raw level is below zero exactly where the mirrored path (start
-    # -I0, same shocks) is above its floor: negating I0 negates each raw
-    # level exactly.  A raw level of exactly zero is not a floored step.
-    mirrored = income_levels(-i0.units, mu, sigma_income, dt, z)
-    return _quantized_path(levels, dt, int(np.count_nonzero(mirrored[1:] > 0.0)))
+    raw = i0.units * _unit_path(mu, sigma_income, dt, rng.standard_normal(cfg.steps))
+    # a raw level of exactly zero is not a floored step
+    return _quantized_path(_floored(i0.units, raw), dt, int(np.count_nonzero(raw < 0.0)))
 
 
 def simulate_savings_path(

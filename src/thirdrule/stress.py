@@ -266,9 +266,6 @@ def run_trial(
     debt_c = profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
-    # month 1's buffer is at most the opening savings of 0, so starting
-    # the minimum there gives the minimum over the months walked
-    min_buffer_c = savings_c
     dti_series: list[float] = []
     ser_series: list[float] = []
     default_month: Optional[int] = None
@@ -309,8 +306,6 @@ def run_trial(
                 excess_c = spare_c - principal_c
 
             buffer_c = savings_c - needed_c
-            if buffer_c < min_buffer_c:
-                min_buffer_c = buffer_c
             if buffer_c < 0:
                 default_month = month
                 break
@@ -340,7 +335,9 @@ def run_trial(
             default_month=default_month,
             debt_cleared_month=cleared,
             final_savings=Money(savings_c),
-            min_cash_buffer=min_buffer_c / 100.0,
+            # month 1 draws on zero savings, so a survivor's buffer is 0 there
+            # and at least 0 after; the minimum is the default month's, or 0
+            min_cash_buffer=min(buffer_c, 0) / 100.0,
             dti_series=tuple(dti_series),
             ser_series=tuple(ser_series),
         )

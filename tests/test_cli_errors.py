@@ -11,6 +11,7 @@ import pytest
 from thirdrule import THREADS_ENV_VAR
 from thirdrule.cli import PROFILE_COLUMNS, REPORT_COLUMNS, main
 from thirdrule.dynamic import MAX_HORIZON, MAX_SHOCK_SAMPLES
+from thirdrule.stochastic import MAX_STEPS
 
 PROFILE = dict(
     id="h1",
@@ -34,6 +35,7 @@ def _one_line_error(capsys, argv):
         code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1, out
+    assert out == ""
     assert err.startswith(("error:", "usage error:"))
     assert err.count("\n") == 1
     assert not caught, [str(w.message) for w in caught]
@@ -78,6 +80,27 @@ def test_plan_caps_shock_samples(samples, capsys):
 def test_plan_caps_horizon(horizon, capsys):
     err = _one_line_error(capsys, ["plan", "--income", "60000", "--horizon", str(horizon)])
     assert err == f"error: horizon must be an integer in 1..{MAX_HORIZON} periods\n"
+
+
+_STEPS_ERROR = f"error: horizon_years must span at most {MAX_STEPS} dt_years steps\n"
+
+
+@pytest.mark.parametrize("years, dt", [(str(MAX_STEPS + 1), "1"), ("1e9", "1/12")])
+def test_simulate_caps_path_steps(years, dt, capsys):
+    argv = ["simulate", "--start", "1", "--horizon-years", years, "--dt-years", dt]
+    assert _one_line_error(capsys, argv) == _STEPS_ERROR
+
+
+@pytest.mark.parametrize("years", [f"{MAX_STEPS + 1}/12", "1e9"])
+def test_stress_caps_path_steps(years, tmp_path, capsys):
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a")))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios), "--trials", "1"]
+    assert _one_line_error(capsys, argv + ["--horizon-years", years]) == _STEPS_ERROR
 
 
 def test_numpy_overflow_is_an_error_not_a_warning(capsys):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thirdrule.cli import PROFILE_COLUMNS, REPORT_COLUMNS, main
+from thirdrule.stochastic import MAX_STEPS
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308]
 # At least half the draws are plain values, so that commands also get
@@ -84,10 +85,14 @@ ADJUST = _command(
     **{"--mode": st.sampled_from(["residual_expenses", "proportional_rescale"])},
     **RISK_OPTIONS,
 )
-# At most 2 years and 3 trials keep each example to a few milliseconds.
+# At most 2 years and 3 trials keep each example to a few milliseconds;
+# the longer horizons pass the step bound and are rejected before any draw.
 SIMULATE = _command(
     "simulate",
-    [("--start", MONEY), ("--horizon-years", st.sampled_from(["1", "2", "1/2"]))],
+    [
+        ("--start", MONEY),
+        ("--horizon-years", st.sampled_from(["1", "2", "1/2", str(MAX_STEPS + 1), "1e9"])),
+    ],
     **{
         "--kind": st.sampled_from(["income", "savings"]),
         "--mu": FLOATS,

@@ -25,6 +25,7 @@ from thirdrule import (
     ser,
     total_income,
 )
+from thirdrule.domain import MAX_CENTS, _settle_residual
 
 
 class TestMoney:
@@ -137,6 +138,19 @@ class TestAllocationRules:
         assert rule.fractions == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
 
+def _settle_residual_cent_loop(income_c, debt_c, savings_c):
+    """The residual split's former loop: give back the overshoot one
+    cent at a time, from savings while it lasts, then from debt."""
+    expenses_c = income_c - debt_c - savings_c
+    while expenses_c < 0:
+        if savings_c > 0:
+            savings_c -= 1
+        else:
+            debt_c -= 1
+        expenses_c += 1
+    return debt_c, savings_c, expenses_c
+
+
 class TestMakeAllocation:
     def test_even_split(self):
         a = make_allocation(Money.of("60000"), (Fraction(1, 3),) * 3)
@@ -192,6 +206,17 @@ class TestMakeAllocation:
         assert debt + savings + expenses == cents
         assert abs(debt - cents * fractions[0]) <= 1
         assert abs(savings - cents * fractions[1]) <= 1
+
+    @given(
+        debt_c=st.integers(min_value=0, max_value=MAX_CENTS),
+        savings_c=st.integers(min_value=0, max_value=5000),
+        over=st.integers(min_value=-5000, max_value=5000),
+    )
+    def test_residual_split_matches_the_cent_loop(self, debt_c, savings_c, over):
+        # overshoots on both sides of savings_c, up to thousands of cents
+        income_c = max(debt_c + savings_c - over, 0)
+        expected = _settle_residual_cent_loop(income_c, debt_c, savings_c)
+        assert _settle_residual(income_c, debt_c, savings_c) == expected
 
     def test_allocation_validates_identity(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from thirdrule import (
     Money,
@@ -21,6 +23,7 @@ from thirdrule import (
     simulate_income_path,
     simulate_savings_path,
 )
+from thirdrule.stochastic import MAX_STEPS
 
 MASK = (1 << 64) - 1
 
@@ -118,6 +121,15 @@ class TestPathConfig:
         with pytest.raises(ValidationError):
             PathConfig(horizon_years=1.0, dt_years=0.3, trials=1, master_seed=0)
 
+    def test_step_count_is_bounded(self):
+        # only constructed, never run: a path this long allocates 0.8 MB
+        assert PathConfig(horizon_years=MAX_STEPS, dt_years=1.0).steps == MAX_STEPS
+        for years in (MAX_STEPS + 1, 1e9):
+            with pytest.raises(ValidationError, match=f"at most {MAX_STEPS} dt_years steps"):
+                PathConfig(horizon_years=years, dt_years=1.0)
+        with pytest.raises(ValidationError, match="at most"):
+            PathConfig(horizon_years=1.0, dt_years=1e-320)
+
     def test_bad_trials_and_seed(self):
         with pytest.raises(ValidationError):
             PathConfig(horizon_years=1, dt_years=1 / 12, trials=0, master_seed=0)
@@ -171,6 +183,44 @@ class TestIncomePath:
         se = expected_std / math.sqrt(n)
         assert abs(finals.mean() - expected_mean) <= 3 * se
         assert abs(finals.std() - expected_std) <= 4 * expected_std / math.sqrt(2 * n)
+
+
+def _mirrored_income_path(i0_units, mu, sigma_income, dt, shocks):
+    """The income path's former recipe: discretize once from I0 and once
+    from -I0 with the same shocks; a raw level is below zero exactly where
+    the mirrored level is above its floor.  Returns (cents, floored_steps)."""
+
+    def levels(start):
+        t = np.arange(1, len(shocks) + 1) * dt
+        w = np.cumsum(math.sqrt(dt) * np.asarray(shocks, dtype=float))
+        out = np.empty(len(shocks) + 1)
+        out[0] = start
+        out[1:] = np.maximum(start * (1.0 + mu * t + sigma_income * w), 0.0)
+        return out
+
+    mirrored = levels(-i0_units)
+    cents = np.rint(levels(i0_units) * 100.0).astype(np.int64)
+    return cents, int(np.count_nonzero(mirrored[1:] > 0.0))
+
+
+@given(
+    start_c=st.one_of(st.sampled_from([0, 1, 6_000_000]), st.integers(0, 10**9)),
+    mu=st.one_of(st.sampled_from([0.0, -1.0, -0.5]), st.floats(-2.0, 2.0)),
+    sigma_income=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    dt=st.sampled_from([1 / 12, 1 / 4, 1.0]),
+    years=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(start_c=0, mu=-1.0, sigma_income=2.0, dt=1 / 12, years=2, seed=0)
+@example(start_c=100, mu=-1.0, sigma_income=0.0, dt=1.0, years=3, seed=0)
+def test_income_path_matches_the_mirrored_recipe(start_c, mu, sigma_income, dt, years, seed):
+    # the second example has a raw level of exactly 0 at t = 1, then negative ones
+    cfg = PathConfig(horizon_years=years, dt_years=dt)
+    path = simulate_income_path(Money(start_c), mu, sigma_income, cfg, derive_trial_rng(seed, 0))
+    shocks = derive_trial_rng(seed, 0).standard_normal(cfg.steps)
+    cents, floored = _mirrored_income_path(start_c / 100, mu, sigma_income, dt, shocks)
+    assert np.array_equal(path.cents, cents)
+    assert path.floored_steps == floored
 
 
 class TestSavingsPath:

@@ -29,6 +29,8 @@ from thirdrule import (
 )
 from fractions import Fraction
 
+from thirdrule.domain import MAX_CENTS
+
 
 def _random_params(rng: random.Random) -> UtilityParams:
     a = rng.uniform(0.05, 0.9)
@@ -124,6 +126,13 @@ class TestOptimalAllocation:
     def test_zero_income(self):
         a = optimal_allocation(UtilityParams.symmetric(), Money.zero())
         assert a.income.cents == 0
+
+    def test_large_rounding_overshoot_comes_back_from_savings_then_debt(self):
+        params = UtilityParams(1.0000000000004, 1e-13, 1e-13)
+        rounded = round(params.alpha * MAX_CENTS) + round(params.beta * MAX_CENTS)
+        assert rounded - MAX_CENTS == 4503
+        a = optimal_allocation(params, Money(MAX_CENTS))
+        assert (a.debt.cents, a.savings.cents, a.expenses.cents) == (MAX_CENTS, 0, 0)
 
 
 class TestVerifyFirstOrder:
