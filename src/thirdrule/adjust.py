@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .domain import Allocation, Money
-from .errors import DomainError, ValidationError, finite_number
+from .errors import DomainError, ValidationError, finite_number, nonnegative_ratio
 from .risk import RiskParams
 
 # Shares must stay positive, so shift magnitudes are capped just under 1/3.
@@ -61,8 +61,8 @@ def adjustment_factors(
     """
     if params.beta_dti == 0 or params.beta_ser == 0:
         raise ValidationError("beta_dti and beta_ser must be nonzero to scale adjustments")
-    if sigma_income < 0 or sigma_market < 0:
-        raise ValidationError("volatilities must be nonnegative")
+    nonnegative_ratio(sigma_income, "sigma_income")
+    nonnegative_ratio(sigma_market, "sigma_market")
     income_var = params.beta_sigma_income * sigma_income * sigma_income
     market_var = params.beta_sigma_market * sigma_market * sigma_market
     raw_debt = raw_expenses = income_var / (2.0 * params.beta_dti)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import re
@@ -35,7 +36,6 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .adjust import AdjustMode, adjusted_allocation, adjustment_factors, zero_sum_defect
 from .domain import (
     Allocation,
     AllocationRule,
@@ -45,12 +45,49 @@ from .domain import (
     RuleId,
     rule_allocation,
 )
-from .dynamic import DynamicConfig, HouseholdState, default_config, policy_adjustments, solve_plan
 from .errors import ValidationError, finite_number, is_int
-from .game import CoalitionSpec, coalition_value, is_superadditive, shapley_values
-from .risk import RiskParams, bankruptcy_probability, classify_stability
-from .stochastic import PathConfig, derive_trial_rng, simulate_income_path, simulate_savings_path
-from .stress import StressMetrics, ScenarioSpec, compare_rules, run_stress
+
+# The names this module calls from each thirdrule module it loads on
+# demand.  ``_bind`` makes them module globals when a command that runs
+# the module starts; ``__getattr__`` does so on first attribute access.
+_LAZY_NAMES = {
+    "adjust": ("AdjustMode", "adjusted_allocation", "adjustment_factors", "zero_sum_defect"),
+    "dynamic": (
+        "DynamicConfig",
+        "HouseholdState",
+        "default_config",
+        "policy_adjustments",
+        "solve_plan",
+    ),
+    "game": ("CoalitionSpec", "coalition_value", "is_superadditive", "shapley_values"),
+    "risk": ("RiskParams", "bankruptcy_probability", "classify_stability"),
+    "stochastic": (
+        "PathConfig",
+        "derive_trial_rng",
+        "simulate_income_path",
+        "simulate_savings_path",
+    ),
+    "stress": ("ScenarioSpec", "compare_rules", "run_stress"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import the named thirdrule modules and bind the names this module
+    calls from them.  A name already set stays, so a replacement put on
+    this module (a test's spy, a benchmark's span wrapper) is what runs."""
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 PROFILE_COLUMNS = (
     "id",
@@ -65,8 +102,6 @@ PROFILE_COLUMNS = (
     "mu",
     "r_savings",
 )
-
-SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
 
 REPORT_COLUMNS = (
     "profile_id",
@@ -171,6 +206,8 @@ def _parse_profile(
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Parse a scenario JSON file (single object or array).  Unknown keys
     are rejected with their JSON path."""
+    _bind("stress")
+    keys = {f.name for f in fields(ScenarioSpec)}
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -187,7 +224,7 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
     for obj, where in items:
         if not isinstance(obj, dict):
             raise ValidationError(f"{where}: scenario must be a JSON object")
-        unknown = set(obj) - set(SCENARIO_KEYS)
+        unknown = set(obj) - keys
         if unknown:
             key = sorted(unknown)[0]
             raise ValidationError(f"{where}.{key}: unknown key")
@@ -332,7 +369,6 @@ def _rule_from_args(args: argparse.Namespace) -> AllocationRule:
     return AllocationRule.named(rule_id)
 
 
-_RISK_FIELDS = tuple(f.name for f in fields(RiskParams))
 _PLAN_FIELDS = (
     "discount",
     "debt_apr",
@@ -344,12 +380,19 @@ _PLAN_FIELDS = (
 )
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, cls: type, names: Sequence[str]) -> None:
-    """One --name-with-dashes flag per named field, typed and defaulted by the field."""
+def _add_field_flags(
+    parser: argparse.ArgumentParser, cls: type, names: Optional[Sequence[str]] = None
+) -> None:
+    """One --name-with-dashes flag per named field (every field if names is
+    None), typed and defaulted by the field."""
     defaults = {f.name: f.default for f in fields(cls)}
-    for name in names:
+    for name in defaults if names is None else names:
         default = defaults[name]
         parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
+
+def _risk_params(args: argparse.Namespace) -> RiskParams:
+    return RiskParams(**{f.name: getattr(args, f.name) for f in fields(RiskParams)})
 
 
 def _add_coalition_flags(parser: argparse.ArgumentParser) -> None:
@@ -373,7 +416,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
-    params = RiskParams(**{name: getattr(args, name) for name in _RISK_FIELDS})
+    params = _risk_params(args)
     probability = bankruptcy_probability(
         params, args.dti, args.ser, args.sigma_income, args.sigma_market
     )
@@ -493,7 +536,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> int:
-    params = RiskParams(**{name: getattr(args, name) for name in _RISK_FIELDS})
+    params = _risk_params(args)
     factors = adjustment_factors(params, args.sigma_income, args.sigma_market)
     allocation = adjusted_allocation(args.income, factors, AdjustMode(args.mode))
     print(f"debt_shift {factors.debt_shift:.6g}")
@@ -528,87 +571,108 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI parser.  Every command is listed, but only ``command`` gets
+    its flags and loads its modules (every command does when it is None).
+    Each ``add`` call names the thirdrule modules, beyond domain and
+    errors, that the command runs."""
     parser = _Parser(prog="thirdrule", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("allocate", help="split an income by a rule")
-    p.add_argument("--income", type=_parse_money_arg, required=True)
-    p.add_argument("--rule", default="one_third", choices=[r.value for r in RuleId])
-    p.add_argument("--fractions", help="comma list like 1/3,1/3,1/3 for --rule custom")
-    p.set_defaults(func=_cmd_allocate)
+    def add(name: str, help_text: str, *modules: str) -> Optional[_Parser]:
+        p = sub.add_parser(name, help=help_text)
+        if command is not None and command != name:
+            return None
+        _bind(*modules)
+        return p
 
-    p = sub.add_parser("risk", help="bankruptcy probability and stability flags")
-    p.add_argument("--dti", type=float, required=True)
-    p.add_argument("--ser", type=float, required=True)
-    p.add_argument("--sigma-income", type=float, default=0.0)
-    p.add_argument("--sigma-market", type=float, default=0.0)
-    _add_field_flags(p, RiskParams, _RISK_FIELDS)
-    p.set_defaults(func=_cmd_risk)
+    if p := add("allocate", "split an income by a rule"):
+        p.add_argument("--income", type=_parse_money_arg, required=True)
+        p.add_argument("--rule", default="one_third", choices=[r.value for r in RuleId])
+        p.add_argument("--fractions", help="comma list like 1/3,1/3,1/3 for --rule custom")
+        p.set_defaults(func=_cmd_allocate)
 
-    p = sub.add_parser("simulate", help="simulate income or savings paths")
-    p.add_argument("--kind", choices=["income", "savings"], default="income")
-    p.add_argument("--start", type=_parse_money_arg, required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma-income", type=float, default=0.0)
-    p.add_argument("--contribution", type=_parse_money_arg, default=Money.zero())
-    p.add_argument("--rate", type=float, default=0.0)
-    p.add_argument("--sigma-market", type=float, default=0.0)
-    p.add_argument("--horizon-years", type=_parse_fraction_arg, required=True)
-    p.add_argument("--dt-years", type=_parse_fraction_arg, default=PathConfig.dt_years)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
+    if p := add("risk", "bankruptcy probability and stability flags", "risk"):
+        p.add_argument("--dti", type=float, required=True)
+        p.add_argument("--ser", type=float, required=True)
+        p.add_argument("--sigma-income", type=float, default=0.0)
+        p.add_argument("--sigma-market", type=float, default=0.0)
+        _add_field_flags(p, RiskParams)
+        p.set_defaults(func=_cmd_risk)
 
-    p = sub.add_parser("stress", help="Monte Carlo stress test from profile and scenario files")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--scenarios", required=True)
-    p.add_argument("--rules", default="one_third", help="comma list of rule names")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--horizon-years", type=_parse_fraction_arg, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output")
-    p.add_argument("--compare", action="store_true")
-    p.set_defaults(func=_cmd_stress)
+    if p := add("simulate", "simulate income or savings paths", "stochastic"):
+        p.add_argument("--kind", choices=["income", "savings"], default="income")
+        p.add_argument("--start", type=_parse_money_arg, required=True)
+        p.add_argument("--mu", type=float, default=0.0)
+        p.add_argument("--sigma-income", type=float, default=0.0)
+        p.add_argument("--contribution", type=_parse_money_arg, default=Money.zero())
+        p.add_argument("--rate", type=float, default=0.0)
+        p.add_argument("--sigma-market", type=float, default=0.0)
+        p.add_argument("--horizon-years", type=_parse_fraction_arg, required=True)
+        p.add_argument("--dt-years", type=_parse_fraction_arg, default=PathConfig.dt_years)
+        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("shapley", help="fair split of pooled household value")
-    _add_coalition_flags(p)
-    p.set_defaults(func=_cmd_shapley)
+    if p := add(
+        "stress",
+        "Monte Carlo stress test from profile and scenario files",
+        "stress",
+        "stochastic",
+    ):
+        p.add_argument("--profiles", required=True)
+        p.add_argument("--scenarios", required=True)
+        p.add_argument("--rules", default="one_third", help="comma list of rule names")
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--horizon-years", type=_parse_fraction_arg, default=10.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--output")
+        p.add_argument("--compare", action="store_true")
+        p.set_defaults(func=_cmd_stress)
 
-    p = sub.add_parser("coalition", help="value of one coalition")
-    _add_coalition_flags(p)
-    p.add_argument("--members", required=True, help="comma list of member indices")
-    p.add_argument("--check-superadditive", action="store_true")
-    p.set_defaults(func=_cmd_coalition)
+    if p := add("shapley", "fair split of pooled household value", "game"):
+        _add_coalition_flags(p)
+        p.set_defaults(func=_cmd_shapley)
 
-    p = sub.add_parser("plan", help="multi-period allocation plan")
-    p.add_argument("--income", type=_parse_money_arg, required=True)
-    p.add_argument("--debt", type=_parse_money_arg, default=Money.zero())
-    p.add_argument("--savings", type=_parse_money_arg, default=Money.zero())
-    p.add_argument("--horizon", type=int, default=5)
-    _add_field_flags(p, DynamicConfig, _PLAN_FIELDS)
-    p.set_defaults(func=_cmd_plan)
+    if p := add("coalition", "value of one coalition", "game"):
+        _add_coalition_flags(p)
+        p.add_argument("--members", required=True, help="comma list of member indices")
+        p.add_argument("--check-superadditive", action="store_true")
+        p.set_defaults(func=_cmd_coalition)
 
-    p = sub.add_parser("adjust", help="volatility-adjusted allocation")
-    p.add_argument("--income", type=_parse_money_arg, required=True)
-    p.add_argument("--sigma-income", type=float, required=True)
-    p.add_argument("--sigma-market", type=float, required=True)
-    p.add_argument("--mode", choices=[m.value for m in AdjustMode], default="residual_expenses")
-    _add_field_flags(p, RiskParams, _RISK_FIELDS)
-    p.set_defaults(func=_cmd_adjust)
+    if p := add("plan", "multi-period allocation plan", "dynamic"):
+        p.add_argument("--income", type=_parse_money_arg, required=True)
+        p.add_argument("--debt", type=_parse_money_arg, default=Money.zero())
+        p.add_argument("--savings", type=_parse_money_arg, default=Money.zero())
+        p.add_argument("--horizon", type=int, default=5)
+        _add_field_flags(p, DynamicConfig, _PLAN_FIELDS)
+        p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("report", help="re-emit a JSON report as CSV or JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
+    if p := add("adjust", "volatility-adjusted allocation", "adjust", "risk"):
+        p.add_argument("--income", type=_parse_money_arg, required=True)
+        p.add_argument("--sigma-income", type=float, required=True)
+        p.add_argument("--sigma-market", type=float, required=True)
+        p.add_argument(
+            "--mode", choices=[m.value for m in AdjustMode], default="residual_expenses"
+        )
+        _add_field_flags(p, RiskParams)
+        p.set_defaults(func=_cmd_adjust)
+
+    if p := add("report", "re-emit a JSON report as CSV or JSON"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--output")
+        p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # No top-level option takes a value, so argparse runs the first word
+    # that is not an option as the command, if it names one.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error already reported

@@ -32,3 +32,11 @@ def finite_number(value, name: str):
     if not finite:
         raise ValidationError(f"{name} must be finite")
     return value
+
+
+def nonnegative_ratio(value: float, name: str) -> float:
+    """Return value if it is finite and not negative; raise
+    ``ValidationError`` naming it otherwise (NaN included)."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{name} must be a nonnegative finite ratio")
+    return value

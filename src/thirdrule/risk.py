@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, ValidationError, finite_number
+from .errors import DomainError, ValidationError, finite_number, nonnegative_ratio
 
 DEFAULT_DTI_LIMIT = 0.36
 DEFAULT_SER_FLOOR = 1.0
@@ -67,8 +67,7 @@ def bankruptcy_probability(
         ("sigma_income", sigma_income),
         ("sigma_market", sigma_market),
     ):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValidationError(f"{label} must be a nonnegative finite ratio")
+        nonnegative_ratio(value, label)
     index = (
         params.beta_dti * dti
         + params.beta_ser * ser

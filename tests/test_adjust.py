@@ -1,5 +1,6 @@
 """Volatility-driven shifts away from equal thirds."""
 
+import math
 import random
 
 import pytest
@@ -54,9 +55,13 @@ class TestAdjustmentFactors:
         with pytest.raises(ValidationError):
             adjustment_factors(RiskParams(beta_ser=0.0), 0.1, 0.1)
 
-    def test_negative_volatility_rejected(self):
-        with pytest.raises(ValidationError):
-            adjustment_factors(RiskParams(), -0.1, 0.0)
+    @pytest.mark.parametrize("name", ["sigma_income", "sigma_market"])
+    @pytest.mark.parametrize("bad", [-0.1, -math.inf, math.inf, math.nan])
+    def test_bad_volatility_names_its_argument(self, name, bad):
+        sigmas = {"sigma_income": 0.1, "sigma_market": 0.1, name: bad}
+        message = f"{name} must be a nonnegative finite ratio"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            adjustment_factors(RiskParams(), **sigmas)
 
     def test_factor_bounds_validated(self):
         with pytest.raises(ValidationError):

@@ -112,6 +112,14 @@ def test_risk_index_overflow_is_an_error(capsys):
     assert _one_line_error(capsys, argv) == "error: risk index overflows a float\n"
 
 
+@pytest.mark.parametrize("flag", ["--sigma-income", "--sigma-market"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "-0.1"])
+def test_adjust_names_a_bad_volatility(capsys, flag, value):
+    argv = ["adjust", "--income", "60000", "--sigma-income", "0", "--sigma-market", "0"]
+    err = _one_line_error(capsys, argv + [f"{flag}={value}"])
+    assert err == f"error: {flag[2:].replace('-', '_')} must be a nonnegative finite ratio\n"
+
+
 def test_adjust_failure_prints_no_partial_result(capsys):
     argv = ["adjust", "--income=1", "--sigma-income=1", "--sigma-market=0", "--beta-dti=-1"]
     assert main(argv) == 1

@@ -5,6 +5,7 @@ tests prove the ledger balances; the closed forms are checked against
 plain summation loops written here.
 """
 
+import ast
 import json
 import math
 import os
@@ -74,6 +75,63 @@ ARRAY_FREE_COMMANDS = [
     ["shapley", "--incomes", "52000,48000,45000", "--scale-benefit", "0,1200,2100",
      "--coordination-cost", "0,200,450"],
 ]
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_FIXTURES = os.path.join(_REPO, "perfbench", "fixtures")
+
+# A small run of each command that needs numpy.
+ARRAY_COMMANDS = [
+    ["plan", "--income", "36000", "--horizon", "1"],
+    ["stress", "--profiles", os.path.join(_FIXTURES, "profiles.csv"),
+     "--scenarios", os.path.join(_FIXTURES, "scenarios.json"),
+     "--rules", "one_third,fifty_thirty_twenty", "--trials", "2", "--horizon-years", "2",
+     "--compare"],
+    ["simulate", "--start", "100", "--horizon-years", "1"],
+]
+
+# The thirdrule modules each command loads besides the package root, cli,
+# domain and errors.
+COMMAND_MODULES = {
+    "allocate": [],
+    "risk": ["risk"],
+    "adjust": ["adjust", "risk"],
+    "coalition": ["_numpy", "game", "utility_opt"],
+    "shapley": ["_numpy", "game", "utility_opt"],
+    "plan": ["_numpy", "dynamic", "utility_opt"],
+    "stress": ["_numpy", "risk", "stochastic", "stress"],
+    "simulate": ["_numpy", "stochastic"],
+}
+
+# The thirdrule.cli names each command calls that perfbench/traced.py
+# replaces with span wrappers.
+TRACED_CLI_CALLS = {
+    "allocate": ["rule_allocation"],
+    "risk": ["bankruptcy_probability", "classify_stability"],
+    "adjust": ["adjustment_factors", "adjusted_allocation"],
+    "coalition": ["coalition_value", "is_superadditive"],
+    "shapley": ["shapley_values"],
+    "plan": ["solve_plan", "policy_adjustments"],
+    "stress": ["load_profiles", "load_scenarios", "run_stress", "emit_report", "compare_rules"],
+}
+
+
+def _traced_patches():
+    """(module, attribute) for each name perfbench/traced.py patches: every
+    ``CLI_CALLS`` entry on ``cli`` and every ``patch(module, "name", ...)``."""
+    with open(os.path.join(_REPO, "perfbench", "traced.py")) as handle:
+        tree = ast.parse(handle.read())
+    patched = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CLI_CALLS":
+            patched |= {("cli", attr) for attr, _ in ast.literal_eval(node.value)}
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "patch"
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            patched.add((node.args[0].id, node.args[1].value))
+    return patched
 
 
 def _fresh_python(*args):
@@ -411,6 +469,77 @@ class TestRunStress:
         done = _fresh_python("-c", code, json.dumps(argv))
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [None, []] + ARRAY_FREE_COMMANDS + ARRAY_COMMANDS,
+        ids=lambda a: "import thirdrule" if a is None else a[0] if a else "import thirdrule.cli",
+    )
+    def test_command_loads_only_its_modules(self, argv):
+        code = textwrap.dedent(
+            """
+            import json, sys
+            argv = json.loads(sys.argv[1])
+            if argv is None:
+                import thirdrule
+                status = 0
+            else:
+                import thirdrule.cli
+                status = thirdrule.cli.main(argv) if argv else 0
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "thirdrule")
+            print(json.dumps([status, loaded]), file=sys.stderr)
+            """
+        )
+        done = _fresh_python("-c", code, json.dumps(argv))
+        if argv is None:
+            expected = ["thirdrule"]
+        else:
+            extra = COMMAND_MODULES[argv[0]] if argv else []
+            expected = sorted(
+                ["thirdrule", "thirdrule.cli", "thirdrule.domain", "thirdrule.errors"]
+                + [f"thirdrule.{module}" for module in extra]
+            )
+        assert (done.returncode, done.stderr) == (0, json.dumps([0, expected]) + "\n")
+
+    def test_every_traced_cli_name_is_reached(self):
+        reached = {name for names in TRACED_CLI_CALLS.values() for name in names}
+        assert reached == {attr for module, attr in _traced_patches() if module == "cli"}
+
+    @pytest.mark.parametrize("command", sorted(TRACED_CLI_CALLS))
+    def test_patched_cli_name_is_the_one_called(self, command):
+        # In a fresh interpreter no command has bound its names yet: the
+        # patch must still be what the command calls, as in traced.py.
+        code = textwrap.dedent(
+            """
+            import json, sys
+            import pytest
+            import thirdrule.cli as cli
+            argv, names = json.loads(sys.argv[1])
+            ran = set()
+
+            def spy(name, real):
+                def called(*args, **kwargs):
+                    ran.add(name)
+                    return real(*args, **kwargs)
+                return called
+
+            with pytest.MonkeyPatch.context() as mp:
+                for name in names:
+                    mp.setattr(cli, name, spy(name, getattr(cli, name)))
+                status = cli.main(argv)
+            print(json.dumps([status, sorted(ran)]), file=sys.stderr)
+            """
+        )
+        argv = next(a for a in ARRAY_FREE_COMMANDS + ARRAY_COMMANDS if a[0] == command)
+        names = TRACED_CLI_CALLS[command]
+        done = _fresh_python("-c", code, json.dumps([argv, names]))
+        assert (done.returncode, done.stderr) == (0, json.dumps([0, sorted(names)]) + "\n")
+
+    def test_traced_stress_and_game_names_exist(self):
+        patched = {(m, a) for m, a in _traced_patches() if m != "cli"}
+        assert {m for m, _ in patched} == {"stress", "game"}
+        for module, attr in patched:
+            assert callable(getattr(getattr(thirdrule, module), attr)), (module, attr)
 
     def test_deeper_shock_is_weakly_worse(self):
         p = _profile()
