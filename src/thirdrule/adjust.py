@@ -65,6 +65,11 @@ def adjustment_factors(
     nonnegative_ratio(sigma_market, "sigma_market")
     income_var = params.beta_sigma_income * sigma_income * sigma_income
     market_var = params.beta_sigma_market * sigma_market * sigma_market
+    if not math.isfinite(income_var + market_var):
+        raise ValidationError(
+            "beta_sigma_income * sigma_income**2 + beta_sigma_market * sigma_market**2"
+            " is not a finite number"
+        )
     raw_debt = raw_expenses = income_var / (2.0 * params.beta_dti)
     raw_savings = (income_var + market_var) / (2.0 * abs(params.beta_ser))
     clamped = False

@@ -24,12 +24,9 @@ function of the inputs and the master seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
-import json
 import re
-import statistics
 import sys
 import warnings
 from dataclasses import fields
@@ -121,6 +118,8 @@ _TEXT_COLUMNS = {"profile_id", "rule", "scenario"}
 
 def load_profiles(path: str) -> list[HouseholdProfile]:
     """Parse and validate a profile CSV.  Errors name the row and field."""
+    import csv
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -206,6 +205,8 @@ def _parse_profile(
 def load_scenarios(path: str) -> list[ScenarioSpec]:
     """Parse a scenario JSON file (single object or array).  Unknown keys
     are rejected with their JSON path."""
+    import json
+
     _bind("stress")
     keys = {f.name for f in fields(ScenarioSpec)}
     with open(path) as handle:
@@ -289,6 +290,8 @@ def _json_cell(column: str, value):
 def render_report(rows: Sequence[dict], fmt: str) -> str:
     """Render report rows as CSV or JSON text (deterministic bytes)."""
     if fmt == "csv":
+        import csv
+
         lines = [[_csv_cell(col, row[col]) for col in REPORT_COLUMNS] for row in rows]
         # The writer quotes a cell holding "\n" but not a bare "\r", which
         # reads back as a row break; quote every cell of such a report.
@@ -301,6 +304,8 @@ def render_report(rows: Sequence[dict], fmt: str) -> str:
         writer.writerows(lines)
         return buffer.getvalue()
     if fmt == "json":
+        import json
+
         payload = [
             {col: _json_cell(col, row[col]) for col in REPORT_COLUMNS} for row in rows
         ]
@@ -309,6 +314,8 @@ def render_report(rows: Sequence[dict], fmt: str) -> str:
 
 
 def load_report_json(path: str) -> list[dict]:
+    import json
+
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -428,6 +435,8 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import statistics
+
     cfg = PathConfig(
         horizon_years=args.horizon_years,
         dt_years=args.dt_years,

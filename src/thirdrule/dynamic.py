@@ -21,6 +21,14 @@ after the discounted continuation evaluates the textbook expression
 operation for operation, so values and chosen actions are exactly those
 of a sweep that gathers all four corners per action.
 
+The debt blend runs over blocks of actions, SWEEP_BLOCK_BYTES per buffer,
+so the two gathered rows and the expression over them stay in cache.  Each
+block's maxima are folded into the period's values with a strict greater
+than (and a NaN beating any number), which picks the first maximum in
+action order exactly as one np.argmax over all actions would.  Apart from
+the per-action reward plus state term, held as one (n_a, ni, nb, ns)
+array, the sweep's working memory no longer grows with the action count.
+
 Ties in the action choice break toward the action closest to the
 equal-thirds point in L1 distance (action lists are pre-sorted by that
 distance, so the first maximum wins).
@@ -45,6 +53,10 @@ MAX_SHOCK_SAMPLES = 64
 # The policy stores 14 bytes per grid node and period: about 19 MB at this
 # many periods on the default 11^3 grid.
 MAX_HORIZON = 1000
+# solve_plan sweeps the actions in blocks whose per-action working buffers
+# hold about this many bytes each, so a block stays in a typical L2 cache:
+# 49 actions at a time on the default 11^3 grid.
+SWEEP_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -261,8 +273,11 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     bwx = bw[:, :, :, None]
     bwx_c = 1.0 - bwx
     base = reward[:, :, None, None] + state_term[None, None, :, :]  # (n_a, ni, nb, ns)
-    total = np.empty_like(base)
-    upper = np.empty_like(base)
+    n_a = len(acts)
+    block = max(1, min(n_a, SWEEP_BLOCK_BYTES // base[0].nbytes))
+    total = np.empty((block,) + base.shape[1:])
+    upper = np.empty_like(total)
+    best = np.empty(base.shape[1:], dtype=np.intp)
     acts16 = acts.astype(np.int16)
 
     numerators = np.empty((cfg.horizon, ni, nb, ns, 3), dtype=np.int16)
@@ -271,19 +286,30 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     for t in range(cfg.horizon, 0, -1):
         vbar = mix @ v_next.reshape(ni, -1)
         blend = (swx_c * vbar.take(s_lo) + swx * vbar.take(s_hi)).reshape(-1, ns)
-        np.take(blend, b_lo, axis=0, out=total)
-        np.take(blend, b_hi, axis=0, out=upper)
-        # base + discount * ((1 - bw) * lower + bw * upper), operation for
-        # operation, so the maxima and their first argmax are exact
-        total *= bwx_c
-        upper *= bwx
-        total += upper
-        total *= cfg.discount
-        total += base
-        best = np.argmax(total, axis=0)
-        v_next = np.take_along_axis(total, best[None, :, :, :], axis=0)[0]
+        v_next = values[t - 1]
+        v_next.fill(-np.inf)
+        best.fill(0)
+        for start in range(0, n_a, block):
+            stop = min(start + block, n_a)
+            tot = total[: stop - start]
+            up = upper[: stop - start]
+            np.take(blend, b_lo[start:stop], axis=0, out=tot)
+            np.take(blend, b_hi[start:stop], axis=0, out=up)
+            # base + discount * ((1 - bw) * lower + bw * upper), operation
+            # for operation, so the maxima and their first argmax are exact
+            tot *= bwx_c[start:stop]
+            up *= bwx[start:stop]
+            tot += up
+            tot *= cfg.discount
+            tot += base[start:stop]
+            arg = np.argmax(tot, axis=0)
+            top = np.take_along_axis(tot, arg[None, :, :, :], axis=0)[0]
+            # a later block wins only with a greater value or with a NaN
+            # over a number, so the first maximum stands, as in np.argmax
+            later = (top > v_next) | (np.isnan(top) & ~np.isnan(v_next))
+            np.copyto(v_next, top, where=later)
+            np.copyto(best, arg + start, where=later)
         numerators[t - 1] = acts16[best]
-        values[t - 1] = v_next
     return Policy(
         config=cfg,
         initial=initial,

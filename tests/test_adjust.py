@@ -63,6 +63,22 @@ class TestAdjustmentFactors:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             adjustment_factors(RiskParams(), **sigmas)
 
+    @pytest.mark.parametrize(
+        "params, sigma_income, sigma_market",
+        [
+            (RiskParams(beta_sigma_market=-1.0), 1e200, 1e200),  # inf + -inf
+            (RiskParams(), 1e200, 0.0),  # one term overflows
+            (RiskParams(beta_sigma_income=1e308), 10.0, 0.0),
+        ],
+    )
+    def test_variance_overflow_names_the_inputs(self, params, sigma_income, sigma_market):
+        message = (
+            r"beta_sigma_income \* sigma_income\*\*2 \+ beta_sigma_market \* sigma_market\*\*2"
+            " is not a finite number"
+        )
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            adjustment_factors(params, sigma_income, sigma_market)
+
     def test_factor_bounds_validated(self):
         with pytest.raises(ValidationError):
             AdjustmentFactors(debt_shift=0.4, savings_shift=0.0, expenses_shift=0.0)

@@ -120,6 +120,21 @@ def test_adjust_names_a_bad_volatility(capsys, flag, value):
     assert err == f"error: {flag[2:].replace('-', '_')} must be a nonnegative finite ratio\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sigma-income", "1e200", "--sigma-market", "1e200", "--beta-sigma-market", "-1"],
+        ["--sigma-income", "1e200", "--sigma-market", "0"],
+    ],
+)
+def test_adjust_variance_overflow_names_the_inputs(capsys, flags):
+    err = _one_line_error(capsys, ["adjust", "--income", "60000", *flags])
+    assert err == (
+        "error: beta_sigma_income * sigma_income**2 + beta_sigma_market * sigma_market**2"
+        " is not a finite number\n"
+    )
+
+
 def test_adjust_failure_prints_no_partial_result(capsys):
     argv = ["adjust", "--income=1", "--sigma-income=1", "--sigma-market=0", "--beta-dti=-1"]
     assert main(argv) == 1

@@ -5,17 +5,21 @@ before the separable continuation blend: every period gathers the four
 corners of each action's (debt, savings) cell from the expected value
 surface and blends them in one expression.  It is kept here only as an
 oracle; ``solve_plan`` must return bit-identical numerators and values
-for any config, and the ``plan`` command must keep its bytes.
+for any config and any sweep block size, and the ``plan`` command must
+keep its bytes.
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thirdrule import DynamicConfig, HouseholdState, Money, UtilityParams, solve_plan
+from thirdrule import dynamic
 from thirdrule.cli import main
 from thirdrule.dynamic import _bracket, _quad_nodes, _simplex_actions
 
@@ -109,30 +113,48 @@ CONFIGS = st.builds(
     income_growth=st.floats(min_value=-0.5, max_value=0.5),
     shock_std=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.5)),
     shock_samples=st.sampled_from([1, 7]),
-    action_step=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 30)]),
+    # 1/12 (91 actions) and 1/60 (1891 actions) span several sweep blocks,
+    # with a short last one, at 5 actions per block and (1/60) at the
+    # default block on the larger grids
+    action_step=st.sampled_from(
+        [Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 12), Fraction(1, 30), Fraction(1, 60)]
+    ),
     params=_PARAMS,
     state_weight=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0), st.just(1e4)),
 )
 _INITIAL = HouseholdState(income=Money.of("1000"), debt=Money.zero(), savings=Money.zero())
 
 
+def _block_bytes(cfg, actions):
+    """SWEEP_BLOCK_BYTES that makes solve_plan sweep this many actions
+    per block."""
+    nodes = len(cfg.income_grid) * len(cfg.debt_grid) * len(cfg.savings_grid)
+    return actions * nodes * 8
+
+
 @settings(max_examples=200, deadline=None)
-@given(CONFIGS)
-def test_solve_plan_matches_reference_sweep(cfg):
-    policy = solve_plan(_INITIAL, cfg)
+@given(CONFIGS, st.sampled_from([None, 1, 5]))
+def test_solve_plan_matches_reference_sweep(cfg, block):
+    # block: actions per sweep block, None for the default block size
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, block))
+        policy = solve_plan(_INITIAL, cfg)
     numerators, values = _reference_sweep(cfg)
     assert np.array_equal(policy.numerators, numerators)
     assert np.array_equal(policy.values, values)
 
 
-def test_solve_plan_matches_reference_sweep_on_the_default_grid():
-    # the plan_deep benchmark's shape: 11 nodes per axis, 496 actions,
-    # seven shock samples, states clamped at both ends of every grid
-    initial = HouseholdState(
-        income=Money.of("60000"), debt=Money.of("20000"), savings=Money.of("5000")
-    )
-    cfg = DynamicConfig(
-        horizon=3,
+# the plan_deep benchmark's shape: 11 nodes per axis, 496 actions, seven
+# shock samples, states clamped at both ends of every grid
+_DEEP_INITIAL = HouseholdState(
+    income=Money.of("60000"), debt=Money.of("20000"), savings=Money.of("5000")
+)
+
+
+def _deep_config(horizon):
+    return DynamicConfig(
+        horizon=horizon,
         income_grid=tuple(np.geomspace(15000.0, 240000.0, 11)),
         debt_grid=tuple(np.linspace(0.0, 180000.0, 11)),
         savings_grid=tuple(np.linspace(0.0, 180000.0, 11)),
@@ -141,10 +163,76 @@ def test_solve_plan_matches_reference_sweep_on_the_default_grid():
         income_growth=0.02,
         shock_std=0.1,
     )
-    policy = solve_plan(initial, cfg)
+
+
+@pytest.mark.parametrize("actions", [None, 1, 7, 497])
+def test_solve_plan_matches_reference_sweep_on_the_default_grid(monkeypatch, actions):
+    # 496 actions: the default 49 per block, one per block, a last block
+    # of 6, and a single block
+    cfg = _deep_config(3)
+    if actions is not None:
+        monkeypatch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, actions))
+    policy = solve_plan(_DEEP_INITIAL, cfg)
     numerators, values = _reference_sweep(cfg)
     assert np.array_equal(policy.numerators, numerators)
     assert np.array_equal(policy.values, values)
+
+
+@pytest.mark.parametrize("actions", [None, 1, 7])
+def test_ties_across_blocks_keep_the_first_action(monkeypatch, actions):
+    # With no income, no state term and no future, every action is worth
+    # zero at the income-0 nodes, so the first action, the thirds, wins.
+    cfg = DynamicConfig(
+        horizon=1,
+        income_grid=(0.0, 1000.0),
+        debt_grid=(0.0, 500.0),
+        savings_grid=(0.0, 500.0),
+        state_weight=0.0,
+    )
+    if actions is not None:
+        monkeypatch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, actions))
+    policy = solve_plan(_INITIAL, cfg)
+    assert (policy.numerators[0, 0] == (10, 10, 10)).all()
+    assert (policy.values[0, 0] == 0.0).all()
+
+
+@pytest.mark.parametrize("actions", [None, 1, 5])
+def test_nan_beats_an_earlier_number_across_blocks(monkeypatch, actions):
+    # The state term overflows at the top savings node, and the zero
+    # weights of an unshocked income mix turn that inf into NaN (0 * inf).
+    # Actions that carry savings into the top cell then score NaN while
+    # the thirds stay finite, and np.argmax picks the first NaN action.
+    cfg = DynamicConfig(
+        horizon=2,
+        income_grid=(1000.0, 3000.0),
+        debt_grid=(0.0, 1.0),
+        savings_grid=(0.0, 1500.0, 1e6),
+        action_step=Fraction(1, 6),
+        state_weight=1.5e307,
+    )
+    if actions is not None:
+        monkeypatch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, actions))
+    with np.errstate(over="ignore", invalid="ignore"):
+        policy = solve_plan(_INITIAL, cfg)
+        numerators, values = _reference_sweep(cfg)
+    assert np.isnan(values[0]).any() and not np.isnan(values[0]).all()
+    assert np.array_equal(policy.numerators, numerators)
+    assert np.array_equal(policy.values, values, equal_nan=True)
+
+
+def test_plan_deep_working_memory_stays_bounded():
+    # Peak Python and numpy allocations of the benchmark's plan_deep solve:
+    # 26.4 MB when every period held three full (496, 11, 11, 11) arrays,
+    # about 12.6 MB with the blocked sweep, 5.3 MB of it the one such array
+    # that is left, the per-action reward plus state term.
+    cfg = _deep_config(30)
+    tracemalloc.start()
+    try:
+        solve_plan(_DEEP_INITIAL, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 # sha256 of ``thirdrule plan`` stdout, recorded from the four-gather sweep:

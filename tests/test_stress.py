@@ -501,6 +501,27 @@ class TestRunStress:
             )
         assert (done.returncode, done.stderr) == (0, json.dumps([0, expected]) + "\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in ARRAY_FREE_COMMANDS + ARRAY_COMMANDS if a[0] not in ("stress", "simulate")],
+        ids=lambda a: a[0],
+    )
+    def test_command_leaves_csv_json_and_statistics_unloaded(self, argv):
+        # Only stress and report (csv, json) and simulate (statistics) need
+        # them.  The argv comes through sys.argv so that the harness imports
+        # none of the three itself.
+        code = textwrap.dedent(
+            """
+            import sys
+            import thirdrule.cli
+            status = thirdrule.cli.main(sys.argv[1:])
+            loaded = sorted({"csv", "json", "statistics"} & set(sys.modules))
+            print(status, loaded, file=sys.stderr)
+            """
+        )
+        done = _fresh_python("-c", code, *argv)
+        assert (done.returncode, done.stderr) == (0, "0 []\n")
+
     def test_every_traced_cli_name_is_reached(self):
         reached = {name for names in TRACED_CLI_CALLS.values() for name in names}
         assert reached == {attr for module, attr in _traced_patches() if module == "cli"}
