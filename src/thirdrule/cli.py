@@ -486,12 +486,20 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 
 def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money]:
-    if not text:
-        return {}
-    amounts = _parse_money_list(text)
-    if len(amounts) > n:
+    """Amounts by coalition size from 1.  Trailing empty entries are
+    dropped; an empty entry before an amount would shift it to the wrong
+    size, so it is an error."""
+    parts = [part.strip() for part in (text or "").split(",")]
+    while parts and not parts[-1]:
+        parts.pop()
+    table = {}
+    for size, part in enumerate(parts, start=1):
+        if not part:
+            raise ValidationError(f"{flag} size {size} is empty (write 0 for no amount)")
+        table[size] = Money.of(part)
+    if len(table) > n:
         raise ValidationError(f"{flag} lists more sizes than members")
-    return {size: amount for size, amount in enumerate(amounts, start=1)}
+    return table
 
 
 def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
@@ -522,9 +530,10 @@ def _cmd_coalition(args: argparse.Namespace) -> int:
             members.append(int(part))
         except ValueError:
             raise ValidationError(f"member index {part.strip()!r} is not an integer") from None
-    print(f"value {coalition_value(spec, members)}")
+    lines = [f"value {coalition_value(spec, members)}"]
     if args.check_superadditive:
-        print(f"superadditive {is_superadditive(spec)}")
+        lines.append(f"superadditive {is_superadditive(spec)}")
+    print("\n".join(lines))  # nothing prints until every check has passed
     return 0
 
 

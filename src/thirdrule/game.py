@@ -4,15 +4,18 @@ equal-thirds scheme for multigenerational households.
 A coalition's value is the sum of its members' incomes plus a
 size-indexed scale benefit minus a size-indexed coordination cost (an
 optional per-subset cost table can override the size table).  Shapley
-values are computed by exact subset enumeration in integer cents scaled
-by n!, then rounded to cents with a largest-remainder pass so the shares
-sum to the grand coalition's value exactly.
+values are in closed form: a member's own income, an equal share of the
+grand coalition's gain and one exact term per override, rounded to cents
+with a largest-remainder pass so the shares sum to the grand coalition's
+value exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._numpy import np
@@ -20,10 +23,9 @@ from .domain import Allocation, AllocationRule, Money, make_allocation, total_in
 from .errors import DomainError, ValidationError, is_int
 from .utility_opt import UtilityParams, utility
 
-SHAPLEY_MAX_MEMBERS = 10
 SUPERADDITIVITY_MAX_MEMBERS = 16
-# Subset cost overrides force full disjoint-pair enumeration, which is
-# 3**n pairs; keep that tractable.
+# Subset cost overrides force coalition enumeration: 2**n values, and 3**n
+# disjoint pairs for the superadditivity check; keep that tractable.
 SUBSET_COST_MAX_MEMBERS = 12
 
 
@@ -111,6 +113,27 @@ def coalition_value(spec: CoalitionSpec, members: Iterable[int]) -> Money:
     return Money(cents)
 
 
+def _size_gains(spec: CoalitionSpec) -> list[int]:
+    """g(k) = benefit(k) - cost(k) in cents for k = 0..n; a missing size
+    is zero."""
+    gain = [0] * (spec.n_members + 1)
+    for size, amount in spec.scale_benefit.items():
+        gain[size] += amount.cents
+    for size, amount in spec.coordination_cost.items():
+        gain[size] -= amount.cents
+    return gain
+
+
+def _coalition_values(spec: CoalitionSpec, check: str) -> list[int]:
+    """Every coalition's value in cents, indexed by member bitmask, for a
+    game whose per-subset cost overrides leave nothing to reduce."""
+    if spec.n_members > SUBSET_COST_MAX_MEMBERS:
+        raise ValidationError(
+            f"{check} with per-subset costs supports at most {SUBSET_COST_MAX_MEMBERS} members"
+        )
+    return [_value_cents(spec, mask) for mask in range(1 << spec.n_members)]
+
+
 def is_superadditive(spec: CoalitionSpec) -> bool:
     """Whether v(S union T) >= v(S) + v(T) for every disjoint pair.
 
@@ -126,12 +149,7 @@ def is_superadditive(spec: CoalitionSpec) -> bool:
             f"superadditivity check supports at most {SUPERADDITIVITY_MAX_MEMBERS} members"
         )
     if spec.subset_costs:
-        if n > SUBSET_COST_MAX_MEMBERS:
-            raise ValidationError(
-                "superadditivity with per-subset costs supports at most "
-                f"{SUBSET_COST_MAX_MEMBERS} members"
-            )
-        values = [_value_cents(spec, mask) for mask in range(1 << n)]
+        values = _coalition_values(spec, "superadditivity")
         for union in range(1 << n):
             sub = (union - 1) & union
             while sub > 0:
@@ -139,11 +157,7 @@ def is_superadditive(spec: CoalitionSpec) -> bool:
                     return False
                 sub = (sub - 1) & union
         return True
-    gain = [0] * (n + 1)
-    for size in range(1, n + 1):
-        benefit = spec.scale_benefit.get(size)
-        cost = spec.coordination_cost.get(size)
-        gain[size] = (benefit.cents if benefit else 0) - (cost.cents if cost else 0)
+    gain = _size_gains(spec)
     for s in range(1, n + 1):
         for t in range(1, n - s + 1):
             if gain[s + t] < gain[s] + gain[t]:
@@ -163,35 +177,41 @@ class ShapleyResult:
 
 
 def shapley_values(spec: CoalitionSpec) -> ShapleyResult:
-    """Exact Shapley shares of the grand coalition value.
+    """Exact Shapley shares of the grand coalition value, in closed form.
 
-    phi_i = sum over coalitions S not containing i of
-    |S|! * (n - |S| - 1)! / n! * (v(S + i) - v(S)), evaluated in integer
-    cents scaled by n!.  Cent rounding distributes the leftover by
-    largest remainder (ties to the lower member index).
+    v(S) is the incomes x_i in S plus g(|S|) = benefit - cost, plus
+    d_T = cost(t) - override(T) when S is a member set T of size t with a
+    per-subset cost.  By additivity and symmetry (Shapley 1953), phi_i =
+    x_i + (v(N) - sum of x) / n, where v(N) holds any override on N, and
+    an override on a proper nonempty T adds d_T / (t * C(n, t)) to each
+    member of T and subtracts d_T / ((n - t) * C(n, t)) from the others.
+    Cent rounding distributes the leftover by largest remainder (ties to
+    the lower member index).
     """
     n = spec.n_members
-    if n > SHAPLEY_MAX_MEMBERS:
-        raise ValidationError(f"shapley_values supports at most {SHAPLEY_MAX_MEMBERS} members")
-    values = [_value_cents(spec, mask) for mask in range(1 << n)]
-    for mask, cents in enumerate(values):
-        if cents < 0:
-            raise DomainError("coordination cost exceeds the coalition's pooled resources")
-    fact = [math.factorial(k) for k in range(n + 1)]
-    n_fact = fact[n]
-    scaled = [0] * n
-    for mask in range(1 << n):
-        size = bin(mask).count("1")
-        weight = fact[size] * fact[n - size - 1] if size < n else 0
-        if weight == 0:
+    incomes = [m.cents for m in spec.member_incomes]
+    if spec.subset_costs:
+        insolvent = min(_coalition_values(spec, "shapley_values")) < 0
+    else:
+        # the k poorest members form the least valuable coalition of size k
+        poorest = accumulate(sorted(incomes))
+        insolvent = any(x + g < 0 for x, g in zip(poorest, _size_gains(spec)[1:]))
+    if insolvent:
+        raise DomainError("coordination cost exceeds the coalition's pooled resources")
+    grand = _value_cents(spec, (1 << n) - 1)
+    gains = [Fraction(grand - sum(incomes), n)] * n
+    for members, override in (spec.subset_costs or {}).items():
+        t = len(members)
+        # _value_cents looks overrides up by frozenset, so no other key applies
+        if not isinstance(members, frozenset) or not 0 < t < n:
             continue
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            scaled[i] += weight * (values[mask | 1 << i] - values[mask])
-    floors = [num // n_fact for num in scaled]
-    remainders = [num - q * n_fact for num, q in zip(scaled, floors)]
-    leftover = values[(1 << n) - 1] - sum(floors)
+        d = spec.coordination_cost.get(t, Money.zero()).cents - override.cents
+        inside = Fraction(d, t * math.comb(n, t))
+        outside = Fraction(-d, (n - t) * math.comb(n, t))
+        gains = [g + (inside if i in members else outside) for i, g in enumerate(gains)]
+    floors = [x + math.floor(g) for x, g in zip(incomes, gains)]
+    remainders = [g - math.floor(g) for g in gains]
+    leftover = grand - sum(floors)
     order = sorted(range(n), key=lambda i: (-remainders[i], i))
     shares = list(floors)
     for i in order[:leftover]:

@@ -1,6 +1,13 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+registers the Hypothesis `ci` profile (`--hypothesis-profile=ci`), which
+prints a failing example's reproduction blob, to be replayed with
+`@reproduce_failure`."""
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("ci", print_blob=True)
 
 _CRITERION = re.compile(r"test_acceptance\.py.*criterion_(\d+)")
 

@@ -400,6 +400,21 @@ class TestShapleyCommand:
             ["shapley", "--incomes", "30000", "--scale-benefit", "0,1,2"]
         ) == 1
 
+    def test_trailing_commas_in_a_size_table_are_dropped(self, capsys):
+        argv = ["shapley", "--incomes", "30000,30000", "--scale-benefit"]
+        assert main(argv + ["0,1200"]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["0,1200,,"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_more_members_than_the_old_cap(self, capsys):
+        incomes = ",".join(["1000"] * 40)
+        assert main(["shapley", "--incomes", incomes, "--scale-benefit", "0," * 39 + "40"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "member 0 1001.00"
+        assert lines[39] == "member 39 1001.00"
+        assert lines[40] == "total 40040.00"
+
 
 class TestCoalitionCommand:
     def test_value_of_pair(self, capsys):

@@ -149,6 +149,21 @@ def test_shapley_past_the_money_bound_prints_no_partial_result(capsys):
     assert err == "error: money amount 180000000000000.00 is out of range\n"
 
 
+def test_coalition_superadditivity_cap_prints_no_partial_result(capsys):
+    argv = ["coalition", "--incomes", ",".join(["1"] * 17), "--members", "0"]
+    err = _one_line_error(capsys, argv + ["--check-superadditive"])
+    assert err == "error: superadditivity check supports at most 16 members\n"
+
+
+@pytest.mark.parametrize(
+    "flag, table, size",
+    [("--scale-benefit", ",5", 1), ("--coordination-cost", "1,,3", 2), ("--scale-benefit", " ,1,", 1)],
+)
+def test_size_table_gap_names_the_flag_and_size(flag, table, size, capsys):
+    err = _one_line_error(capsys, ["shapley", "--incomes", "1,2,3", flag + "=" + table])
+    assert err == f"error: {flag} size {size} is empty (write 0 for no amount)\n"
+
+
 def test_coalition_names_the_bad_member(capsys):
     argv = ["coalition", "--incomes", "1,2", "--members", "0,a"]
     assert _one_line_error(capsys, argv) == "error: member index 'a' is not an integer\n"

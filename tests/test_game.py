@@ -1,15 +1,18 @@
 """Cooperative pooling: Shapley splits checked against full permutation
-enumeration, plus the superadditivity screens and nested multigen split.
+enumeration and against the earlier subset enumeration, plus the
+superadditivity screens and nested multigen split.
 
 The oracle below walks every ordering of members and averages marginal
 contributions as exact rationals; the library computes the same values
-through subset weights.  The two must agree to the cent, including the
+in closed form.  The two must agree to the cent, including the
 largest-remainder distribution of leftover cents.
 """
 
 import dataclasses
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +76,46 @@ def _shapley_oracle(spec: CoalitionSpec) -> list[int]:
     for i in order[:leftover]:
         floors[i] += 1
     return floors
+
+
+def _enumeration_shapley(spec: CoalitionSpec) -> tuple[Money, ...]:
+    """The subset-enumeration Shapley split that the closed form replaced,
+    frozen as a differential oracle: marginal contributions over all 2^n
+    coalitions with factorial weights, in integer cents scaled by n!,
+    with the same errors in the same order."""
+    n = spec.n_members
+    values = [
+        _value_cents_oracle(spec, frozenset(i for i in range(n) if mask >> i & 1))
+        for mask in range(1 << n)
+    ]
+    for mask, cents in enumerate(values):
+        if cents < 0:
+            raise DomainError("coordination cost exceeds the coalition's pooled resources")
+    fact = [math.factorial(k) for k in range(n + 1)]
+    n_fact = fact[n]
+    scaled = [0] * n
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        weight = fact[size] * fact[n - size - 1] if size < n else 0
+        if weight == 0:
+            continue
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            scaled[i] += weight * (values[mask | 1 << i] - values[mask])
+    floors = [num // n_fact for num in scaled]
+    remainders = [num - q * n_fact for num, q in zip(scaled, floors)]
+    leftover = values[(1 << n) - 1] - sum(floors)
+    order = sorted(range(n), key=lambda i: (-remainders[i], i))
+    shares = list(floors)
+    for i in order[:leftover]:
+        shares[i] += 1
+    for i, share in enumerate(shares):
+        if share < 0:
+            raise DomainError(
+                f"cost structure leaves member {i} with a negative fair share"
+            )
+    return tuple(Money(c) for c in shares)
 
 
 def _random_spec(rng: random.Random, n: int, with_overrides: bool = False) -> CoalitionSpec:
@@ -190,10 +233,48 @@ class TestShapley:
         vc = shapley_values(combined).values
         assert [x.cents + y.cents for x, y in zip(va, vb)] == [v.cents for v in vc]
 
-    def test_member_cap(self):
-        spec = CoalitionSpec(member_incomes=tuple(Money.of("1") for _ in range(11)))
-        with pytest.raises(ValidationError):
+    def test_forty_members_are_efficient_and_symmetric(self):
+        # two income levels and a gain at every size: equal incomes get
+        # equal exact shares, the leftover cents go to the lower indices
+        incomes = tuple(Money(300_000 + 1_000 * (i % 2)) for i in range(40))
+        spec = CoalitionSpec(
+            member_incomes=incomes,
+            scale_benefit={k: Money(700 * k) for k in range(2, 41)},
+            coordination_cost={k: Money(13 * k * k) for k in range(2, 41)},
+        )
+        values = shapley_values(spec).values
+        assert sum(v.cents for v in values) == coalition_value(spec, range(40)).cents
+        gain_cents = 700 * 40 - 13 * 40 * 40
+        for i, value in enumerate(values):
+            assert value.cents - incomes[i].cents in (gain_cents // 40, gain_cents // 40 + 1)
+        for parity in (0, 1):
+            shares = [values[i].cents for i in range(parity, 40, 2)]
+            assert max(shares) - min(shares) <= 1
+            assert sorted(shares, reverse=True) == shares
+
+    def test_ten_thousand_members_in_under_a_second(self):
+        # guards against a quadratic or factorial slip in the closed form
+        n = 10_000
+        spec = CoalitionSpec(
+            member_incomes=tuple(Money(100_000 + 7 * i) for i in range(n)),
+            scale_benefit={n: Money(12_345)},
+            coordination_cost={2: Money(5)},
+        )
+        start = time.perf_counter()
+        result = shapley_values(spec)
+        elapsed = time.perf_counter() - start
+        assert result.total.cents == sum(100_000 + 7 * i for i in range(n)) + 12_345
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    def test_subset_costs_above_twelve_members_are_rejected(self):
+        spec = CoalitionSpec(
+            member_incomes=tuple(Money.of("1") for _ in range(13)),
+            subset_costs={frozenset({0, 1}): Money.zero()},
+        )
+        with pytest.raises(ValidationError, match="at most 12 members"):
             shapley_values(spec)
+        with pytest.raises(ValidationError, match="at most 12 members"):
+            is_superadditive(spec)
 
     def test_negative_fair_share_rejected(self):
         # a near-penniless member joins an expensive pool: every coalition
@@ -245,6 +326,47 @@ def test_shapley_symmetry_for_equal_incomes(spec, data):
     incomes[j] = incomes[i]
     values = shapley_values(dataclasses.replace(spec, member_incomes=tuple(incomes))).values
     assert values[i].cents - values[j].cents in (0, 1)
+
+
+def _outcome(split, spec):
+    try:
+        return [v.cents for v in split(spec)]
+    except (DomainError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _any_games(draw):
+    """Games of up to 10 members with per-subset cost overrides on the
+    empty set, singletons, any subset and all members.  Tables on the
+    incomes' scale make many games insolvent or leave a member a negative
+    share; smaller tables keep most of them solvent."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    top = draw(st.sampled_from([100, 10_000, 10**6]))
+    money = st.integers(min_value=0, max_value=top).map(Money)
+    table_top = top // draw(st.sampled_from([1, 10, 100]))
+    table = st.integers(min_value=0, max_value=table_top).map(Money)
+    sizes = st.dictionaries(st.integers(min_value=1, max_value=n), table)
+    members = st.one_of(
+        st.just(frozenset()),
+        st.integers(min_value=0, max_value=n - 1).map(lambda i: frozenset({i})),
+        st.frozensets(st.integers(min_value=0, max_value=n - 1)),
+        st.just(frozenset(range(n))),
+    )
+    return CoalitionSpec(
+        member_incomes=tuple(draw(st.lists(money, min_size=n, max_size=n))),
+        scale_benefit=draw(sizes),
+        coordination_cost=draw(sizes),
+        subset_costs=draw(st.none() | st.dictionaries(members, table, max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_games())
+def test_shapley_matches_the_subset_enumeration(spec):
+    # shares, exception types and messages all agree
+    expected = _outcome(_enumeration_shapley, spec)
+    assert _outcome(lambda s: shapley_values(s).values, spec) == expected
 
 
 class TestSuperadditivity:
