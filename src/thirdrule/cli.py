@@ -33,6 +33,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import _EXPORTS, _HOME
 from .domain import (
     Allocation,
     AllocationRule,
@@ -44,45 +45,22 @@ from .domain import (
 )
 from .errors import ValidationError, finite_number, is_int
 
-# The names this module calls from each thirdrule module it loads on
-# demand.  ``_bind`` makes them module globals when a command that runs
-# the module starts; ``__getattr__`` does so on first attribute access.
-_LAZY_NAMES = {
-    "adjust": ("AdjustMode", "adjusted_allocation", "adjustment_factors", "zero_sum_defect"),
-    "dynamic": (
-        "DynamicConfig",
-        "HouseholdState",
-        "default_config",
-        "policy_adjustments",
-        "solve_plan",
-    ),
-    "game": ("CoalitionSpec", "coalition_value", "is_superadditive", "shapley_values"),
-    "risk": ("RiskParams", "bankruptcy_probability", "classify_stability"),
-    "stochastic": (
-        "PathConfig",
-        "derive_trial_rng",
-        "simulate_income_path",
-        "simulate_savings_path",
-    ),
-    "stress": ("ScenarioSpec", "compare_rules", "run_stress"),
-}
-
 
 def _bind(*modules: str) -> None:
-    """Import the named thirdrule modules and bind the names this module
-    calls from them.  A name already set stays, so a replacement put on
-    this module (a test's spy, a benchmark's span wrapper) is what runs."""
+    """Import the named thirdrule modules and make their public names (the
+    package's ``_EXPORTS``) globals of this module, where the commands call
+    them.  A name already set stays, so a replacement put on this module (a
+    test's spy, a benchmark's span wrapper) is what runs."""
     for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name in _LAZY_NAMES[module]:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY_NAMES.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
+    if name in _HOME:
+        _bind(_HOME[name])
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -361,10 +339,6 @@ def _parse_fraction_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite fraction") from None
 
 
-def _parse_money_list(text: str) -> list[Money]:
-    return [Money.of(part.strip()) for part in text.split(",") if part.strip()]
-
-
 def _rule_from_args(args: argparse.Namespace) -> AllocationRule:
     rule_id = RuleId(args.rule)
     if rule_id is RuleId.CUSTOM:
@@ -485,25 +459,31 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money]:
-    """Amounts by coalition size from 1.  Trailing empty entries are
-    dropped; an empty entry before an amount would shift it to the wrong
-    size, so it is an error."""
+def _parse_amounts(text: Optional[str], flag: str, item: str) -> list[Money]:
+    """A comma list of amounts.  Trailing empty entries are dropped; an
+    empty entry before an amount would shift it to the wrong position, so
+    it is an error that names the flag and the position, counted from 1."""
     parts = [part.strip() for part in (text or "").split(",")]
     while parts and not parts[-1]:
         parts.pop()
-    table = {}
-    for size, part in enumerate(parts, start=1):
+    amounts = []
+    for position, part in enumerate(parts, start=1):
         if not part:
-            raise ValidationError(f"{flag} size {size} is empty (write 0 for no amount)")
-        table[size] = Money.of(part)
-    if len(table) > n:
+            raise ValidationError(f"{flag} {item} {position} is empty (write 0 for no amount)")
+        amounts.append(Money.of(part))
+    return amounts
+
+
+def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money]:
+    """Amounts by coalition size from 1."""
+    amounts = _parse_amounts(text, flag, "size")
+    if len(amounts) > n:
         raise ValidationError(f"{flag} lists more sizes than members")
-    return table
+    return dict(enumerate(amounts, start=1))
 
 
 def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
-    incomes = _parse_money_list(args.incomes)
+    incomes = _parse_amounts(args.incomes, "--incomes", "entry")
     return CoalitionSpec(
         member_incomes=tuple(incomes),
         scale_benefit=_parse_size_table(args.scale_benefit, len(incomes), "--scale-benefit"),
@@ -589,9 +569,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
+def build_parser(command: Optional[str]) -> _Parser:
     """The CLI parser.  Every command is listed, but only ``command`` gets
-    its flags and loads its modules (every command does when it is None).
+    its flags and loads its modules; with no command, as for ``thirdrule
+    --help``, none does, since argparse then reads no command's flags.
     Each ``add`` call names the thirdrule modules, beyond domain and
     errors, that the command runs."""
     parser = _Parser(prog="thirdrule", description=__doc__.splitlines()[0])
@@ -599,7 +580,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
     def add(name: str, help_text: str, *modules: str) -> Optional[_Parser]:
         p = sub.add_parser(name, help=help_text)
-        if command is not None and command != name:
+        if command != name:
             return None
         _bind(*modules)
         return p

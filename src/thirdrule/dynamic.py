@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
+import numpy as np
+
 from .domain import Allocation, Money
 from .errors import ValidationError, finite_number, is_int
 from .utility_opt import UtilityParams

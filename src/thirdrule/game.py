@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._numpy import np
 from .domain import Allocation, AllocationRule, Money, make_allocation, total_income
 from .errors import DomainError, ValidationError, is_int
 from .utility_opt import UtilityParams, utility
@@ -265,6 +264,8 @@ def best_response_check(
     cents = income.cents
     if cents == 0:
         return True
+    import numpy as np  # only this check needs it: coalition and shapley start without
+
     step = resolution.cents
     marks = np.arange(0, cents + 1, step, dtype=np.int64)
     if marks[-1] != cents:

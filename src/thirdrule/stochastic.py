@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
+import numpy as np
+
 from .domain import MAX_CENTS, Money
 from .errors import DomainError, ValidationError, finite_number, is_int
 

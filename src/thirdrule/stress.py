@@ -48,7 +48,8 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ._numpy import np
+import numpy as np
+
 from .domain import (
     MAX_CENTS,
     AllocationRule,

@@ -164,6 +164,26 @@ def test_size_table_gap_names_the_flag_and_size(flag, table, size, capsys):
     assert err == f"error: {flag} size {size} is empty (write 0 for no amount)\n"
 
 
+@pytest.mark.parametrize(
+    "command, incomes, entry",
+    [
+        ("coalition", "1,,2", 2),
+        ("shapley", ",5", 1),
+        ("shapley", " ,1,", 1),
+        ("coalition", "1,2,,3,,", 3),
+    ],
+)
+def test_incomes_gap_names_the_entry(command, incomes, entry, capsys):
+    members = ["--members", "0"] if command == "coalition" else []
+    err = _one_line_error(capsys, [command, "--incomes=" + incomes] + members)
+    assert err == f"error: --incomes entry {entry} is empty (write 0 for no amount)\n"
+
+
+def test_trailing_empty_incomes_are_dropped(capsys):
+    assert main(["shapley", "--incomes", "1,2,,"]) == 0
+    assert capsys.readouterr().out == "member 0 1.00\nmember 1 2.00\ntotal 3.00\n"
+
+
 def test_coalition_names_the_bad_member(capsys):
     argv = ["coalition", "--incomes", "1,2", "--members", "0,a"]
     assert _one_line_error(capsys, argv) == "error: member index 'a' is not an integer\n"

@@ -126,10 +126,11 @@ PLAN = _command(
 
 # Member lists reach 40 members, past the superadditivity cap of 16, and
 # the long ones hold plain amounts so that most of them get past parsing;
-# size tables may list more sizes than members and may hold empty entries;
-# member indices may repeat, fall out of range or not parse.
+# short member lists and size tables may hold empty entries, and size
+# tables may list more sizes than members; member indices may repeat, fall
+# out of range or not parse.
 _MONEY_LIST = st.one_of(
-    st.lists(MONEY, max_size=12), st.lists(_AMOUNTS, min_size=13, max_size=40)
+    st.lists(MONEY | st.just(""), max_size=12), st.lists(_AMOUNTS, min_size=13, max_size=40)
 ).map(",".join)
 _SIZE_TABLE = st.one_of(
     st.lists(st.sampled_from(["", "0", "12.50", "300"]), max_size=12),
@@ -176,11 +177,11 @@ def test_cli_keeps_the_exit_contract(argv):
     _assert_contract(argv)
 
 
-def _has_size_gap(argv):
-    """Whether a size table has an empty entry before an amount, which
-    would shift that amount to the wrong coalition size."""
+def _has_gap(argv):
+    """Whether --incomes or a size table has an empty entry before an
+    amount, which would shift that amount to the wrong member or size."""
     return any(
-        flag in _SIZE_TABLES and "" in value.rstrip(",").split(",")[:-1]
+        flag in ("--incomes", *_SIZE_TABLES) and "" in value.rstrip(",").split(",")[:-1]
         for flag, _, value in (arg.partition("=") for arg in argv)
     )
 
@@ -189,7 +190,7 @@ def _has_size_gap(argv):
 @given(st.one_of(SHAPLEY, COALITION))
 def test_game_commands_keep_the_exit_contract(argv):
     code = _assert_contract(argv)
-    if _has_size_gap(argv):
+    if _has_gap(argv):
         assert code == 1, argv
 
 

@@ -1,6 +1,9 @@
 """The package root: every public name and submodule loads on first access."""
 
+import ast
+import builtins
 import importlib
+import inspect
 import sys
 
 import pytest
@@ -37,3 +40,25 @@ def test_unknown_name_raises_attribute_error():
         thirdrule.no_such_name
     with pytest.raises(ImportError):
         from thirdrule import no_such_name  # noqa: F401
+
+
+def test_every_name_the_cli_calls_is_in_the_name_table():
+    # cli binds a command's names from ``_EXPORTS`` when the command starts,
+    # so a called name the table left out would be a NameError at run time.
+    from thirdrule import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    stored = set(dir(builtins))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.ExceptHandler)):
+            stored.add(node.name)
+        elif isinstance(node, ast.arg):
+            stored.add(node.arg)
+        elif isinstance(node, ast.alias):
+            stored.add(node.asname or node.name.split(".")[0])
+    bound_on_demand = read - stored
+    assert {"run_stress", "solve_plan", "shapley_values"} <= bound_on_demand
+    assert bound_on_demand <= set(thirdrule._HOME)
