@@ -60,7 +60,6 @@ _EXPORTS = {
         "CoalitionSpec",
         "MultigenAllocation",
         "ShapleyResult",
-        "best_response_check",
         "coalition_value",
         "is_superadditive",
         "nested_multigen_allocation",
@@ -101,6 +100,7 @@ _EXPORTS = {
     ),
     "utility_opt": (
         "UtilityParams",
+        "best_response_check",
         "deviation_utility_loss",
         "optimal_allocation",
         "penalty_coefficient",

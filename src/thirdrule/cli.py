@@ -462,7 +462,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 def _parse_amounts(text: Optional[str], flag: str, item: str) -> list[Money]:
     """A comma list of amounts.  Trailing empty entries are dropped; an
     empty entry before an amount would shift it to the wrong position, so
-    it is an error that names the flag and the position, counted from 1."""
+    it is an error.  Errors name the flag and the position, counted from 1."""
     parts = [part.strip() for part in (text or "").split(",")]
     while parts and not parts[-1]:
         parts.pop()
@@ -470,7 +470,10 @@ def _parse_amounts(text: Optional[str], flag: str, item: str) -> list[Money]:
     for position, part in enumerate(parts, start=1):
         if not part:
             raise ValidationError(f"{flag} {item} {position} is empty (write 0 for no amount)")
-        amounts.append(Money.of(part))
+        try:
+            amounts.append(Money.of(part))
+        except ValidationError as exc:
+            raise ValidationError(f"{flag} {item} {position}: {exc}") from None
     return amounts
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .domain import Allocation, Money
 from .errors import ValidationError, finite_number, is_int
-from .utility_opt import UtilityParams
+from .utility_opt import UtilityParams, _cobb_douglas
 
 DEFAULT_ACTION_STEP = Fraction(1, 30)
 DEFAULT_GRID_NODES = 11
@@ -233,8 +233,7 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     ni, nb, ns = len(inc_g), len(debt_g), len(sav_g)
     acts, q = _simplex_actions(cfg.action_step)
     frac = acts / q  # (n_a, 3) float
-    p = cfg.params
-    u_act = frac[:, 0] ** p.alpha * frac[:, 1] ** p.beta * frac[:, 2] ** p.gamma
+    u_act = _cobb_douglas(cfg.params, frac[:, 0], frac[:, 1], frac[:, 2])
     reward = inc_g[None, :] * u_act[:, None]  # (n_a, ni)
     state_term = cfg.state_weight * (
         np.log1p(sav_g)[None, :] - np.log1p(debt_g)[:, None]
@@ -294,8 +293,9 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
             stop = min(start + block, n_a)
             tot = total[: stop - start]
             up = upper[: stop - start]
-            np.take(blend, b_lo[start:stop], axis=0, out=tot)
-            np.take(blend, b_hi[start:stop], axis=0, out=up)
+            # rows are in range (_bracket), so "clip" only skips numpy's copy of out
+            np.take(blend, b_lo[start:stop], axis=0, out=tot, mode="clip")
+            np.take(blend, b_hi[start:stop], axis=0, out=up, mode="clip")
             # base + discount * ((1 - bw) * lower + bw * upper), operation
             # for operation, so the maxima and their first argmax are exact
             tot *= bwx_c[start:stop]

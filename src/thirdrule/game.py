@@ -5,22 +5,21 @@ A coalition's value is the sum of its members' incomes plus a
 size-indexed scale benefit minus a size-indexed coordination cost (an
 optional per-subset cost table can override the size table).  Shapley
 values are in closed form: a member's own income, an equal share of the
-grand coalition's gain and one exact term per override, rounded to cents
-with a largest-remainder pass so the shares sum to the grand coalition's
-value exactly.
+grand coalition's gain and one exact term per override, all over one
+integer denominator, rounded to cents with a largest-remainder pass so
+the shares sum to the grand coalition's value exactly.  Games are about
+money alone; the utility model and its checks live in ``utility_opt``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .domain import Allocation, AllocationRule, Money, make_allocation, total_income
 from .errors import DomainError, ValidationError, is_int
-from .utility_opt import UtilityParams, utility
 
 SUPERADDITIVITY_MAX_MEMBERS = 16
 # Subset cost overrides force coalition enumeration: 2**n values, and 3**n
@@ -74,13 +73,9 @@ def _value_cents(spec: CoalitionSpec, mask: int) -> int:
     when costs exceed resources; callers decide whether that is an error."""
     if mask == 0:
         return 0
-    size = bin(mask).count("1")
-    total = 0
-    members = []
-    for i in range(spec.n_members):
-        if mask >> i & 1:
-            total += spec.member_incomes[i].cents
-            members.append(i)
+    members = [i for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
+    size = len(members)
+    total = sum(spec.member_incomes[i].cents for i in members)
     benefit = spec.scale_benefit.get(size)
     if benefit is not None:
         total += benefit.cents
@@ -198,22 +193,26 @@ def shapley_values(spec: CoalitionSpec) -> ShapleyResult:
     if insolvent:
         raise DomainError("coordination cost exceeds the coalition's pooled resources")
     grand = _value_cents(spec, (1 << n) - 1)
-    gains = [Fraction(grand - sum(incomes), n)] * n
-    for members, override in (spec.subset_costs or {}).items():
+    # _value_cents looks overrides up by frozenset, so no other key applies
+    overrides = [
+        (members, spec.coordination_cost.get(len(members), Money.zero()).cents - cost.cents)
+        for members, cost in (spec.subset_costs or {}).items()
+        if isinstance(members, frozenset) and 0 < len(members) < n
+    ]
+    # each member's gain over its income is num / den, in integers
+    sizes = {len(members) for members, _ in overrides}
+    den = math.lcm(n, *(k * math.comb(n, t) for t in sizes for k in (t, n - t)))
+    nums = [(grand - sum(incomes)) * (den // n)] * n
+    for members, d in overrides:
         t = len(members)
-        # _value_cents looks overrides up by frozenset, so no other key applies
-        if not isinstance(members, frozenset) or not 0 < t < n:
-            continue
-        d = spec.coordination_cost.get(t, Money.zero()).cents - override.cents
-        inside = Fraction(d, t * math.comb(n, t))
-        outside = Fraction(-d, (n - t) * math.comb(n, t))
-        gains = [g + (inside if i in members else outside) for i, g in enumerate(gains)]
-    floors = [x + math.floor(g) for x, g in zip(incomes, gains)]
-    remainders = [g - math.floor(g) for g in gains]
-    leftover = grand - sum(floors)
-    order = sorted(range(n), key=lambda i: (-remainders[i], i))
-    shares = list(floors)
-    for i in order[:leftover]:
+        inside = d * den // (t * math.comb(n, t))
+        outside = -d * den // ((n - t) * math.comb(n, t))
+        nums = [g + (inside if i in members else outside) for i, g in enumerate(nums)]
+    shares = [x + g // den for x, g in zip(incomes, nums)]
+    # the largest remainders take the leftover cents; sorted is stable, so
+    # ties go to the lower member index
+    order = sorted(range(n), key=lambda i: -(nums[i] % den))
+    for i in order[: grand - sum(shares)]:
         shares[i] += 1
     for i, share in enumerate(shares):
         if share < 0:
@@ -246,42 +245,3 @@ def nested_multigen_allocation(member_incomes: Sequence[Money]) -> MultigenAlloc
     pooled = total_income(a.expenses for a in personal)
     collective = make_allocation(pooled, rule.fractions)
     return MultigenAllocation(personal=personal, collective=collective)
-
-
-def best_response_check(
-    params: UtilityParams,
-    income: Money,
-    candidate: Allocation,
-    resolution: Money,
-) -> bool:
-    """Whether no budget-feasible split beats the candidate's utility by
-    more than a 1e-9 relative slack, scanning a grid at the given cent
-    resolution.  Vacuously true at zero income."""
-    if candidate.income.cents != income.cents:
-        raise ValidationError("candidate allocation must be on the same income")
-    if resolution.cents <= 0:
-        raise ValidationError("grid resolution must be positive")
-    cents = income.cents
-    if cents == 0:
-        return True
-    import numpy as np  # only this check needs it: coalition and shapley start without
-
-    step = resolution.cents
-    marks = np.arange(0, cents + 1, step, dtype=np.int64)
-    if marks[-1] != cents:
-        marks = np.append(marks, cents)
-    debt = marks[:, None].astype(float)
-    savings = marks[None, :].astype(float)
-    expenses = cents - debt - savings
-    feasible = expenses >= 0
-    with np.errstate(invalid="ignore"):
-        grid_utility = np.where(
-            feasible,
-            (debt / 100.0) ** params.alpha
-            * (savings / 100.0) ** params.beta
-            * (np.maximum(expenses, 0.0) / 100.0) ** params.gamma,
-            -np.inf,
-        )
-    best = float(np.nanmax(grid_utility))
-    target = utility(params, candidate)
-    return best <= target + 1e-9 * max(abs(target), 1.0)

@@ -186,27 +186,19 @@ def simulate_savings_path(
     sigma_market: float,
     cfg: PathConfig,
     rng: np.random.Generator,
-    shocks: np.ndarray | None = None,
 ) -> SimulatedPath:
     """Simulate one savings path with an end-of-period contribution.
 
     Each step applies the factor (1 + rate * dt + sigma_market * sqrt(dt) * z)
     to the running balance, then adds the contribution.  The factor is
     floored at zero (a total-loss step cannot push the balance negative).
-    Pass ``shocks`` to reuse an externally drawn normal stream, for
-    example one correlated with an income path.
     """
     finite_number(rate, "rate")
     if finite_number(sigma_market, "sigma_market") < 0:
         raise ValidationError("sigma_market must be nonnegative")
     n = cfg.steps
     dt = cfg.dt_years
-    if shocks is None:
-        z = rng.standard_normal(n)
-    else:
-        z = np.asarray(shocks, dtype=float)
-        if z.shape != (n,):
-            raise ValidationError(f"shocks must have shape ({n},)")
+    z = rng.standard_normal(n)
     sqrt_dt = math.sqrt(dt)
     c = contribution.units
     value = s0.units

@@ -1,10 +1,12 @@
-"""Cobb-Douglas utility over (debt repayment, savings, expenses) and the
-closed-form optimum under the budget constraint.
+"""Cobb-Douglas utility over (debt repayment, savings, expenses), the
+closed-form optimum under the budget constraint, and two checks of a
+candidate split: the first-order condition and a grid best response.
 
 With exponents summing to one, utility is homogeneous of degree one and the
 budget-constrained maximizer is the proportional split (alpha * I,
 beta * I, gamma * I).  The equal-thirds split is that optimum exactly when
-all three exponents are one third.
+all three exponents are one third.  ``_cobb_douglas`` is the one place the
+utility expression is written; the planner's action rewards use it too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ class UtilityParams:
         return cls(third, third, third)
 
 
+def _cobb_douglas(params: UtilityParams, debt, savings, expenses):
+    """debt**alpha * savings**beta * expenses**gamma, for floats or numpy
+    arrays alike; callers check the domain."""
+    return debt**params.alpha * savings**params.beta * expenses**params.gamma
+
+
 def utility_at(params: UtilityParams, debt: float, savings: float, expenses: float) -> float:
     """Utility at real-valued bucket amounts (currency units).
 
@@ -51,7 +59,7 @@ def utility_at(params: UtilityParams, debt: float, savings: float, expenses: flo
         raise DomainError("utility is undefined for negative bucket amounts")
     if debt == 0.0 or savings == 0.0 or expenses == 0.0:
         return 0.0
-    return debt**params.alpha * savings**params.beta * expenses**params.gamma
+    return _cobb_douglas(params, debt, savings, expenses)
 
 
 def utility(params: UtilityParams, allocation: Allocation) -> float:
@@ -102,6 +110,41 @@ def verify_first_order(params: UtilityParams, allocation: Allocation, tol: float
             return False
     total = allocation.debt.cents + allocation.savings.cents + allocation.expenses.cents
     return total == allocation.income.cents
+
+
+def best_response_check(
+    params: UtilityParams, income: Money, candidate: Allocation, resolution: Money
+) -> bool:
+    """Whether no budget-feasible split beats the candidate's utility by
+    more than a 1e-9 relative slack, scanning a grid at the given cent
+    resolution.  Vacuously true at zero income."""
+    if candidate.income.cents != income.cents:
+        raise ValidationError("candidate allocation must be on the same income")
+    if resolution.cents <= 0:
+        raise ValidationError("grid resolution must be positive")
+    cents = income.cents
+    if cents == 0:
+        return True
+    import numpy as np  # only this check needs numpy; the rest of the module runs without it
+
+    step = resolution.cents
+    marks = np.arange(0, cents + 1, step, dtype=np.int64)
+    if marks[-1] != cents:
+        marks = np.append(marks, cents)
+    debt = marks[:, None].astype(float)
+    savings = marks[None, :].astype(float)
+    expenses = cents - debt - savings
+    with np.errstate(invalid="ignore"):
+        grid_utility = np.where(
+            expenses >= 0,
+            _cobb_douglas(
+                params, debt / 100.0, savings / 100.0, np.maximum(expenses, 0.0) / 100.0
+            ),
+            -np.inf,
+        )
+    best = float(np.nanmax(grid_utility))
+    target = utility(params, candidate)
+    return best <= target + 1e-9 * max(abs(target), 1.0)
 
 
 def deviation_utility_loss(params: UtilityParams, income: Money, d: SignedMoney) -> float:

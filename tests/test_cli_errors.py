@@ -179,6 +179,26 @@ def test_incomes_gap_names_the_entry(command, incomes, entry, capsys):
     assert err == f"error: --incomes entry {entry} is empty (write 0 for no amount)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["shapley", "--incomes", "1,abc"], "--incomes entry 2: cannot parse money amount 'abc'"),
+        (
+            ["coalition", "--incomes", "1,2", "--members", "0", "--coordination-cost", "nan"],
+            "--coordination-cost size 1: money amount must be finite",
+        ),
+        (
+            ["shapley", "--incomes", "1,2", "--scale-benefit", "0,1e26"],
+            "--scale-benefit size 2: money amount 1E+26 is out of range",
+        ),
+        (["shapley", "--incomes", "inf"], "--incomes entry 1: money amount must be finite"),
+    ],
+    ids=["income-text", "cost-nan", "benefit-range", "income-inf"],
+)
+def test_bad_list_amount_names_the_flag_and_position(argv, expected, capsys):
+    assert _one_line_error(capsys, argv) == f"error: {expected}\n"
+
+
 def test_trailing_empty_incomes_are_dropped(capsys):
     assert main(["shapley", "--incomes", "1,2,,"]) == 0
     assert capsys.readouterr().out == "member 0 1.00\nmember 1 2.00\ntotal 3.00\n"

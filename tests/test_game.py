@@ -266,6 +266,22 @@ class TestShapley:
         assert result.total.cents == sum(100_000 + 7 * i for i in range(n)) + 12_345
         assert elapsed < 1.0, f"{elapsed:.2f} s"
 
+    def test_hundred_thousand_members_are_efficient_and_symmetric(self):
+        # equal incomes split the gain equally; the leftover cents go to the
+        # lowest member indices, and the shares sum to the grand value
+        n = 100_000
+        spec = CoalitionSpec(
+            member_incomes=(Money(100_000),) * n,
+            scale_benefit={n: Money(200_003)},
+            coordination_cost={2: Money(5)},
+        )
+        start = time.perf_counter()
+        shares = [v.cents for v in shapley_values(spec).values]
+        elapsed = time.perf_counter() - start
+        assert sum(shares) == 100_000 * n + 200_003
+        assert shares == [100_003] * 3 + [100_002] * (n - 3)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
     def test_subset_costs_above_twelve_members_are_rejected(self):
         spec = CoalitionSpec(
             member_incomes=tuple(Money.of("1") for _ in range(13)),

@@ -255,31 +255,17 @@ class TestSavingsPath:
             assert g == pytest.approx(round(e * 100.0) / 100.0, abs=0.011)
 
     def test_growth_factor_floored_at_zero(self):
+        class Crash:
+            """A generator whose one normal draw is a -10 sigma crash."""
+
+            def standard_normal(self, size):
+                assert size == 1
+                return np.array([-10.0])
+
         cfg = PathConfig(horizon_years=1, dt_years=1.0, trials=1, master_seed=0)
-        path = simulate_savings_path(
-            Money.of("100"),
-            Money.of("10"),
-            0.0,
-            5.0,
-            cfg,
-            derive_trial_rng(0, 0),
-            shocks=np.array([-10.0]),
-        )
+        path = simulate_savings_path(Money.of("100"), Money.of("10"), 0.0, 5.0, cfg, Crash())
         # balance wiped by the crash, only the contribution remains
         assert path.units[-1] == 10.0
-
-    def test_shock_shape_validated(self):
-        cfg = PathConfig(horizon_years=1, dt_years=1 / 2, trials=1, master_seed=0)
-        with pytest.raises(ValidationError):
-            simulate_savings_path(
-                Money.of("1"),
-                Money.of("1"),
-                0.0,
-                0.1,
-                cfg,
-                derive_trial_rng(0, 0),
-                shocks=np.zeros(5),
-            )
 
     def test_mean_growth_tracks_deterministic_compounding(self):
         cfg = PathConfig(horizon_years=3, dt_years=1 / 12, trials=1, master_seed=0)

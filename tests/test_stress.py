@@ -95,8 +95,8 @@ COMMAND_MODULES = {
     "allocate": [],
     "risk": ["risk"],
     "adjust": ["adjust", "risk"],
-    "coalition": ["game", "utility_opt"],
-    "shapley": ["game", "utility_opt"],
+    "coalition": ["game"],
+    "shapley": ["game"],
     "plan": ["dynamic", "utility_opt"],
     "stress": ["risk", "stochastic", "stress"],
     "simulate": ["stochastic"],
