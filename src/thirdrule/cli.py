@@ -43,7 +43,7 @@ from .domain import (
     RuleId,
     rule_allocation,
 )
-from .errors import ValidationError, finite_number, is_int
+from .errors import ValidationError, finite_number
 
 
 def _bind(*modules: str) -> None:
@@ -209,17 +209,12 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
             raise ValidationError(f"{where}.{key}: unknown key")
         if "name" not in obj:
             raise ValidationError(f"{where}.name: required")
-        if not isinstance(obj["name"], str):
-            raise ValidationError(f"{where}.name: must be a string")
-        for key in ("income_shock", "apr_multiplier", "inflation_annual"):
-            if key in obj:
-                finite_number(obj[key], f"{where}.{key}:")
-        for key in ("onset_month", "duration_months"):
-            if key in obj and not is_int(obj[key]):
-                raise ValidationError(f"{where}.{key}: must be an integer")
         try:
             scenario = ScenarioSpec(**obj)
         except ValidationError as exc:
+            key, _, problem = str(exc).partition(" ")
+            if key in keys:
+                raise ValidationError(f"{where}.{key}: {problem}") from None
             raise ValidationError(f"{where}: {exc}") from None
         if scenario.name in names:
             raise ValidationError(f"{where}.name: duplicate scenario {scenario.name!r}")

@@ -82,6 +82,10 @@ class ScenarioSpec:
     duration_months: int = 0
 
     def __post_init__(self) -> None:
+        # A message about one field starts with the field's name, which
+        # cli.load_scenarios turns into a JSON path.
+        if not isinstance(self.name, str):
+            raise ValidationError("name must be a string")
         if not self.name:
             raise ValidationError("scenario name must be nonempty")
         for field_name in ("income_shock", "apr_multiplier", "inflation_annual"):

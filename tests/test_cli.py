@@ -10,6 +10,7 @@ from thirdrule import (
     AllocationRule,
     Money,
     PathConfig,
+    ScenarioSpec,
     THREADS_ENV_VAR,
     ValidationError,
     run_stress,
@@ -175,9 +176,30 @@ class TestLoadScenarios:
 
     def test_field_validation_keeps_path(self, tmp_path):
         path = _write(tmp_path, "s.json", json.dumps({"name": "a", "onset_month": 0}))
-        with pytest.raises(ValidationError, match=r"\$:"):
+        with pytest.raises(ValidationError, match=r"^\$\.onset_month: counts from 1$"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"name": "a", "income_shock": -2}, r"^\$\[1\]\.income_shock: cannot cut income"),
+            ({"name": "a", "apr_multiplier": 0}, r"^\$\[1\]\.apr_multiplier: must be positive$"),
+            (
+                {"name": "a", "inflation_annual": 10**400},
+                r"^\$\[1\]\.inflation_annual: must be within the float range$",
+            ),
+            ({"name": "a", "duration_months": -1}, r"^\$\[1\]\.duration_months: must be nonneg"),
+            ({"name": 3}, r"^\$\[1\]\.name: must be a string$"),
+            ({"name": ""}, r"^\$\[1\]: scenario name must be nonempty$"),
+        ],
+    )
+    def test_scenario_checks_get_the_json_path(self, tmp_path, obj, message):
+        # the checks live in ScenarioSpec; load_scenarios only puts the path in front
+        path = _write(tmp_path, "s.json", json.dumps([{"name": "ok"}, obj]))
+        with pytest.raises(ValidationError, match=message):
+            load_scenarios(path)
+        with pytest.raises(ValidationError, match=message.split(": ", 1)[1]):
+            ScenarioSpec(**obj)
 
 SAMPLE_ROW = {
     "profile_id": "h1",
