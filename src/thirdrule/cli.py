@@ -29,7 +29,7 @@ import io
 import re
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -98,7 +98,7 @@ def load_profiles(path: str) -> list[HouseholdProfile]:
     """Parse and validate a profile CSV.  Errors name the row and field."""
     import csv
 
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -187,7 +187,7 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
 
     _bind("stress")
     keys = {f.name for f in fields(ScenarioSpec)}
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -289,7 +289,7 @@ def render_report(rows: Sequence[dict], fmt: str) -> str:
 def load_report_json(path: str) -> list[dict]:
     import json
 
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -313,7 +313,7 @@ def emit_report(rows: Sequence[dict], fmt: str, path: Optional[str]) -> None:
     """Write the rendered report to path and say so, or to stdout."""
     text = render_report(rows, fmt)
     if path:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {path}")
     else:
@@ -472,23 +472,18 @@ def _parse_amounts(text: Optional[str], flag: str, item: str) -> list[Money]:
     return amounts
 
 
-def _parse_size_table(text: Optional[str], n: int, flag: str) -> dict[int, Money]:
-    """Amounts by coalition size from 1."""
-    amounts = _parse_amounts(text, flag, "size")
-    if len(amounts) > n:
-        raise ValidationError(f"{flag} lists more sizes than members")
-    return dict(enumerate(amounts, start=1))
-
-
 def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
-    incomes = _parse_amounts(args.incomes, "--incomes", "entry")
-    return CoalitionSpec(
-        member_incomes=tuple(incomes),
-        scale_benefit=_parse_size_table(args.scale_benefit, len(incomes), "--scale-benefit"),
-        coordination_cost=_parse_size_table(
-            args.coordination_cost, len(incomes), "--coordination-cost"
-        ),
-    )
+    """The game the flags describe.  ``CoalitionSpec`` checks each flag as it
+    is added, in flag order; a size-table message names the flag."""
+    spec = CoalitionSpec(tuple(_parse_amounts(args.incomes, "--incomes", "entry")))
+    for flag in ("--scale-benefit", "--coordination-cost"):
+        name = flag[2:].replace("-", "_")
+        table = dict(enumerate(_parse_amounts(getattr(args, name), flag, "size"), start=1))
+        try:
+            spec = replace(spec, **{name: table})
+        except ValidationError as exc:
+            raise ValidationError(flag + str(exc).removeprefix(name)) from None
+    return spec
 
 
 def _cmd_shapley(args: argparse.Namespace) -> int:

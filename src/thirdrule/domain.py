@@ -1,9 +1,11 @@
 """Core money and allocation types.
 
 Money is stored as an integer count of cents (fixed point, two decimal
-digits).  Sums and differences of Money are exact; fractional splits round
-half-to-even and assign the leftover cent(s) to the expenses bucket so the
-budget identity debt + savings + expenses == income always holds exactly.
+digits).  Sums and differences of Money are exact.  Every income split,
+here and in the stress ledger, goes through ``_split_cents``: debt and
+savings round half-to-even and the leftover cent(s) go to expenses, so
+debt + savings + expenses == income always holds exactly.  The named
+rules' fractions live in one table, ``_NAMED_FRACTIONS``.
 
 Ratios, rates, and volatilities are plain binary floats.  Signed cash-flow
 deltas (which may be smaller than one cent) travel as ``SignedMoney``, an
@@ -159,6 +161,17 @@ def check_fractions(fractions: Sequence[FractionLike]) -> tuple[Fraction, Fracti
     return parsed
 
 
+# (debt, savings, expenses) fractions of every rule but custom.
+_NAMED_FRACTIONS = {
+    RuleId.ONE_THIRD: (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+    # Needs 50, wants 30, savings-and-debt 20.  In (debt, savings,
+    # expenses) order the needs and wants merge into expenses and the
+    # last bucket splits evenly between debt and savings.
+    RuleId.FIFTY_THIRTY_TWENTY: (Fraction(1, 10), Fraction(1, 10), Fraction(8, 10)),
+    RuleId.SEVENTY_TWENTY_TEN: (Fraction(1, 10), Fraction(2, 10), Fraction(7, 10)),
+}
+
+
 @dataclass(frozen=True)
 class AllocationRule:
     """A named split of income into (debt, savings, expenses) fractions."""
@@ -171,40 +184,26 @@ class AllocationRule:
 
     @classmethod
     def one_third(cls) -> "AllocationRule":
-        third = Fraction(1, 3)
-        return cls(RuleId.ONE_THIRD, (third, third, third))
+        return cls.named(RuleId.ONE_THIRD)
 
     @classmethod
     def fifty_thirty_twenty(cls) -> "AllocationRule":
-        # Needs 50, wants 30, savings-and-debt 20.  In (debt, savings,
-        # expenses) order the needs and wants merge into expenses and the
-        # last bucket splits evenly between debt and savings.
-        return cls(
-            RuleId.FIFTY_THIRTY_TWENTY,
-            (Fraction(1, 10), Fraction(1, 10), Fraction(8, 10)),
-        )
+        return cls.named(RuleId.FIFTY_THIRTY_TWENTY)
 
     @classmethod
     def seventy_twenty_ten(cls) -> "AllocationRule":
-        return cls(
-            RuleId.SEVENTY_TWENTY_TEN,
-            (Fraction(1, 10), Fraction(2, 10), Fraction(7, 10)),
-        )
+        return cls.named(RuleId.SEVENTY_TWENTY_TEN)
 
     @classmethod
     def custom(cls, fractions: Sequence[FractionLike]) -> "AllocationRule":
-        return cls(RuleId.CUSTOM, check_fractions(fractions))
+        return cls(RuleId.CUSTOM, fractions)
 
     @classmethod
     def named(cls, rule_id: Union[RuleId, str]) -> "AllocationRule":
         rule_id = RuleId(rule_id)
-        if rule_id is RuleId.ONE_THIRD:
-            return cls.one_third()
-        if rule_id is RuleId.FIFTY_THIRTY_TWENTY:
-            return cls.fifty_thirty_twenty()
-        if rule_id is RuleId.SEVENTY_TWENTY_TEN:
-            return cls.seventy_twenty_ten()
-        raise ValidationError("custom rules need explicit fractions")
+        if rule_id is RuleId.CUSTOM:
+            raise ValidationError("custom rules need explicit fractions")
+        return cls(rule_id, _NAMED_FRACTIONS[rule_id])
 
 
 @dataclass(frozen=True)
@@ -238,24 +237,27 @@ def _settle_residual(income_c: int, debt_c: int, savings_c: int) -> tuple[int, i
     return debt_c, savings_c, expenses_c
 
 
-def make_allocation(income: Money, fractions: Sequence[FractionLike]) -> Allocation:
-    """Split income by a fraction triple.
-
-    Debt and savings round half-to-even; ``_settle_residual`` gives the
-    rest to expenses so the identity is exact.
-    """
-    f_debt, f_savings, _ = check_fractions(fractions)
-    cents = income.cents
-    debt_c, savings_c, expenses_c = _settle_residual(
-        cents,
-        _round_div(cents * f_debt.numerator, f_debt.denominator),
-        _round_div(cents * f_savings.numerator, f_savings.denominator),
+def _split_cents(
+    income_c: int, fd_num: int, fd_den: int, fs_num: int, fs_den: int
+) -> tuple[int, int, int]:
+    """The one cent split: debt and savings, each num / den (den > 0) of
+    income, round half-to-even and ``_settle_residual`` gives expenses the rest."""
+    return _settle_residual(
+        income_c, _round_div(income_c * fd_num, fd_den), _round_div(income_c * fs_num, fs_den)
     )
-    return Allocation(income, Money(debt_c), Money(savings_c), Money(expenses_c))
 
 
 def rule_allocation(rule: AllocationRule, income: Money) -> Allocation:
-    return make_allocation(income, rule.fractions)
+    debt, savings, _ = rule.fractions
+    cents = _split_cents(
+        income.cents, debt.numerator, debt.denominator, savings.numerator, savings.denominator
+    )
+    return Allocation(income, *map(Money, cents))
+
+
+def make_allocation(income: Money, fractions: Sequence[FractionLike]) -> Allocation:
+    """Split income by a fraction triple, checked as a custom rule's."""
+    return rule_allocation(AllocationRule.custom(fractions), income)
 
 
 def dti(debt_payment: Money, income: Money) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .domain import Allocation, AllocationRule, Money, make_allocation, total_income
+from .domain import Allocation, AllocationRule, Money, rule_allocation, total_income
 from .errors import DomainError, ValidationError, is_int
 
 SUPERADDITIVITY_MAX_MEMBERS = 16
@@ -241,7 +241,7 @@ def nested_multigen_allocation(member_incomes: Sequence[Money]) -> MultigenAlloc
     if len(member_incomes) < 1:
         raise ValidationError("at least one member income is required")
     rule = AllocationRule.one_third()
-    personal = tuple(make_allocation(m, rule.fractions) for m in member_incomes)
+    personal = tuple(rule_allocation(rule, m) for m in member_incomes)
     pooled = total_income(a.expenses for a in personal)
-    collective = make_allocation(pooled, rule.fractions)
+    collective = rule_allocation(rule, pooled)
     return MultigenAllocation(personal=personal, collective=collective)

@@ -57,7 +57,7 @@ from .domain import (
     Money,
     RuleId,
     _round_div,
-    _settle_residual,
+    _split_cents,
 )
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
@@ -256,7 +256,10 @@ def run_trial(
     if horizon_months < 1:
         raise ValidationError("horizon_months must be positive")
     if scenario.onset_month > horizon_months:
-        raise ValidationError("scenario onset lies beyond the simulation horizon")
+        raise ValidationError(
+            f"scenario {scenario.name!r}: onset_month {scenario.onset_month} "
+            f"lies beyond the {horizon_months}-month horizon"
+        )
     cell = _cell_terms(profile, scenario, horizon_months)
     f_debt, f_savings, _ = rule.fractions
     fd_num, fd_den = f_debt.numerator, f_debt.denominator
@@ -286,10 +289,8 @@ def run_trial(
         ):
             income_c = round(level / _MONTHS_PER_YEAR * factor * 100.0)
 
-            alloc_debt_c, alloc_savings_c, alloc_expenses_c = _settle_residual(
-                income_c,
-                _round_div(income_c * fd_num, fd_den),
-                _round_div(income_c * fs_num, fs_den),
+            alloc_debt_c, alloc_savings_c, alloc_expenses_c = _split_cents(
+                income_c, fd_num, fd_den, fs_num, fs_den
             )
 
             if alloc_expenses_c < due_c:
@@ -487,12 +488,12 @@ def savings_future_value(
         n = years * _MONTHS_PER_YEAR
         if monthly_rate == 0.0:
             return Money.of(c / _MONTHS_PER_YEAR * n)
-        factor = ((1.0 + monthly_rate) ** n - 1.0) / monthly_rate
+        factor = math.expm1(n * math.log1p(monthly_rate)) / monthly_rate
         return Money.of(c / _MONTHS_PER_YEAR * factor)
     if rate == 0.0:
         value = c * years
     else:
-        value = c * ((1.0 + rate) ** years - 1.0) / rate
+        value = c * math.expm1(years * math.log1p(rate)) / rate
         if timing is AnnuityTiming.DUE_ANNUAL:
             value *= 1.0 + rate
     return Money.of(value)

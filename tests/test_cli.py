@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 
+import thirdrule
 from thirdrule import (
     AllocationRule,
     Money,
@@ -58,6 +61,12 @@ class TestLoadProfiles:
         text = HEADER + "\n\n" + GOOD_ROWS[0] + "\n   \n"
         profiles = load_profiles(_write(tmp_path, "p.csv", text))
         assert len(profiles) == 1
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a byte order mark
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"\ufeff{HEADER}\n{GOOD_ROWS[0]}\n".encode())
+        assert [p.profile_id for p in load_profiles(str(path))] == ["h1"]
 
     def test_header_must_match(self, tmp_path):
         path = _write(tmp_path, "p.csv", "id,income\nh1,60000\n")
@@ -121,6 +130,11 @@ class TestLoadScenarios:
         assert [s.name for s in out] == ["a", "b"]
         assert out[0].onset_month == 2
         assert out[1].apr_multiplier == 1.5
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(("\ufeff" + json.dumps({"name": "été"}, ensure_ascii=False)).encode())
+        assert [s.name for s in load_scenarios(str(path))] == ["été"]
 
     def test_unknown_key_has_json_path(self, tmp_path):
         data = [{"name": "a"}, {"name": "b", "bogus": 1}]
@@ -582,6 +596,31 @@ class TestStressCommand:
         assert len(rows) == 1
         assert set(rows[0]) == set(REPORT_COLUMNS)
 
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # Under the POSIX locale with UTF-8 mode off, the default encoding
+        # is ASCII; the profile id must still read and write as UTF-8.
+        profiles = tmp_path / "p.csv"
+        profiles.write_bytes(f"{HEADER}\n{GOOD_ROWS[0].replace('h1', 'été', 1)}\n".encode())
+        scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))
+        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+        code = "import sys; from thirdrule.cli import main; sys.exit(main(sys.argv[1:]))"
+        reports = []
+        for locale_env in (
+            {"PYTHONUTF8": "1"},
+            {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"},
+        ):
+            out_path = tmp_path / f"report-{len(reports)}.csv"
+            argv = ["stress", "--profiles", str(profiles), "--scenarios", scenarios]
+            argv += ["--trials", "2", "--horizon-years", "1", "--output", str(out_path)]
+            env = dict(os.environ, PYTHONPATH=src, **locale_env)
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=60
+            )
+            assert (done.returncode, done.stderr) == (0, b"")
+            reports.append(out_path.read_bytes())
+        assert "\nété,one_third,baseline,".encode() in reports[0]
+        assert reports[1] == reports[0]
+
     def test_thread_count_never_changes_bytes(self, tmp_path):
         profiles = _profiles_file(tmp_path, GOOD_ROWS)
         scenarios = _write(tmp_path, "s.json", SCEN_TEXT)
@@ -680,6 +719,12 @@ class TestReportCommand:
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["report", "--input", str(tmp_path / "nope.json")]) == 2
+
+    def test_utf8_bom_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_bytes(("\ufeff" + render_report([SAMPLE_ROW], "json")).encode())
+        assert main(["report", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == render_report([SAMPLE_ROW], "csv")
 
 
 @pytest.mark.parametrize(

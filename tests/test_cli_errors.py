@@ -199,6 +199,28 @@ def test_bad_list_amount_names_the_flag_and_position(argv, expected, capsys):
     assert _one_line_error(capsys, argv) == f"error: {expected}\n"
 
 
+_SCALE_PAST = "--scale-benefit size 3 is out of range 1..2"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--incomes", "1,2", "--scale-benefit", "0,1,2"], _SCALE_PAST),
+        (["--incomes", "1,2", "--coordination-cost", "0,1,2"],
+         "--coordination-cost size 3 is out of range 1..2"),
+        # incomes first, then scale benefit, then coordination cost
+        (["--incomes", "", "--scale-benefit", "1"], "a coalition game needs at least one member"),
+        (["--incomes", "1,x", "--scale-benefit", "0,1,2"],
+         "--incomes entry 2: cannot parse money amount 'x'"),
+        (["--incomes", "1,2", "--coordination-cost", "x", "--scale-benefit", "0,1,2"], _SCALE_PAST),
+        (["--incomes", "1,2", "--coordination-cost", "0,1,2", "--scale-benefit", "x"],
+         "--scale-benefit size 1: cannot parse money amount 'x'"),
+    ],
+)
+def test_size_table_past_the_members_names_the_flag(argv, expected, capsys):
+    assert _one_line_error(capsys, ["shapley"] + argv) == f"error: {expected}\n"
+
+
 def test_trailing_empty_incomes_are_dropped(capsys):
     assert main(["shapley", "--incomes", "1,2,,"]) == 0
     assert capsys.readouterr().out == "member 0 1.00\nmember 1 2.00\ntotal 3.00\n"
@@ -316,3 +338,15 @@ def test_report_int_past_the_float_range_names_its_cell(tmp_path, capsys):
     report.write_text(json.dumps([row]))
     err = _one_line_error(capsys, ["report", "--input", str(report)])
     assert err == "error: $[0].default_rate: must be within the float range\n"
+
+
+def test_scenario_onset_past_the_horizon_names_the_scenario(tmp_path, capsys):
+    profiles = tmp_path / "p.csv"
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps([dict(name="early"), dict(name="late", onset_month=121)]))
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+    err = _one_line_error(capsys, argv + ["--trials", "1", "--horizon-years", "10"])
+    assert err == "error: scenario 'late': onset_month 121 lies beyond the 120-month horizon\n"

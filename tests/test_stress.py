@@ -203,11 +203,11 @@ class TestRunTrial:
             from thirdrule import (AllocationRule, BASELINE_SCENARIO, DomainError,
                 HouseholdProfile, HouseholdType, Money, derive_trial_rng)
 
-            real = stress._settle_residual
+            real = stress._split_cents
             def one_cent_more(*args):
                 debt, savings, expenses = real(*args)
                 return debt, savings, expenses + 1
-            stress._settle_residual = one_cent_more
+            stress._split_cents = one_cent_more
             profile = HouseholdProfile("h1", HouseholdType.SINGLE_INCOME, (Money.of("60000"),),
                 Money.of("20000"), 0.18, Money.of("18000"), 0.1, 0.15, 0.3, 0.02, 0.04)
             try:
@@ -628,6 +628,11 @@ class TestFutureValue:
 
     def test_zero_years(self):
         assert savings_future_value(Money.of("100"), 0.08, 0) == Money.zero()
+
+    @pytest.mark.parametrize("timing", list(AnnuityTiming))
+    def test_tiny_rate_is_plain_accumulation(self, timing):
+        # (1 + r)**n - 1 cancels to 0 once 1 + r rounds to 1
+        assert savings_future_value(Money.of("1200"), 1e-300, 2, timing) == Money.of("2400")
 
     def test_validation(self):
         with pytest.raises(ValidationError):

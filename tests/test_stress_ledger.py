@@ -301,6 +301,6 @@ def test_stress_seams_keep_their_names():
         "mix_correlated",
         "income_levels",
         "_aggregate",
-        "_settle_residual",
+        "_split_cents",
     ):
         assert callable(getattr(stress, name)), name
