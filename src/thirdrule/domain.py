@@ -180,7 +180,16 @@ class AllocationRule:
     fractions: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fractions", check_fractions(self.fractions))
+        try:
+            rule_id = RuleId(self.rule_id)
+        except ValueError:
+            raise ValidationError(f"unknown allocation rule {self.rule_id!r}") from None
+        fractions = check_fractions(self.fractions)
+        if rule_id is not RuleId.CUSTOM and fractions != _NAMED_FRACTIONS[rule_id]:
+            got, want = (", ".join(map(str, f)) for f in (fractions, _NAMED_FRACTIONS[rule_id]))
+            raise ValidationError(f"rule {rule_id.value} splits ({want}), got ({got})")
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "fractions", fractions)
 
     @classmethod
     def one_third(cls) -> "AllocationRule":

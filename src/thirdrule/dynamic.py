@@ -29,6 +29,11 @@ action order exactly as one np.argmax over all actions would.  Apart from
 the per-action reward plus state term, held as one (n_a, ni, nb, ns)
 array, the sweep's working memory no longer grows with the action count.
 
+A block is skipped when _block_bounds proves that none of its totals can
+beat the running best at any node; as a later block wins only with a
+greater value or a NaN, the result is exactly the full sweep's.  The first
+block always runs, and a NaN or inf in the blend disables the skip.
+
 Ties in the action choice break toward the action closest to the
 equal-thirds point in L1 distance (action lists are pre-sorted by that
 distance, so the first maximum wins).
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -183,6 +189,35 @@ def _quad_nodes(cfg: DynamicConfig) -> tuple[np.ndarray, np.ndarray]:
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
+def _block_bounds(
+    top_reward: np.ndarray, state_term: np.ndarray, blend: np.ndarray, discount: float
+) -> Iterator[np.ndarray]:
+    """Each action block's bound on its totals this period, in turn, in
+    one reused (ni, nb, ns) array.
+
+    A total is fl(base + fl(discount * c)), c = fl(fl(L * fl(1 - bw)) +
+    fl(U * bw)), with blend entries L, U <= C = high and |L|, |U| <= M =
+    size at the node's (i, s).  The weights are nonnegative and sum to 1
+    within u = 2^-53, so fl(discount * c) <= discount * C + 6 u M, plus
+    subnormal steps under 1e-300; the slack 1e-12 M covers these and the
+    bound's own roundings.  Rounding is monotone, so base <= fl(top_reward
+    + state_term) and the total is at most that plus cont.  M + M
+    overflows before c can, and a NaN or inf in the blend makes cont NaN
+    or inf.
+    """
+    by_node = blend.reshape((-1, top_reward.shape[1]) + state_term.shape)  # (q + 1, ni, nb, ns)
+    high = by_node.max(axis=0).max(axis=1, keepdims=True)
+    size = np.maximum(high, -by_node.min(axis=0).min(axis=1, keepdims=True))
+    with np.errstate(all="ignore"):  # an inf or NaN bound only skips nothing
+        cont = discount * high + (5e-13 * (size + size) + 1e-300)  # (ni, 1, ns)
+    out = np.empty(by_node.shape[1:])
+    for top in top_reward:
+        np.add(top, state_term, out=out)
+        with np.errstate(all="ignore"):
+            np.add(out, cont, out=out)
+        yield out
+
+
 def _bracket(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower index, upper index, and upper weight for linear interpolation
     with clamping at the grid edges."""
@@ -275,6 +310,7 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     base = reward[:, :, None, None] + state_term[None, None, :, :]  # (n_a, ni, nb, ns)
     n_a = len(acts)
     block = max(1, min(n_a, SWEEP_BLOCK_BYTES // base[0].nbytes))
+    top_reward = np.maximum.reduceat(reward, range(0, n_a, block))[:, :, None, None]
     total = np.empty((block,) + base.shape[1:])
     upper = np.empty_like(total)
     best = np.empty(base.shape[1:], dtype=np.intp)
@@ -289,7 +325,10 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
         v_next = values[t - 1]
         v_next.fill(-np.inf)
         best.fill(0)
-        for start in range(0, n_a, block):
+        bounds = _block_bounds(top_reward, state_term, blend, cfg.discount)
+        for start, bound in zip(range(0, n_a, block), bounds):
+            if (bound < v_next).all():
+                continue
             stop = min(start + block, n_a)
             tot = total[: stop - start]
             up = upper[: stop - start]

@@ -137,6 +137,23 @@ class TestAllocationRules:
         assert rule.rule_id is RuleId.CUSTOM
         assert rule.fractions == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
+    def test_rule_id_string_becomes_a_rule_id(self):
+        rule = AllocationRule("fifty_thirty_twenty", ("0.1", "0.1", "0.8"))
+        assert rule.rule_id is RuleId.FIFTY_THIRTY_TWENTY
+        assert rule == AllocationRule.fifty_thirty_twenty()
+
+    @pytest.mark.parametrize("rule_id", ["nope", "", 3, None])
+    def test_unknown_rule_id_is_named(self, rule_id):
+        with pytest.raises(ValidationError, match=f"^unknown allocation rule {rule_id!r}$"):
+            AllocationRule(rule_id, (Fraction(1, 3),) * 3)
+
+    @pytest.mark.parametrize("rule_id", [RuleId.ONE_THIRD, "one_third"])
+    def test_named_rule_carries_its_own_fractions(self, rule_id):
+        with pytest.raises(
+            ValidationError, match=r"^rule one_third splits \(1/3, 1/3, 1/3\), got \(1/2, 1/2, 0\)$"
+        ):
+            AllocationRule(rule_id, (Fraction(1, 2), Fraction(1, 2), 0))
+
 
 def _settle_residual_cent_loop(income_c, debt_c, savings_c):
     """The residual split's former loop: give back the overshoot one

@@ -9,13 +9,14 @@ for any config and any sweep block size, and the ``plan`` command must
 keep its bytes.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thirdrule import DynamicConfig, HouseholdState, Money, UtilityParams, solve_plan
@@ -259,3 +260,111 @@ def test_plan_report_bytes_are_pinned(capsys):
         assert (code, err) == (0, "")
         got[args] = hashlib.sha256(out.encode()).hexdigest()
     assert got == _GOLDEN
+
+
+# Block skipping: solve_plan passes over a block whose bound lies below the
+# running best at every node, so the bound must hold every total the block
+# would compute, and at the default state weight it should leave only the
+# first block to compute.
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, st.sampled_from([None, 1, 5]), st.sampled_from([None, 0.0, 100.0, 1e5]))
+# With no state term the continuation is flat along debt, so only the
+# debt blend's rounding lifts a total above top base + discount * C: a
+# bound without the slack fails here.
+@example(
+    DynamicConfig(
+        horizon=2,
+        income_grid=(0.0, 126.0),
+        debt_grid=(0.0, 171.0),
+        savings_grid=(0.0, 1.0),
+        discount=1.0,
+        action_step=Fraction(1, 6),
+        state_weight=0.0,
+    ),
+    1,
+    None,
+)
+def test_block_bounds_hold_every_total(cfg, block, weight):
+    # weight: none, or a state weight whose state term rivals the reward,
+    # so that actions in later blocks come within a few ulps of the best
+    if weight is not None:
+        cfg = dataclasses.replace(cfg, state_weight=weight)
+    bounds, totals = [], []
+    block_bounds, argmax = dynamic._block_bounds, np.argmax
+
+    def recording(*args):
+        # one call per period; each bound is yielded in one reused buffer
+        bounds.append([])
+        for bound in block_bounds(*args):
+            bounds[-1].append(bound.copy())
+            yield bound
+
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, block))
+        patch.setattr(dynamic, "_block_bounds", recording)
+        solve_plan(_INITIAL, cfg)
+        # the reference computes each period's totals operation for
+        # operation as the block body does, and ranks them with one argmax
+        patch.setattr(np, "argmax", lambda x, axis: totals.append(x) or argmax(x, axis=axis))
+        _reference_sweep(cfg)
+        size = max(1, dynamic.SWEEP_BLOCK_BYTES // totals[0][0].nbytes)
+    assert len(bounds) == len(totals) == cfg.horizon
+    for period_bounds, total in zip(bounds, totals):
+        assert len(period_bounds) == -(-len(total) // size)
+        for k, bound in enumerate(period_bounds):
+            # a NaN or +inf bound never skips, so it need not hold
+            held = (total[k * size : (k + 1) * size] <= bound) | ~(bound < np.inf)
+            assert held.all(), (k, bound[~held.all(axis=0)])
+
+
+class _CountingNumpy:
+    """numpy, counting argmax calls: solve_plan makes one per block it
+    computes."""
+
+    def __init__(self):
+        self.argmax_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, *args, **kwargs):
+        self.argmax_calls += 1
+        return np.argmax(*args, **kwargs)
+
+
+def test_plan_deep_computes_one_block_per_period(monkeypatch):
+    # plan_deep's 496 actions are 11 blocks of 49 (6 in the last); the
+    # thirds lead the first block and win everywhere at the default state
+    # weight, and the bound proves it for the other ten blocks
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dynamic, "np", counting)
+    cfg = _deep_config(30)
+    policy = solve_plan(_DEEP_INITIAL, cfg)
+    assert counting.argmax_calls == cfg.horizon
+    assert (policy.numerators == (10, 10, 10)).all()
+
+
+@pytest.mark.parametrize(
+    "weight, discount",
+    [
+        # the blend nears 1e308, so M + M and the bound overflow to inf
+        ("7.5e307", "0.5"),
+        # the best total lies 1e-13 below the largest double, so only the
+        # bound's last addition, carrying the slack, overflows
+        ("6.483807426764345e+307", "1"),
+    ],
+)
+def test_block_bounds_near_the_largest_double_stay_quiet(capsys, weight, discount):
+    # An inf bound skips nothing, and no total overflows, so the plan must
+    # not turn the bound's overflow into the error that the CLI makes of
+    # numpy's RuntimeWarning.
+    argv = f"plan --income 1 --horizon 2 --state-weight {weight} --discount {discount}"
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (
+        "period 1 debt 0 savings 1 expenses 0 shifts (1/3, 2/3, 1/3)\n"
+        "period 2 debt 1/3 savings 1/3 expenses 1/3 shifts (0, 0, 0)\n",
+        "",
+    )

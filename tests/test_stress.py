@@ -383,6 +383,15 @@ class TestRunStress:
         assert keys == sorted(keys)
         assert len(rows) == 8
 
+    def test_rule_built_from_a_plain_id_runs_as_the_named_rule(self):
+        # the id becomes a RuleId, which the rows are sorted and keyed by
+        p = _profile()
+        cfg = _cfg(trials=2, years=1)
+        plain = AllocationRule("one_third", ("1/3", "1/3", "1/3"))
+        rows = run_stress([p], [plain, AllocationRule.seventy_twenty_ten()], [BASELINE_SCENARIO], cfg)
+        named = run_stress([p], [AllocationRule.one_third()], [BASELINE_SCENARIO], cfg)
+        assert rows[0] == named[0]
+
     def test_common_random_numbers_isolate_the_rule_axis(self):
         # a rule's metrics must not depend on which other rules share the
         # run: trial k always uses stream (seed, k)
