@@ -31,14 +31,13 @@ import sys
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import _EXPORTS, _HOME
 from .domain import (
     Allocation,
     AllocationRule,
     HouseholdProfile,
-    HouseholdType,
     Money,
     RuleId,
     rule_allocation,
@@ -64,19 +63,32 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-PROFILE_COLUMNS = (
-    "id",
-    "household_type",
-    "income_annual",
-    "debt_balance",
-    "debt_apr",
-    "baseline_expenses_annual",
-    "sigma_income",
-    "sigma_market",
-    "rho",
-    "mu",
-    "r_savings",
-)
+def _parse_number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"cannot parse number {text!r}") from None
+
+
+# HouseholdProfile field: (CSV column, parser of the cell's text), in column
+# order.  The profile checks every field it is given.
+_PROFILE_FIELDS = {
+    "profile_id": ("id", str),
+    "household_type": ("household_type", str),
+    "member_incomes": (
+        "income_annual",
+        lambda text: tuple(Money.of(part.strip()) for part in text.split(";")),
+    ),
+    "debt_balance": ("debt_balance", Money.of),
+    "debt_apr": ("debt_apr", _parse_number),
+    "baseline_expenses": ("baseline_expenses_annual", Money.of),
+    "sigma_income": ("sigma_income", _parse_number),
+    "sigma_market": ("sigma_market", _parse_number),
+    "rho": ("rho", _parse_number),
+    "mu": ("mu", _parse_number),
+    "r_savings": ("r_savings", _parse_number),
+}
+PROFILE_COLUMNS = tuple(column for column, _ in _PROFILE_FIELDS.values())
 
 REPORT_COLUMNS = (
     "profile_id",
@@ -95,7 +107,7 @@ _TEXT_COLUMNS = {"profile_id", "rule", "scenario"}
 
 
 def load_profiles(path: str) -> list[HouseholdProfile]:
-    """Parse and validate a profile CSV.  Errors name the row and field."""
+    """Parse and validate a profile CSV.  Errors name the row and column."""
     import csv
 
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -122,62 +134,31 @@ def load_profiles(path: str) -> list[HouseholdProfile]:
     return profiles
 
 
-def _parse_profile(
-    record: dict[str, str], row_no: int, seen: set[str]
-) -> HouseholdProfile:
-    def fail(field: str, message: str) -> ValidationError:
-        return ValidationError(f"row {row_no}, field {field}: {message}")
+def _split_field(message: str, names: Collection[str]) -> tuple[Optional[str], str]:
+    """(field, rest) of a message that starts with a field name and a space,
+    as the input types' messages about one field do, else (None, message)."""
+    field, _, rest = message.partition(" ")
+    return (field, rest) if field in names else (None, message)
 
-    profile_id = record["id"]
-    if not profile_id:
-        raise fail("id", "must be nonempty")
-    if profile_id in seen:
-        raise fail("id", f"duplicate id {profile_id!r}")
-    seen.add(profile_id)
+
+def _parse_profile(record: dict[str, str], row_no: int, seen: set[str]) -> HouseholdProfile:
+    """The row's profile; a message that names a field becomes
+    ``row N, field <column>: ...``, any other ``row N: ...``."""
+    if record["id"] in seen:
+        raise ValidationError(f"row {row_no}, field id: duplicate id {record['id']!r}")
+    seen.add(record["id"])
+    values = {}
     try:
-        household_type = HouseholdType(record["household_type"])
-    except ValueError:
-        raise fail(
-            "household_type",
-            f"must be one of {[t.value for t in HouseholdType]}, got {record['household_type']!r}",
-        ) from None
-    try:
-        member_incomes = tuple(
-            Money.of(part.strip()) for part in record["income_annual"].split(";")
-        )
+        for field, (column, parse) in _PROFILE_FIELDS.items():
+            try:
+                values[field] = parse(record[column])
+            except ValidationError as exc:
+                raise ValidationError(f"{field} {exc}") from None
+        return HouseholdProfile(**values)
     except ValidationError as exc:
-        raise fail("income_annual", str(exc)) from None
-
-    def parse_money(field: str) -> Money:
-        try:
-            return Money.of(record[field])
-        except ValidationError as exc:
-            raise fail(field, str(exc)) from None
-
-    def parse_float(field: str) -> float:
-        try:
-            value = float(record[field])
-        except ValueError:
-            raise fail(field, f"cannot parse number {record[field]!r}") from None
-        return finite_number(value, f"row {row_no}, field {field}:")
-
-    kwargs = dict(
-        profile_id=profile_id,
-        household_type=household_type,
-        member_incomes=member_incomes,
-        debt_balance=parse_money("debt_balance"),
-        debt_apr=parse_float("debt_apr"),
-        baseline_expenses=parse_money("baseline_expenses_annual"),
-        sigma_income=parse_float("sigma_income"),
-        sigma_market=parse_float("sigma_market"),
-        rho=parse_float("rho"),
-        mu=parse_float("mu"),
-        r_savings=parse_float("r_savings"),
-    )
-    try:
-        return HouseholdProfile(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"row {row_no}: {exc}") from None
+        field, rest = _split_field(str(exc), _PROFILE_FIELDS)
+        where = f", field {_PROFILE_FIELDS[field][0]}" if field else ""
+        raise ValidationError(f"row {row_no}{where}: {rest}") from None
 
 
 def load_scenarios(path: str) -> list[ScenarioSpec]:
@@ -212,10 +193,9 @@ def load_scenarios(path: str) -> list[ScenarioSpec]:
         try:
             scenario = ScenarioSpec(**obj)
         except ValidationError as exc:
-            key, _, problem = str(exc).partition(" ")
-            if key in keys:
-                raise ValidationError(f"{where}.{key}: {problem}") from None
-            raise ValidationError(f"{where}: {exc}") from None
+            key, problem = _split_field(str(exc), keys)
+            label = f"{where}.{key}" if key else where
+            raise ValidationError(f"{label}: {problem}") from None
         if scenario.name in names:
             raise ValidationError(f"{where}.name: duplicate scenario {scenario.name!r}")
         names.add(scenario.name)
@@ -335,14 +315,13 @@ def _parse_fraction_arg(text: str) -> float:
 
 
 def _rule_from_args(args: argparse.Namespace) -> AllocationRule:
-    rule_id = RuleId(args.rule)
-    if rule_id is RuleId.CUSTOM:
+    if args.rule == RuleId.CUSTOM:
         if not args.fractions:
             raise ValidationError("--fractions is required with --rule custom")
         return AllocationRule.custom([p.strip() for p in args.fractions.split(",")])
     if args.fractions:
         raise ValidationError("--fractions only applies to --rule custom")
-    return AllocationRule.named(rule_id)
+    return AllocationRule.named(args.rule)
 
 
 _PLAN_FIELDS = (
@@ -437,10 +416,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_stress(args: argparse.Namespace) -> int:
     profiles = load_profiles(args.profiles)
     scenarios = load_scenarios(args.scenarios)
-    rules = [AllocationRule.named(part.strip()) for part in args.rules.split(",") if part.strip()]
-    for idx, rule in enumerate(rules):
-        if rule in rules[:idx]:
+    rules = []
+    for position, part in enumerate(args.rules.split(","), start=1):
+        if not part.strip():
+            continue
+        try:
+            rule = AllocationRule.named(part.strip())
+        except ValidationError as exc:
+            names = ", ".join(r.value for r in RuleId if r is not RuleId.CUSTOM)
+            raise ValidationError(f"--rules entry {position}: {exc} (one of {names})") from None
+        if rule in rules:
             raise ValidationError(f"--rules names {rule.rule_id.value!r} twice")
+        rules.append(rule)
     cfg = PathConfig(horizon_years=args.horizon_years, trials=args.trials, master_seed=args.seed)
     metrics = run_stress(profiles, rules, scenarios, cfg)
     emit_report(metrics_rows(metrics), args.format, args.output)
@@ -482,7 +469,7 @@ def _coalition_from_args(args: argparse.Namespace) -> CoalitionSpec:
         try:
             spec = replace(spec, **{name: table})
         except ValidationError as exc:
-            raise ValidationError(flag + str(exc).removeprefix(name)) from None
+            raise ValidationError(f"{flag} {_split_field(str(exc), (name,))[1]}") from None
     return spec
 
 
@@ -669,6 +656,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error already reported
         return exc.code if isinstance(exc.code, int) else 0
+    # Reports carry text from UTF-8 files: print as UTF-8 whatever the locale.
+    if hasattr(sys.stdout, "reconfigure"):  # not an io.StringIO
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         with warnings.catch_warnings():
             # numpy reports float overflow as a RuntimeWarning: make it one

@@ -172,6 +172,13 @@ _NAMED_FRACTIONS = {
 }
 
 
+def _as_rule_id(value: Union[RuleId, str]) -> RuleId:
+    try:
+        return RuleId(value)
+    except ValueError:
+        raise ValidationError(f"unknown allocation rule {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AllocationRule:
     """A named split of income into (debt, savings, expenses) fractions."""
@@ -180,10 +187,7 @@ class AllocationRule:
     fractions: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        try:
-            rule_id = RuleId(self.rule_id)
-        except ValueError:
-            raise ValidationError(f"unknown allocation rule {self.rule_id!r}") from None
+        rule_id = _as_rule_id(self.rule_id)
         fractions = check_fractions(self.fractions)
         if rule_id is not RuleId.CUSTOM and fractions != _NAMED_FRACTIONS[rule_id]:
             got, want = (", ".join(map(str, f)) for f in (fractions, _NAMED_FRACTIONS[rule_id]))
@@ -209,7 +213,7 @@ class AllocationRule:
 
     @classmethod
     def named(cls, rule_id: Union[RuleId, str]) -> "AllocationRule":
-        rule_id = RuleId(rule_id)
+        rule_id = _as_rule_id(rule_id)
         if rule_id is RuleId.CUSTOM:
             raise ValidationError("custom rules need explicit fractions")
         return cls(rule_id, _NAMED_FRACTIONS[rule_id])
@@ -304,7 +308,7 @@ class HouseholdProfile:
     """Static description of one household used by risk and stress runs."""
 
     profile_id: str
-    household_type: HouseholdType
+    household_type: HouseholdType  # or its value, which becomes one
     member_incomes: tuple[Money, ...]
     debt_balance: Money
     debt_apr: float
@@ -316,13 +320,18 @@ class HouseholdProfile:
     r_savings: float
 
     def __post_init__(self) -> None:
+        # A message about one field starts with the field's name, which
+        # cli.load_profiles turns into a row and column.
         if not self.profile_id:
-            raise ValidationError("profile id must be nonempty")
-        if not isinstance(self.household_type, HouseholdType):
-            raise ValidationError("household_type must be a HouseholdType")
-        if len(self.member_incomes) == 0:
-            raise ValidationError("at least one member income is required")
-        counts = {
+            raise ValidationError("profile_id must be nonempty")
+        try:
+            object.__setattr__(self, "household_type", HouseholdType(self.household_type))
+        except ValueError:
+            raise ValidationError(
+                f"household_type must be one of {[t.value for t in HouseholdType]}, "
+                f"got {self.household_type!r}"
+            ) from None
+        counts = {  # every type needs at least one member
             HouseholdType.SINGLE_INCOME: (1, 1),
             HouseholdType.DUAL_INCOME: (2, 2),
             HouseholdType.MULTIGENERATIONAL: (1, None),

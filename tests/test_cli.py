@@ -621,6 +621,36 @@ class TestStressCommand:
         assert "\nété,one_third,baseline,".encode() in reports[0]
         assert reports[1] == reports[0]
 
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
+        # The report, the compare lines and "wrote PATH" print as UTF-8
+        # under the POSIX locale with UTF-8 mode off too.
+        profiles = tmp_path / "p.csv"
+        profiles.write_bytes(f"{HEADER}\n{GOOD_ROWS[0].replace('h1', 'été', 1)}\n".encode())
+        scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))
+        out_path = tmp_path / "report.csv"
+        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+        code = "import sys; from thirdrule.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["stress", "--profiles", str(profiles), "--scenarios", scenarios, "--trials", "2"]
+        argv += ["--horizon-years", "1", "--rules", "one_third,fifty_thirty_twenty", "--compare"]
+        outputs = []
+        for locale_env in (
+            {"PYTHONUTF8": "1"},
+            {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"},
+        ):
+            env = dict(os.environ, PYTHONPATH=src, **locale_env)
+            for extra in ([], ["--output", str(out_path)]):
+                done = subprocess.run(
+                    [sys.executable, "-c", code, *argv, *extra],
+                    env=env, capture_output=True, timeout=60,
+                )
+                assert (done.returncode, done.stderr) == (0, b"")
+                outputs.append(done.stdout)
+        compare = "compare été/baseline: rank 1 ".encode()
+        assert "\nété,one_third,baseline,".encode() in outputs[0]
+        assert compare in outputs[0]
+        assert outputs[1].startswith(f"wrote {out_path}\n{compare.decode()}".encode())
+        assert outputs[2:] == outputs[:2]
+
     def test_thread_count_never_changes_bytes(self, tmp_path):
         profiles = _profiles_file(tmp_path, GOOD_ROWS)
         scenarios = _write(tmp_path, "s.json", SCEN_TEXT)
@@ -700,6 +730,16 @@ class TestStressCommand:
         assert main(
             ["stress", "--profiles", profiles, "--scenarios", scenarios, "--rules", "zippy"]
         ) == 1
+        choices = "(one of one_third, fifty_thirty_twenty, seventy_twenty_ten)"
+        assert capsys.readouterr() == (
+            "", f"error: --rules entry 1: unknown allocation rule 'zippy' {choices}\n"
+        )
+        assert main(
+            ["stress", "--profiles", profiles, "--scenarios", scenarios, "--rules", "custom"]
+        ) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --rules entry 1: custom rules need explicit fractions {choices}\n"
+        )
 
 
 class TestReportCommand:

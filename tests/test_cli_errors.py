@@ -350,3 +350,61 @@ def test_scenario_onset_past_the_horizon_names_the_scenario(tmp_path, capsys):
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "1", "--horizon-years", "10"])
     assert err == "error: scenario 'late': onset_month 121 lies beyond the 120-month horizon\n"
+
+
+def _stress_error(tmp_path, capsys, rows, extra=()):
+    profiles = tmp_path / "p.csv"
+    lines = [",".join(PROFILE_COLUMNS)]
+    lines += [",".join(dict(PROFILE, **row)[c] for c in PROFILE_COLUMNS) for row in rows]
+    profiles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a")), encoding="utf-8")
+    argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios), *extra]
+    return _one_line_error(capsys, argv + ["--trials", "1", "--horizon-years", "1"])
+
+
+_TYPE_ERROR = (
+    "row 2, field household_type: must be one of "
+    "['single_income', 'dual_income', 'multigenerational'], got 'commune'"
+)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"id": ""}], "row 2, field id: must be nonempty"),
+        ([{"household_type": "commune"}], _TYPE_ERROR),
+        ([{"debt_apr": "nan"}], "row 2, field debt_apr: must be finite"),
+        ([{"rho": "huh"}], "row 2, field rho: cannot parse number 'huh'"),
+        ([{}, {}], "row 3, field id: duplicate id 'h1'"),
+        ([{"debt_balance": "x"}], "row 2, field debt_balance: cannot parse money amount 'x'"),
+        # range checks name their field as well
+        ([{"rho": "1.5"}], "row 2, field rho: must lie in [-1, 1]"),
+        ([{"debt_apr": "-0.1"}], "row 2, field debt_apr: must be nonnegative"),
+        ([{"sigma_market": "-1"}], "row 2, field sigma_market: must be nonnegative"),
+        ([{"r_savings": "-1"}], "row 2, field r_savings: must exceed -1"),
+        # a message about the whole row names only the row
+        ([{"household_type": "dual_income"}],
+         "row 2: dual_income expects 2 member income(s), got 1"),
+    ],
+)
+def test_profile_error_names_row_and_column(rows, message, tmp_path, capsys):
+    assert _stress_error(tmp_path, capsys, rows) == f"error: {message}\n"
+
+
+_NAMED_RULES = "(one of one_third, fifty_thirty_twenty, seventy_twenty_ten)"
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ("one_third,,bogus", f"--rules entry 3: unknown allocation rule 'bogus' {_NAMED_RULES}"),
+        ("custom,one_third",
+         f"--rules entry 1: custom rules need explicit fractions {_NAMED_RULES}"),
+        # the first bad entry from the left is the one reported
+        ("one_third,one_third,bogus", "--rules names 'one_third' twice"),
+    ],
+)
+def test_rule_error_names_the_flag_and_entry(rules, message, tmp_path, capsys):
+    err = _stress_error(tmp_path, capsys, [{}], ["--rules", rules])
+    assert err == f"error: {message}\n"

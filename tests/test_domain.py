@@ -1,5 +1,6 @@
 """Fixed-point money, allocation rules, and household records."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -131,6 +132,11 @@ class TestAllocationRules:
         assert AllocationRule.named(RuleId.SEVENTY_TWENTY_TEN).rule_id is RuleId.SEVENTY_TWENTY_TEN
         with pytest.raises(ValidationError):
             AllocationRule.named("custom")
+
+    @pytest.mark.parametrize("rule_id", ["bogus", "", None])
+    def test_unknown_named_rule_is_named(self, rule_id):
+        with pytest.raises(ValidationError, match=f"^unknown allocation rule {rule_id!r}$"):
+            AllocationRule.named(rule_id)
 
     def test_custom(self):
         rule = AllocationRule.custom(("1/2", "1/4", "1/4"))
@@ -331,6 +337,31 @@ class TestHouseholdProfile:
     def test_rho_endpoints_allowed(self):
         assert self._base(rho=1.0).rho == 1.0
         assert self._base(rho=-1.0).rho == -1.0
+
+    def test_household_type_value_becomes_the_type(self):
+        assert self._base(household_type="single_income").household_type is (
+            HouseholdType.SINGLE_INCOME
+        )
+        types = "['single_income', 'dual_income', 'multigenerational']"
+        with pytest.raises(
+            ValidationError, match=rf"^household_type must be one of {re.escape(types)}, got 3$"
+        ):
+            self._base(household_type=3)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("profile_id", "", "must be nonempty"),
+            ("debt_apr", float("inf"), "must be finite"),
+            ("mu", "0.1", "must be a number"),
+            ("rho", -1.5, r"must lie in \[-1, 1\]"),
+            ("sigma_income", -0.1, "must be nonnegative"),
+            ("r_savings", -1.0, "must exceed -1"),
+        ],
+    )
+    def test_field_messages_start_with_the_field(self, field, value, problem):
+        with pytest.raises(ValidationError, match=f"^{field} {problem}$"):
+            self._base(**{field: value})
 
 
 def test_total_income():

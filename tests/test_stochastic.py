@@ -462,6 +462,12 @@ def test_income_matches_the_grid_per_call_recipe(start_c, mu, sigma_income, dt, 
         assert income_levels(i0, mu, sigma_income, dt, shocks).tobytes() == want.tobytes()
     assert income_levels(i0, mu, sigma_income, dt, list(shocks)).tobytes() == want.tobytes()
     assert income_levels(i0, np.array(mu), sigma_income, dt, shocks).tobytes() == want.tobytes()
+    # a 0-d array cannot be hashed, so these take the uncached drift
+    cached = stochastic._drift.cache_info()
+    for mu_0d, dt_0d in ((mu, np.array(dt)), (np.array(mu), np.array(dt))):
+        levels = income_levels(i0, mu_0d, sigma_income, dt_0d, shocks)
+        assert levels.tobytes() == want.tobytes()
+    assert stochastic._drift.cache_info() == cached
     assert shocks.tobytes() == before
 
     drift = stochastic._drift(mu, steps, dt)

@@ -10,6 +10,7 @@ month loop beyond the rule's cent split, which fixes the monthly buckets.
 
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,12 @@ from thirdrule import (
     HouseholdProfile,
     HouseholdType,
     Money,
+    PathConfig,
+    ScenarioSpec,
     debt_clearance_time,
     derive_trial_rng,
     rule_allocation,
+    run_stress,
     run_trial,
     savings_future_value,
 )
@@ -78,9 +82,9 @@ def _quiet_household(draw, with_debt):
     return profile, rule, years, buckets
 
 
-def _run(profile, rule, years):
+def _run(profile, rule, years, scenario=BASELINE_SCENARIO):
     # with no volatility the draws do not matter
-    return run_trial(profile, rule, BASELINE_SCENARIO, 12 * years, derive_trial_rng(0, 0))
+    return run_trial(profile, rule, scenario, 12 * years, derive_trial_rng(0, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,3 +206,62 @@ def test_mean_final_savings_match_the_monthly_annuity(rule, monthly_c, r_savings
     rounding = 0.5 * horizon * (1.0 + r_savings / 12) ** horizon + 1
     standard_error = statistics.stdev(finals) / math.sqrt(trials)
     assert abs(statistics.fmean(finals) - expected.cents) <= 4 * standard_error + rounding
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quiet_household(with_debt=True), st.floats(min_value=0.1, max_value=10.0))
+def test_permanent_apr_multiplier_clears_at_the_scaled_rate(case, multiplier):
+    # A scenario that scales the APR from month 1 for good leaves every
+    # month alike, at the monthly rate apr * multiplier / 12, so the
+    # clearance month obeys the closed form and window above at that rate.
+    # The drawn APR is the scaled one, so the balance stays clearable.
+    profile, rule, years, buckets = case
+    profile = replace(profile, debt_apr=profile.debt_apr / multiplier)
+    scenario = ScenarioSpec(name="apr", apr_multiplier=multiplier)
+    months = 12 * years
+    rate = profile.debt_apr * multiplier / 12
+    lo, hi = _clearance_window(profile.debt_balance.cents, buckets.debt.cents, rate, months)
+    out = _run(profile, rule, years, scenario)
+    assert not out.defaulted
+    cleared = out.debt_cleared_month
+    assert lo <= (months + 1 if cleared is None else cleared) <= hi
+
+
+@st.composite
+def _inflation_case(draw):
+    """(quiet household, rule, years, inflation window) whose expenses due
+    stay within the expenses bucket in every month."""
+    profile, rule, years, buckets = draw(_quiet_household(with_debt=False))
+    months = 12 * years
+    onset = draw(st.integers(min_value=1, max_value=months))
+    duration = draw(st.integers(min_value=0, max_value=months))
+    inflation = draw(st.floats(min_value=-0.5, max_value=0.5))
+    scenario = ScenarioSpec(
+        "inflation", inflation_annual=inflation, onset_month=onset, duration_months=duration
+    )
+    # due_k = round(D (1 + i)^(a_k / 12)) with a_k the window's elapsed
+    # months; D <= (bucket - 1) / max factor keeps every due_k in the bucket
+    peak = max(1.0, (1 + inflation) ** (scenario.months_active_through(months) / 12))
+    due_c = draw(st.integers(min_value=0, max_value=int((buckets.expenses.cents - 1) / peak)))
+    return replace(profile, baseline_expenses=Money(12 * due_c)), rule, years, scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(_inflation_case())
+def test_inflation_within_the_expenses_bucket_leaves_savings_alone(case):
+    # Expenses due come out of the expenses bucket alone while they fit, so
+    # the savings ledger never sees them: final savings equal the baseline
+    # run's, and the coverage is that balance over the last month's due,
+    # round(D (1 + i)^(active months / 12)), the annual rate compounded
+    # over the window's months.
+    profile, rule, years, scenario = case
+    cfg = PathConfig(horizon_years=years, trials=1)
+    baseline, shocked = run_stress([profile], [rule], [scenario, BASELINE_SCENARIO], cfg)
+    assert (shocked.scenario, baseline.scenario) == ("inflation", "baseline")
+    assert shocked.default_rate == baseline.default_rate == 0.0
+    assert shocked.mean_final_savings == baseline.mean_final_savings
+    monthly_c = profile.baseline_expenses.cents // 12
+    active = scenario.months_active_through(12 * years)
+    final_due_c = round(monthly_c * (1 + scenario.inflation_annual) ** (active / 12))
+    expected = shocked.mean_final_savings.cents / final_due_c if final_due_c else None
+    assert shocked.months_expense_coverage == expected
