@@ -63,9 +63,27 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _ungrouped(parse):
+    """parse, refusing digit grouping: int() and float() read "6_0000" as
+    60000, which in an amount, rate or count is more likely a typo.  The
+    result keeps parse's name, which argparse puts in its error."""
+
+    def parse_ungrouped(text: str):
+        if "_" in text:
+            raise ValueError(f"digit grouping in {text!r}")
+        return parse(text)
+
+    parse_ungrouped.__name__ = parse.__name__
+    return parse_ungrouped
+
+
+_float = _ungrouped(float)
+_int = _ungrouped(int)
+
+
 def _parse_number(text: str) -> float:
     try:
-        return float(text)
+        return _float(text)
     except ValueError:
         raise ValidationError(f"cannot parse number {text!r}") from None
 
@@ -309,7 +327,7 @@ def _parse_money_arg(text: str) -> Money:
 
 def _parse_fraction_arg(text: str) -> float:
     try:
-        return float(Fraction(text))
+        return float(_ungrouped(Fraction)(text))
     except (ValueError, ArithmeticError):
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite fraction") from None
 
@@ -343,7 +361,9 @@ def _add_field_flags(
     defaults = {f.name: f.default for f in fields(cls)}
     for name in defaults if names is None else names:
         default = defaults[name]
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=_ungrouped(type(default)), default=default
+        )
 
 
 def _risk_params(args: argparse.Namespace) -> RiskParams:
@@ -487,7 +507,7 @@ def _cmd_coalition(args: argparse.Namespace) -> int:
     members = []
     for part in filter(str.strip, args.members.split(",")):
         try:
-            members.append(int(part))
+            members.append(_int(part))
         except ValueError:
             raise ValidationError(f"member index {part.strip()!r} is not an integer") from None
     lines = [f"value {coalition_value(spec, members)}"]
@@ -572,25 +592,25 @@ def build_parser(command: Optional[str]) -> _Parser:
         p.set_defaults(func=_cmd_allocate)
 
     if p := add("risk", "bankruptcy probability and stability flags", "risk"):
-        p.add_argument("--dti", type=float, required=True)
-        p.add_argument("--ser", type=float, required=True)
-        p.add_argument("--sigma-income", type=float, default=0.0)
-        p.add_argument("--sigma-market", type=float, default=0.0)
+        p.add_argument("--dti", type=_float, required=True)
+        p.add_argument("--ser", type=_float, required=True)
+        p.add_argument("--sigma-income", type=_float, default=0.0)
+        p.add_argument("--sigma-market", type=_float, default=0.0)
         _add_field_flags(p, RiskParams)
         p.set_defaults(func=_cmd_risk)
 
     if p := add("simulate", "simulate income or savings paths", "stochastic"):
         p.add_argument("--kind", choices=["income", "savings"], default="income")
         p.add_argument("--start", type=_parse_money_arg, required=True)
-        p.add_argument("--mu", type=float, default=0.0)
-        p.add_argument("--sigma-income", type=float, default=0.0)
+        p.add_argument("--mu", type=_float, default=0.0)
+        p.add_argument("--sigma-income", type=_float, default=0.0)
         p.add_argument("--contribution", type=_parse_money_arg, default=Money.zero())
-        p.add_argument("--rate", type=float, default=0.0)
-        p.add_argument("--sigma-market", type=float, default=0.0)
+        p.add_argument("--rate", type=_float, default=0.0)
+        p.add_argument("--sigma-market", type=_float, default=0.0)
         p.add_argument("--horizon-years", type=_parse_fraction_arg, required=True)
         p.add_argument("--dt-years", type=_parse_fraction_arg, default=PathConfig.dt_years)
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_int, default=1)
+        p.add_argument("--seed", type=_int, default=0)
         p.set_defaults(func=_cmd_simulate)
 
     if p := add(
@@ -602,9 +622,9 @@ def build_parser(command: Optional[str]) -> _Parser:
         p.add_argument("--profiles", required=True)
         p.add_argument("--scenarios", required=True)
         p.add_argument("--rules", default="one_third", help="comma list of rule names")
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=_int, default=1000)
         p.add_argument("--horizon-years", type=_parse_fraction_arg, default=10.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int, default=0)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output")
         p.add_argument("--compare", action="store_true")
@@ -624,14 +644,14 @@ def build_parser(command: Optional[str]) -> _Parser:
         p.add_argument("--income", type=_parse_money_arg, required=True)
         p.add_argument("--debt", type=_parse_money_arg, default=Money.zero())
         p.add_argument("--savings", type=_parse_money_arg, default=Money.zero())
-        p.add_argument("--horizon", type=int, default=5)
+        p.add_argument("--horizon", type=_int, default=5)
         _add_field_flags(p, DynamicConfig, _PLAN_FIELDS)
         p.set_defaults(func=_cmd_plan)
 
     if p := add("adjust", "volatility-adjusted allocation", "adjust", "risk"):
         p.add_argument("--income", type=_parse_money_arg, required=True)
-        p.add_argument("--sigma-income", type=float, required=True)
-        p.add_argument("--sigma-market", type=float, required=True)
+        p.add_argument("--sigma-income", type=_float, required=True)
+        p.add_argument("--sigma-market", type=_float, required=True)
         p.add_argument(
             "--mode", choices=[m.value for m in AdjustMode], default="residual_expenses"
         )
@@ -649,6 +669,11 @@ def build_parser(command: Optional[str]) -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # Reports and errors carry text from UTF-8 files: print as UTF-8
+    # whatever the locale.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):  # not an io.StringIO
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     # No top-level option takes a value, so argparse runs the first word
     # that is not an option as the command, if it names one.
     parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
@@ -656,9 +681,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error already reported
         return exc.code if isinstance(exc.code, int) else 0
-    # Reports carry text from UTF-8 files: print as UTF-8 whatever the locale.
-    if hasattr(sys.stdout, "reconfigure"):  # not an io.StringIO
-        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         with warnings.catch_warnings():
             # numpy reports float overflow as a RuntimeWarning: make it one

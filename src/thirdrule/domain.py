@@ -31,13 +31,12 @@ _CENT = Decimal("0.01")
 MAX_CENTS = 2**53
 
 
-def _round_div(num: int, den: int) -> int:
-    """Nearest-integer division with ties to even.  den must be positive."""
+def _round_div(num, den: int):
+    """Nearest-integer division with ties to even.  den must be positive.
+    num may be an int or an int64 array, which rounds elementwise."""
     q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q % 2 == 1):
-        q += 1
-    return q
+    # up when the remainder passes half of den, or is half of it and q is odd
+    return q + (2 * r + q % 2 > den)
 
 
 @dataclass(frozen=True, order=True)
@@ -69,6 +68,8 @@ class Money:
                 raise ValidationError("money amount must be finite")
             amount = Decimal(repr(amount))
         if isinstance(amount, str):
+            if "_" in amount:  # Decimal reads digit grouping, "6_0000" as 60000
+                raise ValidationError(f"cannot parse money amount {amount!r}")
             try:
                 amount = Decimal(amount)
             except InvalidOperation as exc:
@@ -136,6 +137,8 @@ def _as_fraction(value: FractionLike, label: str) -> Fraction:
         # Floats go through their decimal repr so 0.1 means exactly 1/10.
         return Fraction(repr(value))
     if isinstance(value, str):
+        if "_" in value:  # Fraction reads digit grouping, "1_0/3" as 10/3
+            raise ValidationError(f"cannot parse {label} {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -236,25 +239,27 @@ class Allocation:
             )
 
 
-def _settle_residual(income_c: int, debt_c: int, savings_c: int) -> tuple[int, int, int]:
+def _settle_residual(income_c, debt_c, savings_c):
     """Complete a split whose debt and savings buckets are already rounded.
 
     Expenses take the residual cents, so the three buckets sum exactly to
     income.  When the rounded (nonnegative) debt and savings overshoot
     income, the overshoot comes back from savings first, then from debt.
+    Takes ints, or int64 arrays that it settles elementwise.
     """
     expenses_c = income_c - debt_c - savings_c
-    if expenses_c < 0:
-        take = min(-expenses_c, savings_c)
-        return debt_c + expenses_c + take, savings_c - take, 0
-    return debt_c, savings_c, expenses_c
+    over = expenses_c * (expenses_c < 0)  # minus the overshoot, or 0
+    kept = savings_c + over  # savings left if they gave back all of it
+    take = savings_c - kept * (kept > 0)  # min(overshoot, savings_c)
+    return debt_c + over + take, savings_c - take, expenses_c - over
 
 
-def _split_cents(
-    income_c: int, fd_num: int, fd_den: int, fs_num: int, fs_den: int
-) -> tuple[int, int, int]:
+def _split_cents(income_c, fd_num: int, fd_den: int, fs_num: int, fs_den: int):
     """The one cent split: debt and savings, each num / den (den > 0) of
-    income, round half-to-even and ``_settle_residual`` gives expenses the rest."""
+    income, round half-to-even and ``_settle_residual`` gives expenses the rest.
+    income_c is an int, or an int64 array such that int64 holds the
+    denominators and twice each product of an income and a numerator; the
+    stress ledger splits a block of months at once that way."""
     return _settle_residual(
         income_c, _round_div(income_c * fd_num, fd_den), _round_div(income_c * fs_num, fs_den)
     )

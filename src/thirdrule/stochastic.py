@@ -254,23 +254,24 @@ def _drift(mu: float, steps: int, dt: float) -> np.ndarray:
 
 
 def _unit_path(mu: float, sigma_income: float, dt: float, shocks: np.ndarray) -> np.ndarray:
-    """Raw income per unit of I0, 1 + mu t + sigma_income W(t), at t = dt, 2 dt, ..."""
+    """Raw income per unit of I0, 1 + mu t + sigma_income W(t), at t = dt, 2 dt, ...
+    along the last axis; a leading axis holds one path per lane."""
     path = math.sqrt(dt) * np.asarray(shocks, dtype=float)
-    np.add.accumulate(path, out=path)  # np.cumsum, without its Python wrapper
+    np.add.accumulate(path, axis=-1, out=path)  # np.cumsum, without its Python wrapper
     path *= sigma_income
     try:
-        drift = _drift(mu, len(path), dt)
+        drift = _drift(mu, path.shape[-1], dt)
     except TypeError:  # an unhashable mu or dt, such as a 0-d array, is not cached
-        drift = _drift.__wrapped__(mu, len(path), dt)
+        drift = _drift.__wrapped__(mu, path.shape[-1], dt)
     # sigma_income W(t) + (1 + mu t): the same sum as (1 + mu t) + sigma_income W(t)
     path += drift
     return path
 
 
 def _floored(i0_units: float, raw: np.ndarray) -> np.ndarray:
-    levels = np.empty(len(raw) + 1)
-    levels[0] = i0_units
-    np.maximum(raw, 0.0, out=levels[1:])
+    levels = np.empty(raw.shape[:-1] + (raw.shape[-1] + 1,))
+    levels[..., 0] = i0_units
+    np.maximum(raw, 0.0, out=levels[..., 1:])
     return levels
 
 
@@ -279,8 +280,10 @@ def income_levels(
 ) -> np.ndarray:
     """Income level at each step given the per-step normal shocks.
 
-    Returns an array of len(shocks) + 1 values starting at I0, floored at
-    zero: the discretization ``simulate_income_path`` shares.
+    Returns shocks.shape[-1] + 1 values along the last axis, starting at
+    I0, floored at zero: the discretization ``simulate_income_path``
+    shares.  Each row of a 2-D shocks array is one lane, and its levels
+    equal those of a 1-D call on that row, bit for bit.
     """
     return _floored(i0_units, i0_units * _unit_path(mu, sigma_income, dt, shocks))
 

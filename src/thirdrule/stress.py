@@ -27,26 +27,43 @@ completed month satisfies the cash identity
 
 exactly in cents; the loop checks it and raises ``DomainError`` if not.
 
-The month-only terms (the shock window's income factor, the expenses
-due and the monthly debt rate) do not depend on the draws or the
-balances, so they are computed once per (profile, scenario) cell and
-shared by its trials and rules; the month loop carries only the debt and
-savings recursion, the default test and the cash identity.  Building
-that schedule checks that income drift, expenses due and interest on the
-opening debt stay within ``MAX_CENTS``, and a ``DomainError`` names the
-profile or scenario field that breaks the bound.  A trial whose income or
-savings still outgrows Money or a float names the field behind it.
+Most of a month's terms never read a balance, so they are computed
+ahead of the month loop, in three layers:
+
+- per (profile, scenario) cell, once: the shock window's income factor,
+  the expenses due and the monthly debt rate (``_cell_terms``).  Building
+  them checks that income drift, expenses due and interest on the opening
+  debt stay within ``MAX_CENTS``, and a ``DomainError`` names the profile
+  or scenario field that breaks the bound;
+- per profile, for a block of trials (lanes) at once: each trial's shocks
+  from its own stream, the income levels, the mixed market shocks and the
+  savings growth factors (``_draw_block``).  Every rule and scenario cell
+  of the profile reuses the block, so the cells keep common random
+  numbers;
+- per cell, for the same block: income in cents, the rule's cent split
+  through ``_split_cents`` and the expense shortfall and residual
+  (``_cell_block``).
+
+The month loop in ``run_trial`` carries only the debt and savings
+recursion: interest, principal, the default test, the savings balance,
+the ratios and the cash identity.  It reads one trial's lane, the first
+months first and the rest only if the trial lives on.  A lane whose
+income leaves the money bound in some month computes its terms month by
+month in Python ints instead, as a trial run alone would, so a trial
+whose income or savings outgrows Money or a float raises in the same
+month, naming the field behind it.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import count
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain, count
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -179,10 +196,18 @@ def _cell_terms(
     """Month schedule of one (profile, scenario) cell, built on its first
     trial and shared by the rest.
 
-    Checks that income drift, expenses due and interest on the opening
-    debt stay finite and within ``MAX_CENTS``; the balance only falls, so
-    no later month can owe more interest.
+    Checks the horizon and the shock window, then that income drift,
+    expenses due and interest on the opening debt stay finite and within
+    ``MAX_CENTS``; the balance only falls, so no later month can owe more
+    interest.
     """
+    if horizon_months < 1:
+        raise ValidationError("horizon_months must be positive")
+    if scenario.onset_month > horizon_months:
+        raise ValidationError(
+            f"scenario {scenario.name!r}: onset_month {scenario.onset_month} "
+            f"lies beyond the {horizon_months}-month horizon"
+        )
     who = f"profile {profile.profile_id!r}"
     where = f"scenario {scenario.name!r}"
     income_units = profile.income.units
@@ -224,13 +249,14 @@ def _overflow_cause(
     scenario: ScenarioSpec,
     cell: _CellTerms,
     levels: Optional[list[float]],
-    z_market: list[float],
+    z_peak: float,
 ) -> DomainError:
     """Name the field behind a trial whose income or savings outgrew a
     float or ``MAX_CENTS``.  ``_cell_terms`` bounds the other fields, so
     income past the bound over the trial is sigma_income's doing, or
     income_shock's when only the shocked months pass it; otherwise the
-    larger term of the savings growth factor is."""
+    larger term of the savings growth factor is; z_peak is the largest
+    market shock in size."""
     who = f"profile {profile.profile_id!r}"
     if levels is None or not sum(levels) / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
         return _out_of_range("sigma_income", profile.sigma_income, who, "income")
@@ -238,10 +264,143 @@ def _overflow_cause(
     if not shocked / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
         where = f"scenario {scenario.name!r}"
         return _out_of_range("income_shock", scenario.income_shock, where, f"income for {who}")
-    volatility = profile.sigma_market * math.sqrt(_DT) * max(map(abs, z_market))
+    volatility = profile.sigma_market * math.sqrt(_DT) * z_peak
     if profile.r_savings / _MONTHS_PER_YEAR >= volatility:
         return _out_of_range("r_savings", profile.r_savings, who, "savings")
     return _out_of_range("sigma_market", profile.sigma_market, who, "savings")
+
+
+# A block of trials draws this many bytes of standard normals, 2 a month
+# per trial (lane); its month terms are computed together.
+LANE_BLOCK_BYTES = 32 * 1024
+# A profile keeps its first draw blocks for its later cells up to this many
+# bytes, and draws the blocks past it again for each cell: enough for 100
+# trials of 10 years, and under 1 % of a stress run's resident memory.
+SHARED_DRAW_BYTES = 256 * 1024
+# The month terms a trial reads before it may need the rest.
+_FIRST_MONTHS = 12
+
+
+class _Draws(NamedTuple):
+    """One profile's draws for a block of trials, one row (lane) a trial."""
+
+    levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
+    growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
+    z_peak: np.ndarray  # (lanes,) largest market shock in size
+    # (lanes, H) income shocks, kept only if income_levels overflowed a
+    # float in some lane
+    z_income: Optional[np.ndarray]
+
+
+def _draw_block(profile: HouseholdProfile, horizon_months: int, rngs: Sequence) -> _Draws:
+    """Each trial's (2, H) shocks from its own generator, then the income
+    levels, market shocks and growth factors of the whole block."""
+    shocks = np.empty((len(rngs), 2, horizon_months))
+    for row, rng in zip(shocks, rngs):
+        rng.standard_normal(out=row)
+    z_income = shocks[:, 0]
+    flags = []
+    with np.errstate(over="call", invalid="call", call=lambda *flag: flags.append(flag)):
+        levels = income_levels(
+            profile.income.units, profile.mu, profile.sigma_income, _DT, z_income
+        )
+    growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
+    growth_scale = profile.sigma_market * math.sqrt(_DT)
+    z_market = mix_correlated(profile.rho, z_income, shocks[:, 1])
+    with np.errstate(all="ignore"):  # run_trial raises for the lanes that overflow
+        growth = np.maximum(growth_base + growth_scale * z_market, 0.0)
+    z_peak = np.abs(z_market).max(axis=1)
+    return _Draws(levels, growth, z_peak, z_income if flags else None)
+
+
+def _raw_income_c(level, factor):
+    """A month's income in cents before rounding, from its level in units."""
+    return level / _MONTHS_PER_YEAR * factor * 100.0
+
+
+def _expense_terms(expenses_c, due_c):
+    """(shortfall, residual): the expenses due past the expenses bucket,
+    and the bucket left over; ints, or int arrays elementwise."""
+    gap_c = due_c - expenses_c
+    shortfall_c = gap_c * (gap_c > 0)
+    return shortfall_c, shortfall_c - gap_c
+
+
+class _CellBlock(NamedTuple):
+    """A cell's month terms for one block of draws."""
+
+    cell: tuple  # the (profile, rule, scenario, horizon_months) they belong to
+    terms: _CellTerms
+    draws: _Draws
+    # (5, lanes, H) int64: income, debt bucket, savings bucket, shortfall
+    # and residual; None when int64 cannot hold the rule's split
+    months: Optional[np.ndarray]
+    # (lanes,) lanes whose income leaves the money bound in some month, or
+    # every lane when int64 cannot hold the split; run_trial computes
+    # theirs month by month in Python ints
+    exact: np.ndarray
+
+
+def _split_args(rule: AllocationRule) -> tuple[int, int, int, int]:
+    """The rule's debt and savings fractions as ``_split_cents`` takes them."""
+    f_debt, f_savings, _ = rule.fractions
+    return f_debt.numerator, f_debt.denominator, f_savings.numerator, f_savings.denominator
+
+
+def _cell_block(cell: tuple, terms: _CellTerms, draws: _Draws) -> _CellBlock:
+    with np.errstate(all="ignore"):
+        income = _raw_income_c(draws.levels[:, 1:], np.asarray(terms.income_factor))
+        exact = ~(income.max(axis=1) <= MAX_CENTS)  # NaN is not <= either
+        income[exact] = 0.0  # nothing reads these lanes' int64 terms
+        income_c = np.rint(income, out=income).astype(np.int64)
+    fd_num, fd_den, fs_num, fs_den = fractions = _split_args(cell[1])
+    # int64 holds each denominator and twice each income × numerator product
+    if not (2 * int(income_c.max()) * max(fd_num, fs_num) < 2**63 - 1 and max(fd_den, fs_den) < 2**63):
+        exact[:] = True  # every lane splits in Python ints, month by month
+        return _CellBlock(cell, terms, draws, None, exact)
+    debt_c, savings_c, expenses_c = _split_cents(income_c, *fractions)
+    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(terms.due_c))
+    months = np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c))
+    return _CellBlock(cell, terms, draws, months, exact)
+
+
+class _Lane(NamedTuple):
+    """Trial ``index`` of a cell block, as ``run_stress`` hands it to ``run_trial``."""
+
+    block: _CellBlock
+    index: int
+
+
+def _lane_months(lane: _Lane) -> Iterator[tuple]:
+    """(month, income, debt bucket, savings bucket, shortfall, residual,
+    growth, due, rate) of one lane as Python numbers: the first months, then
+    the rest once the trial reaches them."""
+    block, i = lane
+    terms = block.terms
+    growth = block.draws.growth[i]
+    if block.exact[i]:
+        levels = block.draws.levels[i, 1:].tolist()
+        return _exact_months(levels, growth.tolist(), terms, _split_args(block.cell[1]))
+    return chain.from_iterable(
+        zip(
+            count(part.start + 1), *block.months[:, i, part].tolist(), growth[part].tolist(),
+            terms.due_c[part], terms.rate[part],
+        )  # fmt: skip
+        for part in (slice(0, _FIRST_MONTHS), slice(_FIRST_MONTHS, None))
+    )
+
+
+def _exact_months(levels, growth, terms: _CellTerms, fractions: tuple[int, int, int, int]):
+    """``_lane_months`` of a lane whose income leaves the money bound, in
+    Python ints month by month: income that leaves the int range raises in
+    its own month, after any default that comes first."""
+    for month, level, factor, g, due_c, rate in zip(
+        count(1), levels, terms.income_factor, growth, terms.due_c, terms.rate
+    ):
+        income_c = round(_raw_income_c(level, factor))
+        debt_c, savings_c, expenses_c = _split_cents(income_c, *fractions)
+        shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
+        yield month, income_c, debt_c, savings_c, shortfall_c, residual_c, g, due_c, rate
 
 
 def run_trial(
@@ -249,28 +408,25 @@ def run_trial(
     rule: AllocationRule,
     scenario: ScenarioSpec,
     horizon_months: int,
-    rng: np.random.Generator,
+    rng,
 ) -> TrialOutcome:
     """Simulate one household trajectory.  See the module docstring for
-    the month loop."""
-    if horizon_months < 1:
-        raise ValidationError("horizon_months must be positive")
-    if scenario.onset_month > horizon_months:
-        raise ValidationError(
-            f"scenario {scenario.name!r}: onset_month {scenario.onset_month} "
-            f"lies beyond the {horizon_months}-month horizon"
-        )
-    cell = _cell_terms(profile, scenario, horizon_months)
-    f_debt, f_savings, _ = rule.fractions
-    fd_num, fd_den = f_debt.numerator, f_debt.denominator
-    fs_num, fs_den = f_savings.numerator, f_savings.denominator
+    the month loop.
 
-    shocks = rng.standard_normal((2, horizon_months))
-    z_income = shocks[0]
-    z_market = mix_correlated(profile.rho, z_income, shocks[1]).tolist()
+    rng is the trial's ``np.random.Generator``, or a lane that
+    ``run_stress`` built for this cell; a generator becomes a block of one.
+    """
+    cell = (profile, rule, scenario, horizon_months)
+    if isinstance(rng, _Lane):
+        lane = rng
+        if lane.block.cell != cell:
+            raise ValidationError("the lane was built for another stress cell")
+    else:
+        terms = _cell_terms(profile, scenario, horizon_months)
+        lane = _Lane(_cell_block(cell, terms, _draw_block(profile, horizon_months, [rng])), 0)
+    block, i = lane
+    terms = block.terms
 
-    growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
-    growth_scale = profile.sigma_market * math.sqrt(_DT)
     debt_c = profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
@@ -278,28 +434,21 @@ def run_trial(
     ser_series: list[float] = []
     default_month: Optional[int] = None
 
-    levels: Optional[list[float]] = None
+    draws = block.draws
+    levels = None
     try:
-        levels = income_levels(
-            cell.income_units, profile.mu, profile.sigma_income, _DT, z_income
-        )[1:].tolist()
-
-        for month, level, z, factor, due_c, rate in zip(
-            count(1), levels, z_market, cell.income_factor, cell.due_c, cell.rate
-        ):
-            income_c = round(level / _MONTHS_PER_YEAR * factor * 100.0)
-
-            alloc_debt_c, alloc_savings_c, alloc_expenses_c = _split_cents(
-                income_c, fd_num, fd_den, fs_num, fs_den
+        if draws.z_income is not None:
+            # the lane's own draw again: numpy warns, or raises under an
+            # error filter, exactly where a trial drawn alone would
+            income_levels(
+                terms.income_units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
             )
+        levels = draws.levels[i, 1:]
 
-            if alloc_expenses_c < due_c:
-                shortfall_c = due_c - alloc_expenses_c
-                residual_c = 0
-            else:
-                shortfall_c = 0
-                residual_c = alloc_expenses_c - due_c
-
+        for (
+            month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c,
+            growth, due_c, rate,
+        ) in _lane_months(lane):  # fmt: skip
             # interest first; what the debt bucket cannot cover comes from savings
             interest_c = round(debt_c * rate)
             spare_c = alloc_debt_c - interest_c
@@ -320,9 +469,6 @@ def run_trial(
             if debt_c == 0 and cleared is None:
                 cleared = month
 
-            growth = growth_base + growth_scale * z
-            if growth < 0.0:
-                growth = 0.0
             deposit_c = alloc_savings_c + excess_c
             savings_c = round(buffer_c * growth) + deposit_c
 
@@ -350,7 +496,10 @@ def run_trial(
     except DomainError:
         raise
     except (ArithmeticError, ValueError, RuntimeWarning):  # an amount outgrew Money or a float
-        raise _overflow_cause(profile, scenario, cell, levels, z_market) from None
+        if levels is not None:
+            levels = levels.tolist()
+        z_peak = draws.z_peak[i].item()
+        raise _overflow_cause(profile, scenario, terms, levels, z_peak) from None
 
 
 def _aggregate(
@@ -406,9 +555,10 @@ def run_stress(
 
     Trial k always draws from the stream derived from
     (cfg.master_seed, k), so all combinations share shocks (common random
-    numbers).  Trials run one at a time on the calling thread, each
-    aggregated as it finishes.  Output rows are sorted by (profile_id,
-    rule, scenario).
+    numbers).  A profile's trials are drawn in blocks of lanes, and its
+    cells share those blocks up to ``SHARED_DRAW_BYTES``.  Trials run one
+    at a time on the calling thread, each aggregated as it finishes.
+    Output rows are sorted by (profile_id, rule, scenario).
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -419,16 +569,49 @@ def run_stress(
     if abs(cfg.dt_years * _MONTHS_PER_YEAR - 1.0) > 1e-9:
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
-    metrics: list[StressMetrics] = []
+    width = max(1, LANE_BLOCK_BYTES // (2 * horizon_months * 8))
+    starts = range(0, cfg.trials, width)
+    # a kept lane holds H + 1 income levels, H growth factors and a peak shock
+    shared_blocks = SHARED_DRAW_BYTES // (width * (2 * horizon_months + 2) * 8)
     combos = sorted(
         ((p, r, s) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
+    cells_left = Counter(profile for profile, _, _ in combos)
+    kept: dict[HouseholdProfile, list[_Draws]] = {}
+
+    def draw_blocks(profile: HouseholdProfile):
+        """The profile's draws, block by block; its next cell reuses the
+        first ``shared_blocks`` of them."""
+        cells_left[profile] -= 1
+        blocks = kept.pop(profile, [])
+        for b, start in enumerate(starts):
+            if b < len(blocks):
+                yield blocks[b]
+                continue
+            stop = min(start + width, cfg.trials)
+            rngs = [derive_trial_rng(cfg.master_seed, k) for k in range(start, stop)]
+            draws = _draw_block(profile, horizon_months, rngs)
+            if cells_left[profile] and b < shared_blocks:
+                blocks.append(draws)
+            yield draws
+        if cells_left[profile]:
+            kept[profile] = blocks
+
+    def lanes(profile, rule, scenario):
+        cell = (profile, rule, scenario, horizon_months)
+        terms = _cell_terms(profile, scenario, horizon_months)
+        for draws in draw_blocks(profile):
+            block = _cell_block(cell, terms, draws)
+            for i in range(len(block.exact)):
+                yield _Lane(block, i)
+
+    metrics: list[StressMetrics] = []
     for profile, rule, scenario in combos:
         # lazy, so each trial runs (and can be traced) inside _aggregate
         outcomes = (
-            run_trial(profile, rule, scenario, horizon_months, derive_trial_rng(cfg.master_seed, k))
-            for k in range(cfg.trials)
+            run_trial(profile, rule, scenario, horizon_months, lane)
+            for lane in lanes(profile, rule, scenario)
         )
         metrics.append(_aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials))
     return metrics

@@ -651,6 +651,27 @@ class TestStressCommand:
         assert outputs[1].startswith(f"wrote {out_path}\n{compare.decode()}".encode())
         assert outputs[2:] == outputs[:2]
 
+    def test_stderr_is_utf8_whatever_the_locale(self, tmp_path):
+        # An error line quotes the input it names, as UTF-8 under the POSIX
+        # locale with UTF-8 mode off too, not as '\xe9t\xe9'.
+        row = GOOD_ROWS[0].replace("h1", "été", 1)
+        profiles = tmp_path / "p.csv"
+        profiles.write_bytes(f"{HEADER}\n{row}\n{row}\n".encode())
+        scenarios = _write(tmp_path, "s.json", json.dumps({"name": "baseline"}))
+        src = os.path.dirname(os.path.dirname(thirdrule.__file__))
+        code = "import sys; from thirdrule.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["stress", "--profiles", str(profiles), "--scenarios", scenarios]
+        for locale_env in (
+            {"PYTHONUTF8": "1"},
+            {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"},
+        ):
+            env = dict(os.environ, PYTHONPATH=src, **locale_env)
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=60
+            )
+            assert (done.returncode, done.stdout) == (1, b"")
+            assert done.stderr == "error: row 3, field id: duplicate id 'été'\n".encode()
+
     def test_thread_count_never_changes_bytes(self, tmp_path):
         profiles = _profiles_file(tmp_path, GOOD_ROWS)
         scenarios = _write(tmp_path, "s.json", SCEN_TEXT)

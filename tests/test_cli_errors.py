@@ -11,7 +11,7 @@ import pytest
 from thirdrule import THREADS_ENV_VAR
 from thirdrule.cli import PROFILE_COLUMNS, REPORT_COLUMNS, main
 from thirdrule.dynamic import MAX_HORIZON, MAX_SHOCK_SAMPLES
-from thirdrule.stochastic import MAX_STEPS
+from thirdrule.stochastic import MAX_STEPS, derive_trial_rng, income_levels
 
 PROFILE = dict(
     id="h1",
@@ -231,6 +231,52 @@ def test_coalition_names_the_bad_member(capsys):
     assert _one_line_error(capsys, argv) == "error: member index 'a' is not an integer\n"
 
 
+# int(), float(), Decimal and Fraction all read digit grouping, "6_0000"
+# as 60000; a money or number input refuses it and names the flag or field.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["allocate", "--income", "6_0000"],
+         "usage error: argument --income: cannot parse money amount '6_0000'"),
+        (["risk", "--dti", "0_4", "--ser", "1"], "usage error: argument --dti: invalid float value: '0_4'"),
+        (["risk", "--dti", "0.4", "--ser", "1", "--dti-limit", "0_36"],
+         "usage error: argument --dti-limit: invalid float value: '0_36'"),
+        (["plan", "--income", "100", "--shock-samples", "1_0"],
+         "usage error: argument --shock-samples: invalid int value: '1_0'"),
+        (["simulate", "--start", "1", "--horizon-years", "1_0"],
+         "usage error: argument --horizon-years: cannot parse '1_0' as a finite fraction"),
+        (["simulate", "--start", "1", "--horizon-years", "1", "--trials", "1_0"],
+         "usage error: argument --trials: invalid int value: '1_0'"),
+        (["shapley", "--incomes", "1,2_0"], "error: --incomes entry 2: cannot parse money amount '2_0'"),
+        (["coalition", "--incomes", "1,2", "--members", "0_1"],
+         "error: member index '0_1' is not an integer"),
+        (["allocate", "--income", "1", "--rule", "custom", "--fractions", "1_0/30,1/3,1/3"],
+         "error: cannot parse debt fraction '1_0/30'"),
+    ],
+)  # fmt: skip
+def test_digit_grouping_is_refused(argv, expected, capsys):
+    assert _one_line_error(capsys, argv) == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"income_annual": "6_0000"}, "row 2, field income_annual: cannot parse money amount '6_0000'"),
+        ({"income_annual": "30000;3_0000", "household_type": "dual_income"},
+         "row 2, field income_annual: cannot parse money amount '3_0000'"),
+        ({"debt_balance": "2_0000"}, "row 2, field debt_balance: cannot parse money amount '2_0000'"),
+        ({"rho": "0_3"}, "row 2, field rho: cannot parse number '0_3'"),
+    ],
+)  # fmt: skip
+def test_digit_grouping_in_a_profile_cell_is_refused(row, message, tmp_path, capsys):
+    assert _stress_error(tmp_path, capsys, [row]) == f"error: {message}\n"
+
+
+def test_stress_seed_with_digit_grouping_is_refused(tmp_path, capsys):
+    err = _stress_error(tmp_path, capsys, [{}], ["--seed", "1_0"])
+    assert err == "usage error: argument --seed: invalid int value: '1_0'\n"
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "profile, scenario",
@@ -301,6 +347,56 @@ def test_stress_overflow_names_its_input(profile, scenario, message, tmp_path, c
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
     assert err == f"error: {message} past the money bound\n"
+
+
+def _stress_files(tmp_path, profile, scenario):
+    profiles = tmp_path / "p.csv"
+    row = dict(PROFILE, **profile)
+    profiles.write_text(
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
+    )
+    scenarios = tmp_path / "s.json"
+    scenarios.write_text(json.dumps(dict(name="a", **scenario)), encoding="utf-8")
+    return ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
+
+
+def test_stress_shock_past_the_bound_after_every_default_still_reports(tmp_path, capsys):
+    # Interest swamps the debt bucket, so every trial defaults before the
+    # shock's onset in month 13 and no month reads the shocked income.
+    # The report is the one trials run one at a time gave.
+    argv = _stress_files(
+        tmp_path, {"debt_balance": "2000000", "debt_apr": "0.3"},
+        {"income_shock": 1e300, "onset_month": 13},
+    )  # fmt: skip
+    argv += ["--trials", "5", "--horizon-years", "2", "--rules", "one_third,fifty_thirty_twenty"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        ",".join(REPORT_COLUMNS) + "\n"
+        "h1,fifty_thirty_twenty,a,1,,0.00,0,0,0\n"
+        "h1,one_third,a,1,,0.00,0,0,0\n"
+    )
+    # a household that lives to the onset meets the bound there
+    argv = _stress_files(tmp_path, {}, {"income_shock": 1e300, "onset_month": 13})
+    err = _one_line_error(capsys, argv + ["--trials", "5", "--horizon-years", "2"])
+    assert err == (
+        "error: scenario 'a': income_shock 1e+300 puts income for profile 'h1' past the money bound\n"
+    )
+
+
+def test_stress_overflow_the_zero_floor_hides_is_an_error(tmp_path, capsys):
+    # At seed 2 the one month's income shock is negative: income overflows
+    # to -inf and the zero floor turns it into 0.  numpy still reports the
+    # overflow, and the CLI names the field, as for a trial drawn alone.
+    shocks = derive_trial_rng(2, 0).standard_normal((2, 1))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        levels = income_levels(60000.0, 0.02, 1e308, 1 / 12, shocks[0])
+    assert shocks[0, 0] < 0 and levels.tolist() == [60000.0, 0.0]
+    argv = _stress_files(tmp_path, {"sigma_income": "1e308"}, {})
+    err = _one_line_error(capsys, argv + ["--trials", "1", "--horizon-years", "1/12", "--seed", "2"])
+    assert err == "error: profile 'h1': sigma_income 1e+308 puts income past the money bound\n"
 
 
 def test_stress_near_the_money_bound_still_reports(tmp_path, capsys):

@@ -4,8 +4,9 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thirdrule import (
@@ -26,7 +27,7 @@ from thirdrule import (
     ser,
     total_income,
 )
-from thirdrule.domain import MAX_CENTS, _settle_residual
+from thirdrule.domain import MAX_CENTS, _round_div, _settle_residual, _split_cents
 
 
 class TestMoney:
@@ -367,3 +368,76 @@ class TestHouseholdProfile:
 def test_total_income():
     assert total_income([Money.of("1.10"), Money.of("2.20")]) == Money.of("3.30")
     assert total_income([]) == Money.zero()
+
+
+# The stress ledger splits a block of months at once: the array forms must
+# equal the int forms bit for bit.
+
+
+@given(
+    nums=st.lists(st.integers(-(2**62), 2**62 - 1), min_size=1),
+    den=st.integers(1, 2**61),
+)
+@example(nums=[1, 3, 5, 7, 2, 4, -1, -3], den=2)  # ties: halves round to the even neighbour
+@example(nums=[5, 15, 25, 35], den=10)
+@example(nums=[0], den=1)
+def test_round_div_of_an_array_rounds_each_entry_as_an_int(nums, den):
+    want = [_round_div(n, den) for n in nums]
+    assert want == [round(Fraction(n, den)) for n in nums]  # Fraction rounds half to even
+    got = _round_div(np.array(nums, dtype=np.int64), den)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+_INCOMES = st.lists(st.integers(0, MAX_CENTS), min_size=1)
+
+
+def _split_each(incomes, fd_num, fd_den, fs_num, fs_den):
+    """The array split, as one (debt, savings, expenses) tuple per income."""
+    got = _split_cents(np.array(incomes, dtype=np.int64), fd_num, fd_den, fs_num, fs_den)
+    return list(zip(*(bucket.tolist() for bucket in got)))
+
+
+@given(incomes=_INCOMES, den=st.integers(1, 1000), data=st.data())
+def test_split_of_an_array_splits_each_income_as_an_int(incomes, den, data):
+    fd_num = data.draw(st.integers(0, den))
+    fs_num = data.draw(st.integers(0, den - fd_num))
+    want = [_split_cents(c, fd_num, den, fs_num, den) for c in incomes]
+    assert _split_each(incomes, fd_num, den, fs_num, den) == want
+
+
+def test_split_of_an_array_gives_back_the_overshoot_as_an_int_split():
+    # halves of an odd income both round up: a cent comes back from savings
+    incomes = [1, 3, 5, 101]
+    want = [_split_cents(c, 1, 2, 1, 2) for c in incomes]
+    assert want[1] == (2, 1, 0)
+    assert _split_each(incomes, 1, 2, 1, 2) == want
+
+
+@given(
+    debt_c=st.lists(st.integers(0, MAX_CENTS), min_size=1, max_size=20),
+    savings_c=st.integers(0, 5000),
+    over=st.integers(-5000, 5000),
+)
+def test_residual_split_of_arrays_settles_each_entry_as_ints(debt_c, savings_c, over):
+    incomes = [max(d + savings_c - over, 0) for d in debt_c]
+    got = _settle_residual(np.array(incomes), np.array(debt_c), np.full(len(debt_c), savings_c))
+    want = [_settle_residual(i, d, savings_c) for i, d in zip(incomes, debt_c)]
+    assert [tuple(bucket) for bucket in zip(*(b.tolist() for b in got))] == want
+
+
+@pytest.mark.parametrize("text", ["6_0000", "1_000.50"])
+def test_money_text_with_digit_grouping_is_refused(text):
+    with pytest.raises(ValidationError, match=f"^cannot parse money amount '{text}'$"):
+        Money.of(text)
+
+
+def test_fraction_text_with_digit_grouping_is_refused():
+    with pytest.raises(ValidationError, match=r"^cannot parse savings fraction '1_0/30'$"):
+        check_fractions(["1/3", "1_0/30", "1/3"])
+
+
+def test_int_split_returns_ints():
+    assert all(type(c) is int for c in _split_cents(3, 1, 2, 1, 2))
+    assert _split_cents(3, 1, 2, 1, 2) == (2, 1, 0)
+    assert type(_round_div(5, 2)) is int

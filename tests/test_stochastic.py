@@ -487,6 +487,29 @@ def test_income_matches_the_grid_per_call_recipe(start_c, mu, sigma_income, dt, 
     assert path.floored_steps == int(np.count_nonzero(raw < 0.0))
 
 
+@given(
+    start_c=st.one_of(st.just(0), st.integers(0, 10**9)),
+    mu=st.floats(-2.0, 2.0),
+    sigma_income=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+    lanes=st.integers(1, 5),
+    steps=st.one_of(st.just(1), st.integers(1, 240)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_row_of_lane_levels_equals_its_own_call(start_c, mu, sigma_income, lanes, steps, seed):
+    # The stress ledger draws a (lanes, 2, steps) block and builds the
+    # income levels of every lane in one call.
+    block = np.empty((lanes, 2, steps))
+    for k, row in enumerate(block):
+        derive_trial_rng(seed, k).standard_normal(out=row)
+    levels = income_levels(start_c / 100, mu, sigma_income, 1 / 12, block[:, 0])
+    assert levels.shape == (lanes, steps + 1)
+    for k in range(lanes):
+        alone = derive_trial_rng(seed, k).standard_normal((2, steps))
+        assert block[k].tobytes() == alone.tobytes()
+        want = income_levels(start_c / 100, mu, sigma_income, 1 / 12, alone[0])
+        assert levels[k].tobytes() == want.tobytes()
+
+
 class TestSavingsPath:
     def test_zero_volatility_matches_reference_loop(self):
         cfg = PathConfig(horizon_years=5, dt_years=1 / 12, trials=1, master_seed=0)

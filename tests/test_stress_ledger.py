@@ -15,23 +15,28 @@ from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thirdrule import (
+    BASELINE_SCENARIO,
     AllocationRule,
     HouseholdProfile,
     HouseholdType,
     Money,
+    PathConfig,
     ScenarioSpec,
     THREADS_ENV_VAR,
     TrialOutcome,
     derive_trial_rng,
+    run_stress,
     run_trial,
     stress,
 )
 from thirdrule.cli import main
-from thirdrule.domain import _round_div, _settle_residual
+from thirdrule.domain import MAX_CENTS, _round_div, _settle_residual
 from thirdrule.errors import DomainError, ValidationError
 from thirdrule.stochastic import income_levels, mix_correlated
 
@@ -255,6 +260,156 @@ def test_run_trial_matches_reference_loop_on_edge_cases():
                     got = run_trial(profile, rule, scenario, 60, derive_trial_rng(5, k))
                     want = _reference_run_trial(profile, rule, scenario, 60, derive_trial_rng(5, k))
                     assert got == want, (profile, scenario, rule, k)
+
+
+# ---------------------------------------------------------------------------
+# run_stress, whose trials read month terms built for a block of lanes
+
+
+def _reference_run_stress(profiles, rules, scenarios, cfg):
+    """run_stress's rows with every trial run by the reference loop on its
+    own generator."""
+    combos = sorted(
+        ((p, r, s) for p in profiles for r in rules for s in scenarios),
+        key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
+    )
+    return [
+        stress._aggregate(
+            p, r, s, cfg.steps,
+            (_reference_run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k))
+             for k in range(cfg.trials)),
+            cfg.trials,
+        )
+        for p, r, s in combos
+    ]  # fmt: skip
+
+
+_BASE = dict(
+    profile_id="p",
+    household_type=HouseholdType.SINGLE_INCOME,
+    member_incomes=(Money.of("60000"),),
+    debt_balance=Money.of("20000"),
+    debt_apr=0.18,
+    baseline_expenses=Money.of("18000"),
+    sigma_income=0.1,
+    sigma_market=0.15,
+    rho=0.3,
+    mu=0.02,
+    r_savings=0.04,
+)
+# Splits that int64 cannot hold, so they take Python ints: income times a
+# numerator past 2**62, and a denominator past 2**63.
+_HUGE_NUMERATORS = _custom(Fraction(2**45 + 1, 2**46), Fraction(3**27, 2**46))
+_HUGE_DENOMINATOR = _custom(Fraction(1, 2**64 + 1), Fraction(1, 3))
+_MIXED_PROFILES = [
+    HouseholdProfile(**_BASE),
+    # many trials default, some in their first months
+    HouseholdProfile(**dict(
+        _BASE, profile_id="a", debt_balance=Money.of("60000"), debt_apr=0.25, sigma_income=0.6,
+        baseline_expenses=Money.of("40000"), rho=-0.7,
+    )),
+]  # fmt: skip
+_MIXED_RULES = [
+    AllocationRule.one_third(),
+    AllocationRule.seventy_twenty_ten(),
+    _custom(Fraction(12345, 99999), Fraction(1, 7)),
+    _HUGE_NUMERATORS,
+    _HUGE_DENOMINATOR,
+]
+_MIXED_SCENARIOS = [
+    ScenarioSpec("baseline"),
+    ScenarioSpec("drop", income_shock=-0.5, apr_multiplier=1.5, onset_month=3, duration_months=20),
+    ScenarioSpec("inflation", inflation_annual=0.2, onset_month=13),
+]
+_HORIZON = 120
+_WIDTH = stress.LANE_BLOCK_BYTES // (2 * _HORIZON * 8)  # lanes in a block
+
+
+@pytest.mark.parametrize("trials", [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 3 * _WIDTH + 2])
+def test_run_stress_matches_reference_loop(trials):
+    cfg = PathConfig(horizon_years=_HORIZON / 12, trials=trials, master_seed=trials)
+    args = (_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, cfg)
+    assert run_stress(*args) == _reference_run_stress(*args)
+
+
+def test_run_stress_matches_reference_loop_when_later_cells_draw_again(monkeypatch):
+    # A block holds 3 lanes, and only the first of a profile's four blocks
+    # is kept for its later cells.
+    horizon = 24
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * horizon * 8)
+    monkeypatch.setattr(stress, "SHARED_DRAW_BYTES", 3 * (2 * horizon + 2) * 8)
+    streams = []
+
+    def derive(master_seed, trial_index):
+        streams.append(trial_index)
+        return derive_trial_rng(master_seed, trial_index)
+
+    monkeypatch.setattr(stress, "derive_trial_rng", derive)
+    cfg = PathConfig(horizon_years=horizon / 12, trials=11, master_seed=8)
+    args = (_MIXED_PROFILES, _MIXED_RULES[:2], _MIXED_SCENARIOS, cfg)
+    assert run_stress(*args) == _reference_run_stress(*args)
+    # per profile: every trial for its first cell, then trials 3..10 for
+    # each of its 5 later cells
+    assert len(streams) == 2 * (11 + 5 * 8)
+
+
+@pytest.mark.parametrize(
+    "rule, exact",
+    [(_HUGE_NUMERATORS, True), (_HUGE_DENOMINATOR, True), (AllocationRule.one_third(), False)],
+)
+def test_splits_int64_cannot_hold_take_python_ints(rule, exact):
+    profile = _MIXED_PROFILES[0]
+    terms = stress._cell_terms(profile, BASELINE_SCENARIO, 12)
+    draws = stress._draw_block(profile, 12, [derive_trial_rng(0, k) for k in range(3)])
+    block = stress._cell_block((profile, rule, BASELINE_SCENARIO, 12), terms, draws)
+    assert block.exact.tolist() == [exact] * 3
+
+
+def test_run_stress_matches_reference_loop_past_the_money_bound():
+    # The shock puts income past MAX_CENTS from month 13 on, but interest
+    # swamps the debt bucket and every trial defaults before then.
+    profile = HouseholdProfile(**dict(_BASE, debt_balance=Money.of("2000000"), debt_apr=0.3))
+    scenarios = [ScenarioSpec("shock", income_shock=1e300, onset_month=13)]
+    cfg = PathConfig(horizon_years=2, trials=2 * _WIDTH + 3, master_seed=1)
+    terms = stress._cell_terms(profile, scenarios[0], 24)
+    draws = stress._draw_block(profile, 24, [derive_trial_rng(1, 0)])
+    block = stress._cell_block((profile, _MIXED_RULES[0], scenarios[0], 24), terms, draws)
+    assert block.exact.all()  # those lanes run month by month in Python ints
+    args = ([profile], _MIXED_RULES, scenarios, cfg)
+    rows = run_stress(*args)
+    assert [row.default_rate for row in rows] == [1.0] * len(_MIXED_RULES)
+    assert rows == _reference_run_stress(*args)
+
+
+def test_a_lane_runs_only_in_its_own_cell():
+    profile = _MIXED_PROFILES[0]
+    rule = AllocationRule.one_third()
+    terms = stress._cell_terms(profile, BASELINE_SCENARIO, 12)
+    draws = stress._draw_block(profile, 12, [derive_trial_rng(0, 0)])
+    lane = stress._Lane(stress._cell_block((profile, rule, BASELINE_SCENARIO, 12), terms, draws), 0)
+    assert run_trial(profile, rule, BASELINE_SCENARIO, 12, lane) == run_trial(
+        profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0)
+    )
+    with pytest.raises(ValidationError, match="another stress cell"):
+        run_trial(profile, AllocationRule.seventy_twenty_ten(), BASELINE_SCENARIO, 12, lane)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, float(MAX_CENTS)),
+            # halves, where round and rint must both go to the even neighbour
+            st.integers(0, 2**52 - 1).map(lambda n: n + 0.5),
+            st.sampled_from([0.5, 1.5, 2.5, -0.0, float(MAX_CENTS), MAX_CENTS - 0.5]),
+        ),
+        min_size=1,
+    )
+)
+def test_rint_rounds_like_round(values):
+    # the block's income in cents is np.rint of the float a trial alone
+    # would round with round()
+    assert np.rint(np.array(values)).astype(np.int64).tolist() == [round(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
