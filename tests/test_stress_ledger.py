@@ -11,13 +11,14 @@ import hashlib
 import inspect
 import math
 import os
+import warnings
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thirdrule import (
@@ -180,13 +181,11 @@ _RULES = st.one_of(
 )
 
 
-@st.composite
-def _cases(draw):
-    horizon = draw(st.integers(1, 60))
+def _draw_profile(draw, profile_id="p"):
     debt = draw(st.one_of(st.just(0), st.integers(0, 10_000_000)))
     expenses = draw(st.one_of(st.just(0), st.integers(0, 12_000_000)))
-    profile = HouseholdProfile(
-        profile_id="p",
+    return HouseholdProfile(
+        profile_id=profile_id,
         household_type=HouseholdType.SINGLE_INCOME,
         member_incomes=(Money(draw(st.one_of(st.just(0), st.integers(0, 20_000_000)))),),
         debt_balance=Money(debt),
@@ -199,8 +198,11 @@ def _cases(draw):
         mu=draw(st.floats(-0.5, 0.5)),
         r_savings=draw(st.floats(-0.5, 0.3)),
     )
-    scenario = ScenarioSpec(
-        name="s",
+
+
+def _draw_scenario(draw, horizon, name="s"):
+    return ScenarioSpec(
+        name=name,
         income_shock=draw(st.one_of(st.just(0.0), st.just(-1.0), st.floats(-1.0, 0.5))),
         apr_multiplier=draw(st.floats(0.1, 5.0)),
         inflation_annual=draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5))),
@@ -209,6 +211,13 @@ def _cases(draw):
         # 0 is a permanent shock; others are windows that may outlast the horizon
         duration_months=draw(st.one_of(st.just(0), st.integers(1, 70))),
     )
+
+
+@st.composite
+def _cases(draw):
+    horizon = draw(st.integers(1, 60))
+    profile = _draw_profile(draw)
+    scenario = _draw_scenario(draw, horizon)
     seed = draw(st.integers(0, 2**32 - 1))
     return profile, draw(_RULES), scenario, horizon, seed
 
@@ -266,13 +275,16 @@ def test_run_trial_matches_reference_loop_on_edge_cases():
 # run_stress, whose trials read month terms built for a block of lanes
 
 
-def _reference_run_stress(profiles, rules, scenarios, cfg):
-    """run_stress's rows with every trial run by the reference loop on its
-    own generator."""
-    combos = sorted(
+def _rows_order(profiles, rules, scenarios):
+    return sorted(
         ((p, r, s) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
+
+
+def _reference_run_stress(profiles, rules, scenarios, cfg):
+    """run_stress's rows with every trial run by the reference loop on its
+    own generator."""
     return [
         stress._aggregate(
             p, r, s, cfg.steps,
@@ -280,8 +292,20 @@ def _reference_run_stress(profiles, rules, scenarios, cfg):
              for k in range(cfg.trials)),
             cfg.trials,
         )
-        for p, r, s in combos
+        for p, r, s in _rows_order(profiles, rules, scenarios)
     ]  # fmt: skip
+
+
+def _first_lone_trial_error(profiles, rules, scenarios, cfg):
+    """The first error, in row order, that the grid's trials raise when each
+    runs alone through run_trial on its own generator; None if none does."""
+    for p, r, s in _rows_order(profiles, rules, scenarios):
+        for k in range(cfg.trials):
+            try:
+                run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k))
+            except Exception as exc:
+                return exc
+    return None
 
 
 _BASE = dict(
@@ -351,6 +375,87 @@ def test_run_stress_matches_reference_loop_when_later_cells_draw_again(monkeypat
     # per profile: every trial for its first cell, then trials 3..10 for
     # each of its 5 later cells
     assert len(streams) == 2 * (11 + 5 * 8)
+
+
+# Grids on both sides of the income bound past which run_stress draws every
+# trial's whole row, and past which income leaves Money or a float.
+_BIG_DEBT = dict(debt_balance=Money.of("2000000"), debt_apr=0.3)  # interest swamps any split
+_EDGE_PROFILES = [
+    dict(_BASE, **_BIG_DEBT),
+    dict(_BASE, sigma_income=1e12),  # income leaves Money, a float holds it
+    dict(_BASE, sigma_income=1e308),  # income overflows a float, or the zero floor hides it
+    dict(_BASE, **_BIG_DEBT, sigma_income=1e308),
+    dict(_BASE, mu=1e308),  # the cell's own terms break the bound
+]
+_EDGE_SCENARIOS = [
+    ScenarioSpec("shock", income_shock=1e300, onset_month=13),
+    ScenarioSpec("late", onset_month=61),  # past every horizon drawn
+    ScenarioSpec("inflation", inflation_annual=1e300),
+]
+
+
+def _grid_config(horizon, trials, seed):
+    return PathConfig(horizon_years=horizon / 12, trials=trials, master_seed=seed)
+
+
+@st.composite
+def _grids(draw):
+    horizon = draw(st.integers(1, 60))
+    profiles = [
+        HouseholdProfile(**dict(draw(st.sampled_from(_EDGE_PROFILES)), profile_id=f"p{i}"))
+        if draw(st.integers(0, 3)) == 0
+        else _draw_profile(draw, f"p{i}")
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    rules = draw(st.lists(
+        st.one_of(_RULES, st.sampled_from([_HUGE_NUMERATORS, _HUGE_DENOMINATOR])),
+        min_size=1, max_size=3,
+    ))  # fmt: skip
+    scenarios = [
+        draw(st.sampled_from(_EDGE_SCENARIOS)) if draw(st.integers(0, 5)) == 0
+        else _draw_scenario(draw, horizon, f"s{i}")
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    scenarios = list({s.name: s for s in scenarios}.values())
+    trials = draw(st.integers(1, 80))
+    return profiles, rules, scenarios, _grid_config(horizon, trials, draw(st.integers(0, 2**32 - 1)))
+
+
+def _edge_grid(profiles, scenarios, horizon=24, trials=80, seed=3, rules=None):
+    profiles = [HouseholdProfile(**dict(p, profile_id=f"p{i}")) for i, p in enumerate(profiles)]
+    rules = rules or [AllocationRule.one_third(), _HUGE_NUMERATORS]
+    return profiles, rules, scenarios, _grid_config(horizon, trials, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grids())
+# every trial defaults in month 1 in every cell
+@example(_edge_grid(
+    [_EDGE_PROFILES[0]], [ScenarioSpec("a"), ScenarioSpec("b", income_shock=-0.5)],
+    rules=[AllocationRule.one_third(), AllocationRule.fifty_thirty_twenty()],
+))  # fmt: skip
+# a shock past the bound after every trial has defaulted
+@example(_edge_grid([_EDGE_PROFILES[0]], [_EDGE_SCENARIOS[0]]))
+# a good profile, then one whose income overflows a float, with and without defaults
+@example(_edge_grid([_BASE, _EDGE_PROFILES[2]], [ScenarioSpec("a")]))
+@example(_edge_grid([_BASE, _EDGE_PROFILES[3]], [ScenarioSpec("a")], horizon=1, seed=2))
+# a good cell, then a cell whose own terms break the bound
+@example(_edge_grid([_EDGE_PROFILES[0]], [ScenarioSpec("a"), _EDGE_SCENARIOS[2]]))
+@example(_edge_grid([_BASE], [ScenarioSpec("a"), _EDGE_SCENARIOS[0]]))
+@example(_edge_grid([_EDGE_PROFILES[1], _EDGE_PROFILES[0]], [ScenarioSpec("a")]))
+def test_run_stress_matches_trials_run_alone(grid):
+    # run_stress's rows are the reference loop's; its error is the first one
+    # its trials raise when each runs alone, in row order.  RuntimeWarning is
+    # an error, as in the CLI.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = _first_lone_trial_error(*grid)
+        if want is None:
+            assert run_stress(*grid) == _reference_run_stress(*grid)
+        else:
+            with pytest.raises(Exception) as got:
+                run_stress(*grid)
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
 
 
 @pytest.mark.parametrize(
