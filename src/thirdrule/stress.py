@@ -28,18 +28,30 @@ completed month satisfies the cash identity
 exactly in cents; the loop checks it and raises ``DomainError`` if not.
 
 Most of a month's terms never read a balance, so they are computed
-ahead of the month loop, in three layers:
+ahead of the month loop, in layers:
 
+- per profile, for a run of up to 256 trials (the block that
+  ``derive_trial_rng`` seeds at once): the month-1 screen (``_screen``).
+  Each trial draws only its first normal, the month-1 income shock, and
+  month 1 is tested for every rule and scenario cell of the profile at
+  once.  Savings start at zero, so a trial defaults in month 1 exactly
+  when its expense shortfall plus the interest its debt bucket cannot
+  cover is positive.  A trial that defaults there in every cell is
+  settled: it draws nothing more, and its lane holds month 1 only.  The
+  others draw the rest of their rows from the same generators; split
+  draws are the bytes of one draw, so the cells keep common random
+  numbers.  A profile is screened only when a bound on its income shows
+  that no month of any trial can leave ``MAX_CENTS`` or overflow a float,
+  and no cell's terms raise, so no month the screen skips could raise;
 - per (profile, scenario) cell, once: the shock window's income factor,
   the expenses due and the monthly debt rate (``_cell_terms``).  Building
   them checks that income drift, expenses due and interest on the opening
   debt stay within ``MAX_CENTS``, and a ``DomainError`` names the profile
   or scenario field that breaks the bound;
-- per profile, for a block of trials (lanes) at once: each trial's shocks
-  from its own stream, the income levels, the mixed market shocks and the
-  savings growth factors (``_draw_block``).  Every rule and scenario cell
-  of the profile reuses the block, so the cells keep common random
-  numbers;
+- per profile, for a block of the trials the screen did not settle
+  (lanes): each trial's shocks from its own stream, the income levels, the
+  mixed market shocks and the savings growth factors (``_draw_block``).
+  Every rule and scenario cell of the profile reuses the block;
 - per cell, for the same block: income in cents, the rule's cent split
   through ``_split_cents`` and the expense shortfall and residual
   (``_cell_block``).
@@ -51,7 +63,8 @@ months first and the rest only if the trial lives on.  A lane whose
 income leaves the money bound in some month computes its terms month by
 month in Python ints instead, as a trial run alone would, so a trial
 whose income or savings outgrows Money or a float raises in the same
-month, naming the field behind it.
+month, naming the field behind it.  A settled lane that does not default
+in month 1 raises ``DomainError``: no trial ends early.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -78,7 +91,7 @@ from .domain import (
 )
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
-from .stochastic import PathConfig, income_levels, mix_correlated, derive_trial_rng
+from .stochastic import _BLOCK, PathConfig, income_levels, mix_correlated, derive_trial_rng
 
 _MONTHS_PER_YEAR = 12
 _DT = 1.0 / 12.0
@@ -279,6 +292,11 @@ LANE_BLOCK_BYTES = 32 * 1024
 SHARED_DRAW_BYTES = 256 * 1024
 # The month terms a trial reads before it may need the rest.
 _FIRST_MONTHS = 12
+# No standard normal numpy draws is larger in size.  Its ziggurat returns
+# a point of a rectangle, all within r = 3.6541528853610088, or from its
+# tail r + x with x = -ln(1 - U) / r for a uniform U of 53 bits, at most
+# 1 - 2**-53; so |z| <= r + 53 ln 2 / r ~= 13.71.  20 leaves room to spare.
+_NORMAL_BOUND = 20.0
 
 
 class _Draws(NamedTuple):
@@ -292,11 +310,22 @@ class _Draws(NamedTuple):
     z_income: Optional[np.ndarray]
 
 
-def _draw_block(profile: HouseholdProfile, horizon_months: int, rngs: Sequence) -> _Draws:
+def _draw_block(
+    profile: HouseholdProfile,
+    horizon_months: int,
+    rngs: Sequence,
+    first: Optional[np.ndarray] = None,
+) -> _Draws:
     """Each trial's (2, H) shocks from its own generator, then the income
-    levels, market shocks and growth factors of the whole block."""
+    levels, market shocks and growth factors of the whole block.  A trial
+    whose first normal was drawn already (``first``) draws the other 2H - 1:
+    a generator's draws split at any point are the bytes of one draw."""
     shocks = np.empty((len(rngs), 2, horizon_months))
-    for row, rng in zip(shocks, rngs):
+    rows = shocks.reshape(len(rngs), -1)
+    if first is not None:
+        rows[:, 0] = first
+        rows = rows[:, 1:]
+    for row, rng in zip(rows, rngs):
         rng.standard_normal(out=row)
     z_income = shocks[:, 0]
     flags = []
@@ -403,6 +432,105 @@ def _exact_months(levels, growth, terms: _CellTerms, fractions: tuple[int, int, 
         yield month, income_c, debt_c, savings_c, shortfall_c, residual_c, g, due_c, rate
 
 
+def _month1_cells(
+    profile: HouseholdProfile,
+    rules: Sequence[AllocationRule],
+    scenarios: Sequence[ScenarioSpec],
+    horizon_months: int,
+) -> Optional[list[tuple]]:
+    """(cell, month-1 terms, month-1 interest on the opening debt) of each
+    of the profile's cells, for the month-1 screen.
+
+    None when the screen must not run: income may leave the money bound or
+    overflow a float in some month, so that a trial's later months raise
+    even though it defaulted in month 1, or some cell's own terms raise
+    (again when that cell runs)."""
+    peak_factor = max(max(1.0, 1.0 + scenario.income_shock) for scenario in scenarios)
+    # |W(t)| <= sqrt(dt) H _NORMAL_BOUND bounds each month's income per unit of I0
+    unit_peak = (
+        1.0
+        + abs(profile.mu) * horizon_months * _DT
+        + profile.sigma_income * math.sqrt(_DT) * horizon_months * _NORMAL_BOUND
+    )
+    # twice the bound covers the rounding of the path and of the cents
+    if not 2.0 * _raw_income_c(profile.income.units * unit_peak, peak_factor) <= MAX_CENTS:
+        return None
+    cells = []
+    for scenario in scenarios:
+        try:
+            terms = _cell_terms(profile, scenario, horizon_months)
+        except (DomainError, ValidationError):
+            return None
+        first = terms._replace(
+            income_factor=terms.income_factor[:1], due_c=terms.due_c[:1], rate=terms.rate[:1]
+        )
+        interest_c = round(profile.debt_balance.cents * terms.rate[0])
+        cells.extend(((profile, rule, scenario, horizon_months), first, interest_c) for rule in rules)
+    return cells
+
+
+class _Run(NamedTuple):
+    """One profile's draws for a run of consecutive trials."""
+
+    settled: list[bool]  # trials that default in month 1 in every cell
+    month1: dict  # cell -> its month-1 _CellBlock, one lane a trial of the run
+    blocks: Iterable[_Draws]  # the other trials' whole rows, in blocks of lanes
+
+
+def _screen(
+    profile: HouseholdProfile,
+    horizon_months: int,
+    rngs: list,
+    cells: Optional[list[tuple]],
+    width: int,
+) -> _Run:
+    """Draw each trial's first normal, its month-1 income shock, and settle
+    the trials that default in month 1 in every one of ``cells``: savings
+    start at zero, so a trial defaults then exactly when its shortfall plus
+    the interest its debt bucket cannot cover is positive.  The other
+    trials draw the rest of their rows from the same generators, ``width``
+    lanes a block.  With no cells, every trial draws its whole row."""
+    n = len(rngs)
+    settled = np.zeros(n, dtype=bool)
+    month1 = {}
+    first = None
+    if cells is not None:
+        first = np.fromiter((rng.standard_normal() for rng in rngs), float, n)
+        levels = income_levels(
+            profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None]
+        )
+        # a month that defaults reads no growth factor
+        draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
+        settled[:] = True
+        for cell, terms, interest_c in cells:
+            block = month1[cell] = _cell_block(cell, terms, draws)
+            if block.months is None:  # int64 cannot hold the split
+                settled[:] = False
+                break
+            _, debt_c, _, shortfall_c, _ = block.months[..., 0]
+            settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
+            if not settled.any():
+                break
+        live = ~settled
+        rngs = list(compress(rngs, live))
+        first = first[live]
+    blocks = (
+        _draw_block(
+            profile, horizon_months, rngs[j : j + width], None if first is None else first[j : j + width]
+        )
+        for j in range(0, len(rngs), width)
+    )
+    return _Run(settled.tolist(), month1, blocks)
+
+
+def _block_lanes(cell: tuple, terms: _CellTerms, blocks: Iterable[_Draws]) -> Iterator[_Lane]:
+    """The cell's lanes over blocks of draws, in trial order."""
+    for draws in blocks:
+        block = _cell_block(cell, terms, draws)
+        for i in range(len(block.exact)):
+            yield _Lane(block, i)
+
+
 def run_trial(
     profile: HouseholdProfile,
     rule: AllocationRule,
@@ -482,6 +610,8 @@ def run_trial(
             if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
                 raise DomainError(f"monthly cash identity violated in month {month}")
 
+        if default_month is None and len(dti_series) < horizon_months:
+            raise DomainError("a trial the month-1 screen settled lived past month 1")
         return TrialOutcome(
             defaulted=default_month is not None,
             default_month=default_month,
@@ -555,10 +685,13 @@ def run_stress(
 
     Trial k always draws from the stream derived from
     (cfg.master_seed, k), so all combinations share shocks (common random
-    numbers).  A profile's trials are drawn in blocks of lanes, and its
-    cells share those blocks up to ``SHARED_DRAW_BYTES``.  Trials run one
-    at a time on the calling thread, each aggregated as it finishes.
-    Output rows are sorted by (profile_id, rule, scenario).
+    numbers).  A profile's trials first pass the month-1 screen, in runs
+    of up to 256 trials: a trial that defaults in month 1 in every cell
+    draws only its first normal.  The rest are drawn in blocks of lanes,
+    and the profile's cells share the runs up to ``SHARED_DRAW_BYTES``.
+    Every trial of every cell still runs through ``run_trial``, one at a
+    time on the calling thread, each aggregated as it finishes.  Output
+    rows are sorted by (profile_id, rule, scenario).
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -570,41 +703,53 @@ def run_stress(
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
     width = max(1, LANE_BLOCK_BYTES // (2 * horizon_months * 8))
-    starts = range(0, cfg.trials, width)
     # a kept lane holds H + 1 income levels, H growth factors and a peak shock
-    shared_blocks = SHARED_DRAW_BYTES // (width * (2 * horizon_months + 2) * 8)
+    kept_trials = SHARED_DRAW_BYTES // (width * (2 * horizon_months + 2) * 8) * width
+    # runs of trials: derive_trial_rng's seeding blocks, cut where kept trials end
+    bounds = sorted({*range(0, cfg.trials, _BLOCK), min(kept_trials, cfg.trials), cfg.trials})
     combos = sorted(
         ((p, r, s) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
     cells_left = Counter(profile for profile, _, _ in combos)
-    kept: dict[HouseholdProfile, list[_Draws]] = {}
+    kept: dict[HouseholdProfile, list[_Run]] = {}
+    screens: dict[HouseholdProfile, Optional[list[tuple]]] = {}
 
-    def draw_blocks(profile: HouseholdProfile):
-        """The profile's draws, block by block; its next cell reuses the
-        first ``shared_blocks`` of them."""
+    def draw_runs(profile: HouseholdProfile):
+        """The profile's screened runs of trials; its next cell reuses the
+        runs before ``kept_trials``."""
+        if profile not in screens:
+            screens[profile] = _month1_cells(profile, rules, scenarios, horizon_months)
         cells_left[profile] -= 1
-        blocks = kept.pop(profile, [])
-        for b, start in enumerate(starts):
-            if b < len(blocks):
-                yield blocks[b]
+        runs = kept.pop(profile, [])
+        for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if r < len(runs):
+                yield runs[r]
                 continue
-            stop = min(start + width, cfg.trials)
-            rngs = [derive_trial_rng(cfg.master_seed, k) for k in range(start, stop)]
-            draws = _draw_block(profile, horizon_months, rngs)
-            if cells_left[profile] and b < shared_blocks:
-                blocks.append(draws)
-            yield draws
+            # only _screen holds the generators, so the settled ones go at once
+            run = _screen(
+                profile, horizon_months,
+                [derive_trial_rng(cfg.master_seed, k) for k in range(start, stop)],
+                screens[profile], width,
+            )  # fmt: skip
+            if cells_left[profile] and stop <= kept_trials:
+                run = run._replace(blocks=list(run.blocks))
+                runs.append(run)
+            yield run
         if cells_left[profile]:
-            kept[profile] = blocks
+            kept[profile] = runs
 
     def lanes(profile, rule, scenario):
         cell = (profile, rule, scenario, horizon_months)
         terms = _cell_terms(profile, scenario, horizon_months)
-        for draws in draw_blocks(profile):
-            block = _cell_block(cell, terms, draws)
-            for i in range(len(block.exact)):
-                yield _Lane(block, i)
+        for run in draw_runs(profile):
+            rest = _block_lanes(cell, terms, run.blocks)
+            if not any(run.settled):
+                yield from rest
+                continue
+            month1 = run.month1[cell]
+            for t, settled in enumerate(run.settled):
+                yield _Lane(month1, t) if settled else next(rest)
 
     metrics: list[StressMetrics] = []
     for profile, rule, scenario in combos:

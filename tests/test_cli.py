@@ -40,7 +40,7 @@ GOOD_ROWS = [
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -592,7 +592,7 @@ class TestStressCommand:
         )
         assert code == 0
         assert f"wrote {out_path}" in capsys.readouterr().out
-        rows = json.loads(out_path.read_text())
+        rows = json.loads(out_path.read_text(encoding="utf-8"))
         assert len(rows) == 1
         assert set(rows[0]) == set(REPORT_COLUMNS)
 

@@ -95,10 +95,11 @@ def test_simulate_caps_path_steps(years, dt, capsys):
 def test_stress_caps_path_steps(years, tmp_path, capsys):
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps(dict(name="a")))
+    scenarios.write_text(json.dumps(dict(name="a")), encoding="utf-8")
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios), "--trials", "1"]
     assert _one_line_error(capsys, argv + ["--horizon-years", years]) == _STEPS_ERROR
 
@@ -290,10 +291,11 @@ def test_stress_overflow_is_one_line_error(profile, scenario, threads, tmp_path,
     row = dict(PROFILE, **profile)
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps(dict(name="a", **scenario)))
+    scenarios.write_text(json.dumps(dict(name="a", **scenario)), encoding="utf-8")
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     with mock.patch.dict(os.environ, {THREADS_ENV_VAR: threads}):
         _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
@@ -340,10 +342,11 @@ def test_stress_overflow_names_its_input(profile, scenario, message, tmp_path, c
     row = dict(PROFILE, **profile)
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps(dict(name="a", **scenario)))
+    scenarios.write_text(json.dumps(dict(name="a", **scenario)), encoding="utf-8")
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
     assert err == f"error: {message} past the money bound\n"
@@ -405,10 +408,11 @@ def test_stress_near_the_money_bound_still_reports(tmp_path, capsys):
     row = dict(PROFILE, sigma_income="1e9")
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(row[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps(dict(name="a")))
+    scenarios.write_text(json.dumps(dict(name="a")), encoding="utf-8")
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     assert main(argv + ["--trials", "3", "--horizon-years", "2"]) == 0
     row = capsys.readouterr().out.splitlines()[1]
@@ -418,10 +422,11 @@ def test_stress_near_the_money_bound_still_reports(tmp_path, capsys):
 def test_stress_int_past_the_float_range_names_its_field(tmp_path, capsys):
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps(dict(name="a", income_shock=10**400)))
+    scenarios.write_text(json.dumps(dict(name="a", income_shock=10**400)), encoding="utf-8")
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "3", "--horizon-years", "2"])
     assert err == "error: $.income_shock: must be within the float range\n"
@@ -431,7 +436,7 @@ def test_report_int_past_the_float_range_names_its_cell(tmp_path, capsys):
     row = dict.fromkeys(REPORT_COLUMNS, 0.5)
     row.update(profile_id="h1", rule="one_third", scenario="a", default_rate=10**400)
     report = tmp_path / "r.json"
-    report.write_text(json.dumps([row]))
+    report.write_text(json.dumps([row]), encoding="utf-8")
     err = _one_line_error(capsys, ["report", "--input", str(report)])
     assert err == "error: $[0].default_rate: must be within the float range\n"
 
@@ -439,10 +444,13 @@ def test_report_int_past_the_float_range_names_its_cell(tmp_path, capsys):
 def test_scenario_onset_past_the_horizon_names_the_scenario(tmp_path, capsys):
     profiles = tmp_path / "p.csv"
     profiles.write_text(
-        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n"
+        ",".join(PROFILE_COLUMNS) + "\n" + ",".join(PROFILE[c] for c in PROFILE_COLUMNS) + "\n",
+        encoding="utf-8",
     )
     scenarios = tmp_path / "s.json"
-    scenarios.write_text(json.dumps([dict(name="early"), dict(name="late", onset_month=121)]))
+    scenarios.write_text(
+        json.dumps([dict(name="early"), dict(name="late", onset_month=121)]), encoding="utf-8"
+    )
     argv = ["stress", "--profiles", str(profiles), "--scenarios", str(scenarios)]
     err = _one_line_error(capsys, argv + ["--trials", "1", "--horizon-years", "10"])
     assert err == "error: scenario 'late': onset_month 121 lies beyond the 120-month horizon\n"

@@ -273,10 +273,10 @@ def _with_output(tmp, argv, output):
 def test_stress_keeps_the_exit_contract(row, scenario, argv, compare, output):
     with tempfile.TemporaryDirectory() as tmp:
         profiles = os.path.join(tmp, "p.csv")
-        with open(profiles, "w") as handle:
+        with open(profiles, "w", encoding="utf-8") as handle:
             handle.write(",".join(PROFILE_COLUMNS) + "\n" + row + "\n")
         scenarios = os.path.join(tmp, "s.json")
-        with open(scenarios, "w") as handle:
+        with open(scenarios, "w", encoding="utf-8") as handle:
             json.dump(scenario, handle)
         argv = argv + ["--profiles", profiles, "--scenarios", scenarios]
         _assert_contract(_with_output(tmp, argv + ["--compare"] * compare, output))
@@ -287,6 +287,6 @@ def test_stress_keeps_the_exit_contract(row, scenario, argv, compare, output):
 def test_report_keeps_the_exit_contract(data, fmt, output):
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "r.json")
-        with open(report, "w") as handle:
+        with open(report, "w", encoding="utf-8") as handle:
             json.dump(data, handle)
         _assert_contract(_with_output(tmp, ["report", "--input", report, "--format", fmt], output))

@@ -21,7 +21,7 @@ from thirdrule.cli import REPORT_COLUMNS, main, render_report
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-with open(os.path.join(_REPO, "perfbench", "fixtures", "digests.json")) as _handle:
+with open(os.path.join(_REPO, "perfbench", "fixtures", "digests.json"), encoding="utf-8") as _handle:
     _BENCH_DIGESTS = json.load(_handle)
 
 
@@ -334,13 +334,13 @@ def test_report_command_round_trips(rows):
     json_text = render_report(rows, "json")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(json_text)
         assert _run(["report", "--input", path, "--format", "json"]) == (0, json_text, "")
         code, csv_text, err = _run(["report", "--input", path])
         out_path = os.path.join(tmp, "report.csv")
         written = _run(["report", "--input", path, "--output", out_path])
-        with open(out_path, newline="") as handle:
+        with open(out_path, newline="", encoding="utf-8") as handle:
             assert handle.read() == csv_text
     assert (code, err) == (0, "")
     assert written == (0, f"wrote {out_path}\n", "")

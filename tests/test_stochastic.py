@@ -25,7 +25,7 @@ from thirdrule import (
     simulate_income_path,
     simulate_savings_path,
 )
-from thirdrule import stochastic
+from thirdrule import stochastic, stress
 from thirdrule.domain import MAX_CENTS
 from thirdrule.stochastic import MAX_STEPS
 
@@ -569,3 +569,50 @@ class TestSavingsPath:
         mean = float(np.mean(finals))
         std = float(np.std(finals))
         assert abs(mean - value) <= 3 * std / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# the facts the stress harness's month-1 screen rests on
+
+
+@pytest.mark.parametrize("steps", [1, 2, 12, 120, 1200])
+@pytest.mark.parametrize("trial_index", [0, 255, 256, 4097])
+def test_a_draw_split_after_its_first_normal_gives_the_same_bytes(steps, trial_index):
+    # The screen draws a trial's first normal alone and its other 2H - 1
+    # later, from the same generator.
+    whole = derive_trial_rng(11, trial_index).standard_normal((2, steps))
+    for first_draw in (lambda rng: rng.standard_normal(1), lambda rng: [rng.standard_normal()]):
+        rng = derive_trial_rng(11, trial_index)
+        split = np.concatenate([first_draw(rng), rng.standard_normal(2 * steps - 1)])
+        assert split.tobytes() == whole.reshape(-1).tobytes()
+    rng = derive_trial_rng(11, trial_index)
+    row = np.empty(2 * steps)
+    row[0] = rng.standard_normal()
+    rng.standard_normal(out=row[1:])
+    assert row.tobytes() == whole.reshape(-1).tobytes()
+
+
+@given(
+    start_c=st.one_of(st.just(0), st.integers(0, 10**9)),
+    mu=st.floats(-2.0, 2.0),
+    sigma_income=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+    lanes=st.integers(1, 5),
+    steps=st.one_of(st.just(1), st.integers(1, 240)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_one_step_level_equals_the_first_step_of_the_path(
+    start_c, mu, sigma_income, lanes, steps, seed
+):
+    shocks = np.stack([derive_trial_rng(seed, k).standard_normal(steps) for k in range(lanes)])
+    path = income_levels(start_c / 100, mu, sigma_income, 1 / 12, shocks)
+    first = income_levels(start_c / 100, mu, sigma_income, 1 / 12, shocks[:, :1])
+    assert first.tobytes() == path[:, :2].tobytes()
+
+
+def test_the_screen_bound_holds_every_normal_numpy_draws():
+    # numpy's ziggurat returns a point of one of its rectangles, all within
+    # r, or r + x from its tail, where x = -log1p(-U) / r and the uniform U
+    # has 53 bits, so U <= 1 - 2**-53.
+    r = 3.6541528853610088
+    largest_u = 1.0 - 2.0**-53
+    assert stress._NORMAL_BOUND >= r - math.log1p(-largest_u) / r

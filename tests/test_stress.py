@@ -118,7 +118,7 @@ TRACED_CLI_CALLS = {
 def _traced_patches():
     """(module, attribute) for each name perfbench/traced.py patches: every
     ``CLI_CALLS`` entry on ``cli`` and every ``patch(module, "name", ...)``."""
-    with open(os.path.join(_REPO, "perfbench", "traced.py")) as handle:
+    with open(os.path.join(_REPO, "perfbench", "traced.py"), encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     patched = set()
     for node in ast.walk(tree):
@@ -138,7 +138,7 @@ def _fresh_python(*args):
     src = os.path.dirname(os.path.dirname(thirdrule.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, encoding="utf-8", timeout=60
     )
 
 

@@ -377,6 +377,62 @@ def test_run_stress_matches_reference_loop_when_later_cells_draw_again(monkeypat
     assert len(streams) == 2 * (11 + 5 * 8)
 
 
+# Under one_third, most trials of _BASE default in month 1 in both scenarios.
+_DROPS = [
+    ScenarioSpec(f"drop{-shock}", income_shock=shock, apr_multiplier=1.3, duration_months=6)
+    for shock in (-0.12, -0.15)
+]
+
+
+def test_kept_and_redrawn_blocks_with_settled_lanes_match_reference_loop(monkeypatch):
+    # Most trials default in month 1 in both cells, so the month-1 screen
+    # settles them.  A block holds 3 lanes, and the first 6 trials are kept
+    # for the later cell; it derives the other 34 again.
+    horizon = 24
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * horizon * 8)
+    monkeypatch.setattr(stress, "SHARED_DRAW_BYTES", 2 * 3 * (2 * horizon + 2) * 8)
+    streams = []
+
+    def derive(master_seed, trial_index):
+        streams.append(trial_index)
+        return derive_trial_rng(master_seed, trial_index)
+
+    screened = []
+    screen = stress._screen
+
+    def counted_screen(*args):
+        run = screen(*args)
+        screened.append((len(run.settled), sum(run.settled)))
+        return run
+
+    monkeypatch.setattr(stress, "derive_trial_rng", derive)
+    monkeypatch.setattr(stress, "_screen", counted_screen)
+    cfg = PathConfig(horizon_years=horizon / 12, trials=40, master_seed=4)
+    args = ([HouseholdProfile(**_BASE)], [AllocationRule.one_third()], _DROPS, cfg)
+    assert run_stress(*args) == _reference_run_stress(*args)
+    # the kept run, the rest, and the rest drawn again for the later cell
+    assert [n for n, _ in screened] == [6, 34, 34]
+    assert all(0 < settled < n for n, settled in screened)
+    assert sum(settled for _, settled in screened[:2]) > 40 / 2
+    # every trial once for the first cell, then trials 6..39 once more
+    assert sorted(streams) == sorted([*range(40), *range(6, 40)])
+
+
+def test_a_settled_lane_that_does_not_default_raises():
+    profile = HouseholdProfile(**_BASE)
+    rule = AllocationRule.one_third()
+    [(cell, terms, _)] = stress._month1_cells(profile, [rule], [BASELINE_SCENARIO], 12)
+    # month 1 at the profile's own income: the debt and expense buckets cover it
+    draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
+    lane = stress._Lane(stress._cell_block(cell, terms, draws), 0)
+    with pytest.raises(DomainError, match="settled"):
+        run_trial(profile, rule, BASELINE_SCENARIO, 12, lane)
+    # a one-month horizon walks the whole of it
+    [(cell, terms, _)] = stress._month1_cells(profile, [rule], [BASELINE_SCENARIO], 1)
+    lane = stress._Lane(stress._cell_block(cell, terms, draws), 0)
+    assert not run_trial(profile, rule, BASELINE_SCENARIO, 1, lane).defaulted
+
+
 # Grids on both sides of the income bound past which run_stress draws every
 # trial's whole row, and past which income leaves Money or a float.
 _BIG_DEBT = dict(debt_balance=Money.of("2000000"), debt_apr=0.3)  # interest swamps any split
@@ -386,12 +442,37 @@ _EDGE_PROFILES = [
     dict(_BASE, sigma_income=1e308),  # income overflows a float, or the zero floor hides it
     dict(_BASE, **_BIG_DEBT, sigma_income=1e308),
     dict(_BASE, mu=1e308),  # the cell's own terms break the bound
+    dict(_BASE, sigma_market=1e308),  # savings overflow a float after month 1
 ]
 _EDGE_SCENARIOS = [
     ScenarioSpec("shock", income_shock=1e300, onset_month=13),
     ScenarioSpec("late", onset_month=61),  # past every horizon drawn
     ScenarioSpec("inflation", inflation_annual=1e300),
 ]
+
+
+@pytest.mark.parametrize(
+    "profile, scenarios",
+    [
+        # no expenses: only interest the debt bucket cannot cover defaults
+        (HouseholdProfile(**dict(_BASE, **_BIG_DEBT, baseline_expenses=Money(0))), _DROPS),
+        (HouseholdProfile(**_BASE), _DROPS),
+        (HouseholdProfile(**_BASE), _DROPS + [BASELINE_SCENARIO]),
+    ],
+)
+def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(profile, scenarios):
+    rules = [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))]
+    cells = stress._month1_cells(profile, rules, scenarios, 24)
+    run = stress._screen(profile, 24, [derive_trial_rng(9, k) for k in range(60)], cells, 7)
+    want = [
+        all(
+            run_trial(profile, rule, scenario, 24, derive_trial_rng(9, k)).default_month == 1
+            for rule in rules
+            for scenario in scenarios
+        )
+        for k in range(60)
+    ]
+    assert run.settled == want
 
 
 def _grid_config(horizon, trials, seed):
@@ -442,6 +523,7 @@ def _edge_grid(profiles, scenarios, horizon=24, trials=80, seed=3, rules=None):
 # a good cell, then a cell whose own terms break the bound
 @example(_edge_grid([_EDGE_PROFILES[0]], [ScenarioSpec("a"), _EDGE_SCENARIOS[2]]))
 @example(_edge_grid([_BASE], [ScenarioSpec("a"), _EDGE_SCENARIOS[0]]))
+@example(_edge_grid([_EDGE_PROFILES[5]], [ScenarioSpec("a"), _EDGE_SCENARIOS[2]]))
 @example(_edge_grid([_EDGE_PROFILES[1], _EDGE_PROFILES[0]], [ScenarioSpec("a")]))
 def test_run_stress_matches_trials_run_alone(grid):
     # run_stress's rows are the reference loop's; its error is the first one
