@@ -497,7 +497,6 @@ def _grids(draw):
         else _draw_scenario(draw, horizon, f"s{i}")
         for i in range(draw(st.integers(1, 3)))
     ]
-    scenarios = list({s.name: s for s in scenarios}.values())
     trials = draw(st.integers(1, 80))
     return profiles, rules, scenarios, _grid_config(horizon, trials, draw(st.integers(0, 2**32 - 1)))
 
@@ -520,10 +519,13 @@ def _edge_grid(profiles, scenarios, horizon=24, trials=80, seed=3, rules=None):
 # a good profile, then one whose income overflows a float, with and without defaults
 @example(_edge_grid([_BASE, _EDGE_PROFILES[2]], [ScenarioSpec("a")]))
 @example(_edge_grid([_BASE, _EDGE_PROFILES[3]], [ScenarioSpec("a")], horizon=1, seed=2))
-# a good cell, then a cell whose own terms break the bound
+# a cell, then one whose own terms break the bound: the first cell's trials
+# all default in month 1, or overflow savings after it
 @example(_edge_grid([_EDGE_PROFILES[0]], [ScenarioSpec("a"), _EDGE_SCENARIOS[2]]))
-@example(_edge_grid([_BASE], [ScenarioSpec("a"), _EDGE_SCENARIOS[0]]))
 @example(_edge_grid([_EDGE_PROFILES[5]], [ScenarioSpec("a"), _EDGE_SCENARIOS[2]]))
+# a good cell, then one whose trials live to income past the bound
+@example(_edge_grid([_BASE], [ScenarioSpec("a"), _EDGE_SCENARIOS[0]]))
+# a profile past the screen's bound whose trials raise, before one whose trials all settle
 @example(_edge_grid([_EDGE_PROFILES[1], _EDGE_PROFILES[0]], [ScenarioSpec("a")]))
 def test_run_stress_matches_trials_run_alone(grid):
     # run_stress's rows are the reference loop's; its error is the first one
