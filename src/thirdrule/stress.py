@@ -51,7 +51,8 @@ ahead of the month loop, in layers:
 - per profile, for a block of the trials the screen did not settle
   (lanes): each trial's shocks from its own stream, the income levels, the
   mixed market shocks and the savings growth factors (``_draw_block``).
-  Every rule and scenario cell of the profile reuses the block;
+  Every rule and scenario cell of the profile runs the block before the
+  next is drawn, so ``run_stress`` makes one pass over a profile's trials;
 - per cell, for the same block: income in cents, the rule's cent split
   through ``_split_cents`` and the expense shortfall and residual
   (``_cell_block``).
@@ -64,19 +65,19 @@ income leaves the money bound in some month computes its terms month by
 month in Python ints instead, as a trial run alone would, so a trial
 whose income or savings outgrows Money or a float raises in the same
 month, naming the field behind it.  A settled lane that does not default
-in month 1 raises ``DomainError``: no trial ends early.
+in month 1 raises ``DomainError``: no trial ends early.  ``run_stress``
+raises the first error in row order, whichever block it comes from.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, count
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -286,10 +287,6 @@ def _overflow_cause(
 # A block of trials draws this many bytes of standard normals, 2 a month
 # per trial (lane); its month terms are computed together.
 LANE_BLOCK_BYTES = 32 * 1024
-# A profile keeps its first draw blocks for its later cells up to this many
-# bytes, and draws the blocks past it again for each cell: enough for 100
-# trials of 10 years, and under 1 % of a stress run's resident memory.
-SHARED_DRAW_BYTES = 256 * 1024
 # The month terms a trial reads before it may need the rest.
 _FIRST_MONTHS = 12
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
@@ -523,14 +520,6 @@ def _screen(
     return _Run(settled.tolist(), month1, blocks)
 
 
-def _block_lanes(cell: tuple, terms: _CellTerms, blocks: Iterable[_Draws]) -> Iterator[_Lane]:
-    """The cell's lanes over blocks of draws, in trial order."""
-    for draws in blocks:
-        block = _cell_block(cell, terms, draws)
-        for i in range(len(block.exact)):
-            yield _Lane(block, i)
-
-
 def run_trial(
     profile: HouseholdProfile,
     rule: AllocationRule,
@@ -632,33 +621,39 @@ def run_trial(
         raise _overflow_cause(profile, scenario, terms, levels, z_peak) from None
 
 
+class _Tally:
+    """The running sums ``_aggregate`` reads from a cell's trial outcomes."""
+
+    def __init__(self, outcomes: Iterable[TrialOutcome] = ()) -> None:
+        self.defaults = self.final_cents = self.months = 0
+        self.dti_violations = self.ser_violations = 0
+        self.clearance_months: list[int] = []
+        for outcome in outcomes:
+            self.add(outcome)
+
+    def add(self, outcome: TrialOutcome) -> None:
+        self.defaults += outcome.defaulted
+        if outcome.debt_cleared_month is not None:
+            self.clearance_months.append(outcome.debt_cleared_month)
+        self.final_cents += outcome.final_savings.cents
+        self.months += len(outcome.dti_series)
+        self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
+        self.ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
+
+
 def _aggregate(
     profile: HouseholdProfile,
     rule: AllocationRule,
     scenario: ScenarioSpec,
     horizon_months: int,
-    outcomes: Iterable[TrialOutcome],
+    outcomes: Iterable[TrialOutcome] | _Tally,
     trials: int,
 ) -> StressMetrics:
-    defaults = 0
-    clearance_months: list[int] = []
-    final_cents_total = 0
-    months_total = 0
-    dti_violations = 0
-    ser_violations = 0
-    for outcome in outcomes:
-        if outcome.defaulted:
-            defaults += 1
-        if outcome.debt_cleared_month is not None:
-            clearance_months.append(outcome.debt_cleared_month)
-        final_cents_total += outcome.final_savings.cents
-        months_total += len(outcome.dti_series)
-        dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
-        ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
+    tally = outcomes if isinstance(outcomes, _Tally) else _Tally(outcomes)
     median_years = (
-        statistics.median(clearance_months) / _MONTHS_PER_YEAR if clearance_months else None
+        statistics.median(tally.clearance_months) / _MONTHS_PER_YEAR if tally.clearance_months else None
     )
-    mean_final = Money(_round_div(final_cents_total, trials))
+    mean_final = Money(_round_div(tally.final_cents, trials))
     final_due_c = _cell_terms(profile, scenario, horizon_months).due_c[-1]
     coverage = mean_final.cents / final_due_c if final_due_c > 0 else None
     return StressMetrics(
@@ -666,13 +661,41 @@ def _aggregate(
         rule=rule.rule_id,
         scenario=scenario.name,
         trials=trials,
-        default_rate=defaults / trials,
+        default_rate=tally.defaults / trials,
         median_clearance_years=median_years,
         mean_final_savings=mean_final,
         months_expense_coverage=coverage,
-        dti_violation_rate=dti_violations / months_total if months_total else 0.0,
-        ser_violation_rate=ser_violations / months_total if months_total else 0.0,
+        dti_violation_rate=tally.dti_violations / tally.months if tally.months else 0.0,
+        ser_violation_rate=tally.ser_violations / tally.months if tally.months else 0.0,
     )
+
+
+def _trial_blocks(
+    profile: HouseholdProfile,
+    rules: Sequence[AllocationRule],
+    scenarios: Sequence[ScenarioSpec],
+    cfg: PathConfig,
+    width: int,
+) -> Iterator[tuple[Callable[[tuple, _CellTerms], _CellBlock], Sequence[int]]]:
+    """The profile's trials in the order each of its cells runs them: per
+    run of up to 256 trials, the month-1 lanes of the trials the screen
+    settles, then the other trials in blocks of ``width`` lanes, each drawn
+    when asked for.  Each comes as a function from a cell and its terms to
+    the cell's block, and the block's lanes to run."""
+    horizon_months = cfg.steps
+    cells = _month1_cells(profile, rules, scenarios, horizon_months)
+    for start in range(0, cfg.trials, _BLOCK):
+        # only _screen holds the generators, so the settled ones go at once
+        run = _screen(
+            profile, horizon_months,
+            [derive_trial_rng(cfg.master_seed, k) for k in range(start, min(start + _BLOCK, cfg.trials))],
+            cells, width,
+        )  # fmt: skip
+        settled = list(compress(count(), run.settled))
+        if settled:
+            yield (lambda cell, _: run.month1[cell]), settled
+        for draws in run.blocks:
+            yield partial(_cell_block, draws=draws), range(len(draws.z_peak))
 
 
 def run_stress(
@@ -685,13 +708,17 @@ def run_stress(
 
     Trial k always draws from the stream derived from
     (cfg.master_seed, k), so all combinations share shocks (common random
-    numbers).  A profile's trials first pass the month-1 screen, in runs
-    of up to 256 trials: a trial that defaults in month 1 in every cell
-    draws only its first normal.  The rest are drawn in blocks of lanes,
-    and the profile's cells share the runs up to ``SHARED_DRAW_BYTES``.
-    Every trial of every cell still runs through ``run_trial``, one at a
-    time on the calling thread, each aggregated as it finishes.  Output
-    rows are sorted by (profile_id, rule, scenario).
+    numbers).  Each profile makes one pass over its trials, in runs of up
+    to 256: the month-1 screen settles the trials that default in month 1
+    in every cell, which draw only their first normal, and the others are
+    drawn in blocks of lanes.  Every cell of the profile runs a block
+    before the next is drawn, so a trial's stream is derived once per
+    profile.  Every trial of every cell still runs through ``run_trial``,
+    one at a time on the calling thread, and is tallied as it finishes.
+    Output rows are sorted by (profile_id, rule, scenario).
+
+    The error raised is the first in row order: a cell stops at its first
+    error, from its terms or a trial, and so does every later row.
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -703,63 +730,35 @@ def run_stress(
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
     width = max(1, LANE_BLOCK_BYTES // (2 * horizon_months * 8))
-    # a kept lane holds H + 1 income levels, H growth factors and a peak shock
-    kept_trials = SHARED_DRAW_BYTES // (width * (2 * horizon_months + 2) * 8) * width
-    # runs of trials: derive_trial_rng's seeding blocks, cut where kept trials end
-    bounds = sorted({*range(0, cfg.trials, _BLOCK), min(kept_trials, cfg.trials), cfg.trials})
-    combos = sorted(
-        ((p, r, s) for p in profiles for r in rules for s in scenarios),
+    cells = sorted(
+        ((p, r, s, horizon_months) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
-    cells_left = Counter(profile for profile, _, _ in combos)
-    kept: dict[HouseholdProfile, list[_Run]] = {}
-    screens: dict[HouseholdProfile, Optional[list[tuple]]] = {}
+    rows_of: dict[HouseholdProfile, list[int]] = {}
+    for row, cell in enumerate(cells):
+        rows_of.setdefault(cell[0], []).append(row)
+    tallies = [_Tally() for _ in cells]
+    stop, error = len(cells), None  # the first failed row and its error
 
-    def draw_runs(profile: HouseholdProfile):
-        """The profile's screened runs of trials; its next cell reuses the
-        runs before ``kept_trials``."""
-        if profile not in screens:
-            screens[profile] = _month1_cells(profile, rules, scenarios, horizon_months)
-        cells_left[profile] -= 1
-        runs = kept.pop(profile, [])
-        for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            if r < len(runs):
-                yield runs[r]
-                continue
-            # only _screen holds the generators, so the settled ones go at once
-            run = _screen(
-                profile, horizon_months,
-                [derive_trial_rng(cfg.master_seed, k) for k in range(start, stop)],
-                screens[profile], width,
-            )  # fmt: skip
-            if cells_left[profile] and stop <= kept_trials:
-                run = run._replace(blocks=list(run.blocks))
-                runs.append(run)
-            yield run
-        if cells_left[profile]:
-            kept[profile] = runs
-
-    def lanes(profile, rule, scenario):
-        cell = (profile, rule, scenario, horizon_months)
-        terms = _cell_terms(profile, scenario, horizon_months)
-        for run in draw_runs(profile):
-            rest = _block_lanes(cell, terms, run.blocks)
-            if not any(run.settled):
-                yield from rest
-                continue
-            month1 = run.month1[cell]
-            for t, settled in enumerate(run.settled):
-                yield _Lane(month1, t) if settled else next(rest)
-
-    metrics: list[StressMetrics] = []
-    for profile, rule, scenario in combos:
-        # lazy, so each trial runs (and can be traced) inside _aggregate
-        outcomes = (
-            run_trial(profile, rule, scenario, horizon_months, lane)
-            for lane in lanes(profile, rule, scenario)
-        )
-        metrics.append(_aggregate(profile, rule, scenario, horizon_months, outcomes, cfg.trials))
-    return metrics
+    for profile, rows in rows_of.items():
+        if rows[0] >= stop:  # profiles come in row order, so none left can run
+            break
+        for build, lanes in _trial_blocks(profile, rules, scenarios, cfg, width):
+            for row in rows:
+                if row >= stop:
+                    break
+                cell = cells[row]
+                try:
+                    block = build(cell, _cell_terms(profile, cell[2], horizon_months))
+                    for i in lanes:
+                        tallies[row].add(run_trial(*cell, _Lane(block, i)))
+                except ValueError as exc:  # DomainError or ValidationError
+                    stop, error = row, exc
+            if rows[0] >= stop:  # every cell of the profile has stopped
+                break
+    if error is not None:
+        raise error
+    return [_aggregate(*cell, tally, cfg.trials) for cell, tally in zip(cells, tallies)]
 
 
 def debt_clearance_time(balance: Money, annual_payment: Money, apr: float) -> float:

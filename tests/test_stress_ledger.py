@@ -12,6 +12,7 @@ import inspect
 import math
 import os
 import warnings
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 from unittest import mock
@@ -356,27 +357,6 @@ def test_run_stress_matches_reference_loop(trials):
     assert run_stress(*args) == _reference_run_stress(*args)
 
 
-def test_run_stress_matches_reference_loop_when_later_cells_draw_again(monkeypatch):
-    # A block holds 3 lanes, and only the first of a profile's four blocks
-    # is kept for its later cells.
-    horizon = 24
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * horizon * 8)
-    monkeypatch.setattr(stress, "SHARED_DRAW_BYTES", 3 * (2 * horizon + 2) * 8)
-    streams = []
-
-    def derive(master_seed, trial_index):
-        streams.append(trial_index)
-        return derive_trial_rng(master_seed, trial_index)
-
-    monkeypatch.setattr(stress, "derive_trial_rng", derive)
-    cfg = PathConfig(horizon_years=horizon / 12, trials=11, master_seed=8)
-    args = (_MIXED_PROFILES, _MIXED_RULES[:2], _MIXED_SCENARIOS, cfg)
-    assert run_stress(*args) == _reference_run_stress(*args)
-    # per profile: every trial for its first cell, then trials 3..10 for
-    # each of its 5 later cells
-    assert len(streams) == 2 * (11 + 5 * 8)
-
-
 # Under one_third, most trials of _BASE default in month 1 in both scenarios.
 _DROPS = [
     ScenarioSpec(f"drop{-shock}", income_shock=shock, apr_multiplier=1.3, duration_months=6)
@@ -384,38 +364,98 @@ _DROPS = [
 ]
 
 
-def test_kept_and_redrawn_blocks_with_settled_lanes_match_reference_loop(monkeypatch):
-    # Most trials default in month 1 in both cells, so the month-1 screen
-    # settles them.  A block holds 3 lanes, and the first 6 trials are kept
-    # for the later cell; it derives the other 34 again.
-    horizon = 24
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * horizon * 8)
-    monkeypatch.setattr(stress, "SHARED_DRAW_BYTES", 2 * 3 * (2 * horizon + 2) * 8)
-    streams = []
+# Two profiles and 8 cells: "p" mixes settled and unsettled trials in both
+# seeding runs of its 300 trials, and the screen settles every trial of "q".
+_SCREENED_GRID = (
+    [
+        HouseholdProfile(**_BASE),
+        HouseholdProfile(**dict(
+            _BASE, profile_id="q", debt_balance=Money.of("2000000"), debt_apr=0.3,
+            baseline_expenses=Money(0),
+        )),
+    ],
+    [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))],
+    _DROPS,
+    PathConfig(horizon_years=5, trials=300, master_seed=5),
+)  # fmt: skip
+
+
+def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
+    # A block holds 3 lanes of 60 months; 256 KiB of draws would hold
+    # fewer than the grid's 300 trials.
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 60 * 8)
+    streams = Counter()
 
     def derive(master_seed, trial_index):
-        streams.append(trial_index)
+        streams[master_seed, trial_index] += 1
         return derive_trial_rng(master_seed, trial_index)
 
     screened = []
     screen = stress._screen
 
-    def counted_screen(*args):
-        run = screen(*args)
-        screened.append((len(run.settled), sum(run.settled)))
+    def counted_screen(profile, *args):
+        run = screen(profile, *args)
+        screened.append((profile.profile_id, len(run.settled), sum(run.settled)))
         return run
 
     monkeypatch.setattr(stress, "derive_trial_rng", derive)
     monkeypatch.setattr(stress, "_screen", counted_screen)
-    cfg = PathConfig(horizon_years=horizon / 12, trials=40, master_seed=4)
-    args = ([HouseholdProfile(**_BASE)], [AllocationRule.one_third()], _DROPS, cfg)
-    assert run_stress(*args) == _reference_run_stress(*args)
-    # the kept run, the rest, and the rest drawn again for the later cell
-    assert [n for n, _ in screened] == [6, 34, 34]
-    assert all(0 < settled < n for n, settled in screened)
-    assert sum(settled for _, settled in screened[:2]) > 40 / 2
-    # every trial once for the first cell, then trials 6..39 once more
-    assert sorted(streams) == sorted([*range(40), *range(6, 40)])
+    assert run_stress(*_SCREENED_GRID) == _reference_run_stress(*_SCREENED_GRID)
+    assert streams == {(5, k): 2 for k in range(300)}
+    assert [(pid, n) for pid, n, _ in screened] == [("p", 256), ("p", 44), ("q", 256), ("q", 44)]
+    assert all(0 < settled < n for pid, n, settled in screened if pid == "p")
+    assert all(settled == n for pid, n, settled in screened if pid == "q")
+
+
+def _failing_run_trial(monkeypatch, fail_at):
+    """Patch stress.run_trial to raise a DomainError, naming the cell, on
+    the cell's n-th trial for each (rule, scenario name): n of ``fail_at``.
+    Return the log of the (rule, scenario name, n) it runs."""
+    calls = []
+    real = stress.run_trial
+
+    def run_trial(profile, rule, scenario, horizon_months, rng):
+        key = (rule.rule_id.value, scenario.name)
+        calls.append((*key, sum(call[:2] == key for call in calls) + 1))
+        if fail_at.get(key) == calls[-1][2]:
+            raise DomainError(f"{key} failed")
+        return real(profile, rule, scenario, horizon_months, rng)
+
+    monkeypatch.setattr(stress, "run_trial", run_trial)
+    return calls
+
+
+# Nothing is owed in month 1, so the screen settles no trial and each cell
+# runs its trials in trial order.
+_UNSETTLED = HouseholdProfile(**dict(_BASE, debt_balance=Money(0), baseline_expenses=Money(0)))
+
+
+def test_an_earlier_cells_later_trial_error_beats_a_later_cells_first(monkeypatch):
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    calls = _failing_run_trial(
+        monkeypatch, {("one_third", "baseline"): 40, ("seventy_twenty_ten", "baseline"): 1}
+    )
+    cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
+    rules = [AllocationRule.seventy_twenty_ten(), AllocationRule.one_third()]
+    with pytest.raises(DomainError, match="one_third"):
+        run_stress([_UNSETTLED], rules, [BASELINE_SCENARIO], cfg)
+    # the later cell failed in the first block, and the earlier ran on alone
+    assert calls[:4] == [("one_third", "baseline", k) for k in (1, 2, 3)] + [
+        ("seventy_twenty_ten", "baseline", 1)
+    ]
+    assert calls[4:] == [("one_third", "baseline", k) for k in range(4, 41)]
+
+
+def test_an_earlier_cells_trial_error_beats_a_later_cells_terms_error(monkeypatch):
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    calls = _failing_run_trial(monkeypatch, {("one_third", "a"): 40})
+    cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
+    scenarios = [ScenarioSpec("a"), ScenarioSpec("b", onset_month=25)]  # b starts past the horizon
+    with pytest.raises(ValidationError, match="onset_month"):
+        stress._cell_terms(_UNSETTLED, scenarios[1], 24)
+    with pytest.raises(DomainError, match="'a'"):
+        run_stress([_UNSETTLED], [AllocationRule.one_third()], scenarios, cfg)
+    assert calls == [("one_third", "a", k) for k in range(1, 41)]
 
 
 def test_a_settled_lane_that_does_not_default_raises():
@@ -648,3 +688,25 @@ def test_stress_seams_keep_their_names():
         "_split_cents",
     ):
         assert callable(getattr(stress, name)), name
+
+
+def test_run_stress_calls_its_seams_once_per_row_and_trial(monkeypatch):
+    # The traced benchmark times each row in _aggregate and each trial in
+    # run_trial, through the module namespace; settled lanes count too.
+    aggregated, trials = [], Counter()
+    aggregate, trial = stress._aggregate, stress.run_trial
+
+    def counted_aggregate(profile, rule, scenario, *args):
+        aggregated.append((profile.profile_id, rule.rule_id.value, scenario.name))
+        return aggregate(profile, rule, scenario, *args)
+
+    def counted_trial(profile, rule, scenario, *args):
+        trials[profile.profile_id, rule.rule_id.value, scenario.name] += 1
+        return trial(profile, rule, scenario, *args)
+
+    monkeypatch.setattr(stress, "_aggregate", counted_aggregate)
+    monkeypatch.setattr(stress, "run_trial", counted_trial)
+    rows = run_stress(*_SCREENED_GRID)
+    assert aggregated == [(row.profile_id, row.rule.value, row.scenario) for row in rows]
+    assert len(rows) == 8
+    assert trials == {row: 300 for row in aggregated}
