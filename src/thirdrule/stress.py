@@ -37,12 +37,13 @@ ahead of the month loop, in layers:
   once.  Savings start at zero, so a trial defaults in month 1 exactly
   when its expense shortfall plus the interest its debt bucket cannot
   cover is positive.  A trial that defaults there in every cell is
-  settled: it draws nothing more, and its lane holds month 1 only.  The
-  others draw the rest of their rows from the same generators; split
-  draws are the bytes of one draw, so the cells keep common random
-  numbers.  A profile is screened only when a bound on its income shows
-  that no month of any trial can leave ``MAX_CENTS`` or overflow a float,
-  and no cell's terms raise, so no month the screen skips could raise;
+  settled: it draws nothing more, and the settled trials reach every cell
+  as one block of one-month lanes, their month-1 levels.  The others draw
+  the rest of their rows from the same generators; split draws are the
+  bytes of one draw, so the cells keep common random numbers.  A profile
+  is screened only when a bound on its income shows that no month of any
+  trial can leave ``MAX_CENTS`` or overflow a float, and no cell's terms
+  raise, so no month the screen skips could raise;
 - per (profile, scenario) cell, once: the shock window's income factor,
   the expenses due and the monthly debt rate (``_cell_terms``).  Building
   them checks that income drift, expenses due and interest on the opening
@@ -53,20 +54,20 @@ ahead of the month loop, in layers:
   mixed market shocks and the savings growth factors (``_draw_block``).
   Every rule and scenario cell of the profile runs the block before the
   next is drawn, so ``run_stress`` makes one pass over a profile's trials;
-- per cell, for the same block: income in cents, the rule's cent split
-  through ``_split_cents`` and the expense shortfall and residual
-  (``_cell_block``).
+- per cell, for each block, settled or drawn: income in cents, the
+  rule's cent split through ``_split_cents`` and the expense shortfall and
+  residual, for as many months as the block's lanes hold (``_cell_block``).
 
 The month loop in ``run_trial`` carries only the debt and savings
 recursion: interest, principal, the default test, the savings balance,
-the ratios and the cash identity.  It reads one trial's lane, the first
-months first and the rest only if the trial lives on.  A lane whose
-income leaves the money bound in some month computes its terms month by
-month in Python ints instead, as a trial run alone would, so a trial
-whose income or savings outgrows Money or a float raises in the same
-month, naming the field behind it.  A settled lane that does not default
-in month 1 raises ``DomainError``: no trial ends early.  ``run_stress``
-raises the first error in row order, whichever block it comes from.
+the ratios and the cash identity.  It reads one trial's lane, converting
+its months to Python numbers in one step.  A lane whose income leaves the
+money bound in some month computes its terms month by month in Python
+ints instead, as a trial run alone would, so a trial whose income or
+savings outgrows Money or a float raises in the same month, naming the
+field behind it.  A settled lane that does not default in month 1 raises
+``DomainError``: no trial ends early.  ``run_stress`` raises the first
+error in row order, whichever block it comes from.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, count
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -287,8 +288,6 @@ def _overflow_cause(
 # A block of trials draws this many bytes of standard normals, 2 a month
 # per trial (lane); its month terms are computed together.
 LANE_BLOCK_BYTES = 32 * 1024
-# The month terms a trial reads before it may need the rest.
-_FIRST_MONTHS = 12
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
 # a point of a rectangle, all within r = 3.6541528853610088, or from its
 # tail r + x with x = -ln(1 - U) / r for a uniform U of 53 bits, at most
@@ -297,7 +296,8 @@ _NORMAL_BOUND = 20.0
 
 
 class _Draws(NamedTuple):
-    """One profile's draws for a block of trials, one row (lane) a trial."""
+    """One profile's draws for a block of trials, one row (lane) a trial,
+    of H months: the horizon, or month 1 alone for the settled trials."""
 
     levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
@@ -374,8 +374,11 @@ def _split_args(rule: AllocationRule) -> tuple[int, int, int, int]:
 
 
 def _cell_block(cell: tuple, terms: _CellTerms, draws: _Draws) -> _CellBlock:
+    """The cell's month terms for the months the draws hold, which may be
+    fewer than its terms'."""
+    n_months = draws.growth.shape[1]
     with np.errstate(all="ignore"):
-        income = _raw_income_c(draws.levels[:, 1:], np.asarray(terms.income_factor))
+        income = _raw_income_c(draws.levels[:, 1:], np.asarray(terms.income_factor[:n_months]))
         exact = ~(income.max(axis=1) <= MAX_CENTS)  # NaN is not <= either
         income[exact] = 0.0  # nothing reads these lanes' int64 terms
         income_c = np.rint(income, out=income).astype(np.int64)
@@ -385,7 +388,7 @@ def _cell_block(cell: tuple, terms: _CellTerms, draws: _Draws) -> _CellBlock:
         exact[:] = True  # every lane splits in Python ints, month by month
         return _CellBlock(cell, terms, draws, None, exact)
     debt_c, savings_c, expenses_c = _split_cents(income_c, *fractions)
-    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(terms.due_c))
+    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(terms.due_c[:n_months]))
     months = np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c))
     return _CellBlock(cell, terms, draws, months, exact)
 
@@ -399,21 +402,14 @@ class _Lane(NamedTuple):
 
 def _lane_months(lane: _Lane) -> Iterator[tuple]:
     """(month, income, debt bucket, savings bucket, shortfall, residual,
-    growth, due, rate) of one lane as Python numbers: the first months, then
-    the rest once the trial reaches them."""
+    growth, due, rate) of each month of one lane, as Python numbers."""
     block, i = lane
     terms = block.terms
-    growth = block.draws.growth[i]
+    growth = block.draws.growth[i].tolist()
     if block.exact[i]:
         levels = block.draws.levels[i, 1:].tolist()
-        return _exact_months(levels, growth.tolist(), terms, _split_args(block.cell[1]))
-    return chain.from_iterable(
-        zip(
-            count(part.start + 1), *block.months[:, i, part].tolist(), growth[part].tolist(),
-            terms.due_c[part], terms.rate[part],
-        )  # fmt: skip
-        for part in (slice(0, _FIRST_MONTHS), slice(_FIRST_MONTHS, None))
-    )
+        return _exact_months(levels, growth, terms, _split_args(block.cell[1]))
+    return zip(count(1), *block.months[:, i].tolist(), growth, terms.due_c, terms.rate)
 
 
 def _exact_months(levels, growth, terms: _CellTerms, fractions: tuple[int, int, int, int]):
@@ -435,8 +431,8 @@ def _month1_cells(
     scenarios: Sequence[ScenarioSpec],
     horizon_months: int,
 ) -> Optional[list[tuple]]:
-    """(cell, month-1 terms, month-1 interest on the opening debt) of each
-    of the profile's cells, for the month-1 screen.
+    """(cell, terms, month-1 interest on the opening debt) of each of the
+    profile's cells, for the month-1 screen.
 
     None when the screen must not run: income may leave the money bound or
     overflow a float in some month, so that a trial's later months raise
@@ -458,11 +454,8 @@ def _month1_cells(
             terms = _cell_terms(profile, scenario, horizon_months)
         except (DomainError, ValidationError):
             return None
-        first = terms._replace(
-            income_factor=terms.income_factor[:1], due_c=terms.due_c[:1], rate=terms.rate[:1]
-        )
         interest_c = round(profile.debt_balance.cents * terms.rate[0])
-        cells.extend(((profile, rule, scenario, horizon_months), first, interest_c) for rule in rules)
+        cells.extend(((profile, rule, scenario, horizon_months), terms, interest_c) for rule in rules)
     return cells
 
 
@@ -470,8 +463,9 @@ class _Run(NamedTuple):
     """One profile's draws for a run of consecutive trials."""
 
     settled: list[bool]  # trials that default in month 1 in every cell
-    month1: dict  # cell -> its month-1 _CellBlock, one lane a trial of the run
-    blocks: Iterable[_Draws]  # the other trials' whole rows, in blocks of lanes
+    # the settled trials' month-1 lanes as one block, if any, then the other
+    # trials' whole rows in blocks of lanes
+    blocks: Iterable[_Draws]
 
 
 def _screen(
@@ -484,12 +478,14 @@ def _screen(
     """Draw each trial's first normal, its month-1 income shock, and settle
     the trials that default in month 1 in every one of ``cells``: savings
     start at zero, so a trial defaults then exactly when its shortfall plus
-    the interest its debt bucket cannot cover is positive.  The other
-    trials draw the rest of their rows from the same generators, ``width``
-    lanes a block.  With no cells, every trial draws its whole row."""
+    the interest its debt bucket cannot cover is positive.  The settled
+    trials come first, as a block of one-month lanes; the cells' month-1
+    blocks built here only decide which trials settle.  The other trials
+    draw the rest of their rows from the same generators, ``width`` lanes a
+    block.  With no cells, every trial draws its whole row."""
     n = len(rngs)
     settled = np.zeros(n, dtype=bool)
-    month1 = {}
+    month1 = []
     first = None
     if cells is not None:
         first = np.fromiter((rng.standard_normal() for rng in rngs), float, n)
@@ -500,7 +496,7 @@ def _screen(
         draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
         settled[:] = True
         for cell, terms, interest_c in cells:
-            block = month1[cell] = _cell_block(cell, terms, draws)
+            block = _cell_block(cell, terms, draws)
             if block.months is None:  # int64 cannot hold the split
                 settled[:] = False
                 break
@@ -508,6 +504,8 @@ def _screen(
             settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
             if not settled.any():
                 break
+        if settled.any():
+            month1.append(_Draws(levels[settled], draws.growth[settled], draws.z_peak[settled], None))
         live = ~settled
         rngs = list(compress(rngs, live))
         first = first[live]
@@ -517,7 +515,7 @@ def _screen(
         )
         for j in range(0, len(rngs), width)
     )
-    return _Run(settled.tolist(), month1, blocks)
+    return _Run(settled.tolist(), chain(month1, blocks))
 
 
 def run_trial(
@@ -676,26 +674,20 @@ def _trial_blocks(
     scenarios: Sequence[ScenarioSpec],
     cfg: PathConfig,
     width: int,
-) -> Iterator[tuple[Callable[[tuple, _CellTerms], _CellBlock], Sequence[int]]]:
+) -> Iterator[_Draws]:
     """The profile's trials in the order each of its cells runs them: per
-    run of up to 256 trials, the month-1 lanes of the trials the screen
-    settles, then the other trials in blocks of ``width`` lanes, each drawn
-    when asked for.  Each comes as a function from a cell and its terms to
-    the cell's block, and the block's lanes to run."""
+    run of up to 256 trials, one block of the month-1 lanes of the trials
+    the screen settles, then the other trials in blocks of ``width`` lanes,
+    each drawn when asked for."""
     horizon_months = cfg.steps
     cells = _month1_cells(profile, rules, scenarios, horizon_months)
     for start in range(0, cfg.trials, _BLOCK):
         # only _screen holds the generators, so the settled ones go at once
-        run = _screen(
+        yield from _screen(
             profile, horizon_months,
             [derive_trial_rng(cfg.master_seed, k) for k in range(start, min(start + _BLOCK, cfg.trials))],
             cells, width,
-        )  # fmt: skip
-        settled = list(compress(count(), run.settled))
-        if settled:
-            yield (lambda cell, _: run.month1[cell]), settled
-        for draws in run.blocks:
-            yield partial(_cell_block, draws=draws), range(len(draws.z_peak))
+        ).blocks  # fmt: skip
 
 
 def run_stress(
@@ -743,14 +735,14 @@ def run_stress(
     for profile, rows in rows_of.items():
         if rows[0] >= stop:  # profiles come in row order, so none left can run
             break
-        for build, lanes in _trial_blocks(profile, rules, scenarios, cfg, width):
+        for draws in _trial_blocks(profile, rules, scenarios, cfg, width):
             for row in rows:
                 if row >= stop:
                     break
                 cell = cells[row]
                 try:
-                    block = build(cell, _cell_terms(profile, cell[2], horizon_months))
-                    for i in lanes:
+                    block = _cell_block(cell, _cell_terms(profile, cell[2], horizon_months), draws)
+                    for i in range(len(draws.z_peak)):
                         tallies[row].add(run_trial(*cell, _Lane(block, i)))
                 except ValueError as exc:  # DomainError or ValidationError
                     stop, error = row, exc

@@ -594,6 +594,35 @@ def test_splits_int64_cannot_hold_take_python_ints(rule, exact):
     assert block.exact.tolist() == [exact] * 3
 
 
+# the income, expense and rate shocks open in month 2 and close after month 6
+_LATE_WINDOW = ScenarioSpec(
+    "late", income_shock=-0.4, apr_multiplier=2.0, inflation_annual=0.5, onset_month=2,
+    duration_months=5,
+)  # fmt: skip
+
+
+@pytest.mark.parametrize("rule", [AllocationRule.one_third(), _HUGE_NUMERATORS])
+def test_a_block_of_fewer_months_is_the_first_months_of_the_whole_block(rule):
+    # the settled trials' one-month lanes take the cell's own terms, of
+    # every month of the horizon
+    profile = HouseholdProfile(**_BASE)
+    cell = (profile, rule, _LATE_WINDOW, 12)
+    terms = stress._cell_terms(profile, _LATE_WINDOW, 12)
+    draws = stress._draw_block(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
+    draws.levels[0, 1:] = 1e18  # lane 0's income is past the money bound in every month
+    full = stress._cell_block(cell, terms, draws)
+    # int64 cannot hold the huge numerators' split, so every lane is exact
+    assert full.exact.tolist() == [True] + [rule is _HUGE_NUMERATORS] * 4
+    for k in (1, 2, 6, 12):
+        cut = stress._Draws(draws.levels[:, : k + 1], draws.growth[:, :k], draws.z_peak, None)
+        block = stress._cell_block(cell, terms, cut)
+        assert block.exact.tolist() == full.exact.tolist()
+        if full.months is None:
+            assert block.months is None
+        else:
+            assert np.array_equal(block.months, full.months[..., :k])
+
+
 def test_run_stress_matches_reference_loop_past_the_money_bound():
     # The shock puts income past MAX_CENTS from month 13 on, but interest
     # swamps the debt bucket and every trial defaults before then.
