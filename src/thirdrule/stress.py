@@ -30,6 +30,12 @@ exactly in cents; the loop checks it and raises ``DomainError`` if not.
 Most of a month's terms never read a balance, so they are computed
 ahead of the month loop, in layers:
 
+- per (profile, scenario) cell, once per run, shared by the profile's
+  rules: the shock window's income factor, the expenses due and the
+  monthly debt rate (``_cell_terms``).  Building them checks that income
+  drift, expenses due and interest on the opening debt stay within
+  ``MAX_CENTS``, and a ``DomainError`` names the profile or scenario
+  field that breaks the bound;
 - per profile, for a run of up to 256 trials (the block that
   ``derive_trial_rng`` seeds at once): the month-1 screen (``_screen``).
   Each trial draws only its first normal, the month-1 income shock, and
@@ -42,13 +48,8 @@ ahead of the month loop, in layers:
   the rest of their rows from the same generators; split draws are the
   bytes of one draw, so the cells keep common random numbers.  A profile
   is screened only when a bound on its income shows that no month of any
-  trial can leave ``MAX_CENTS`` or overflow a float, and no cell's terms
-  raise, so no month the screen skips could raise;
-- per (profile, scenario) cell, once: the shock window's income factor,
-  the expenses due and the monthly debt rate (``_cell_terms``).  Building
-  them checks that income drift, expenses due and interest on the opening
-  debt stay within ``MAX_CENTS``, and a ``DomainError`` names the profile
-  or scenario field that breaks the bound;
+  trial can leave ``MAX_CENTS`` or overflow a float, so no month the
+  screen skips could raise;
 - per profile, for a block of the trials the screen did not settle
   (lanes): each trial's shocks from its own stream, the income levels, the
   mixed market shocks and the savings growth factors (``_draw_block``).
@@ -76,7 +77,6 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, compress, count
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -93,7 +93,7 @@ from .domain import (
 )
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
-from .stochastic import _BLOCK, PathConfig, income_levels, mix_correlated, derive_trial_rng
+from .stochastic import _BLOCK, MAX_STEPS, PathConfig, income_levels, mix_correlated, derive_trial_rng
 
 _MONTHS_PER_YEAR = 12
 _DT = 1.0 / 12.0
@@ -191,31 +191,48 @@ def _expenses_due_cents(
     return round(baseline_monthly_cents * factor)
 
 
-class _CellTerms(NamedTuple):
-    """What a trial's month loop reads that no draw changes."""
+# A (profile, scenario) cell's month schedule, which neither a draw nor the rule
+# changes: each month's income factor, expenses due and debt rate.
+_Schedule = tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]
 
-    income_units: float
+
+class _Cell(NamedTuple):
+    """One row of a stress run, as every layer below ``run_stress`` reads it."""
+
+    profile: HouseholdProfile
+    rule: AllocationRule
+    scenario: ScenarioSpec
+    horizon_months: int
+    # the schedule, shared by every rule of the (profile, scenario) cell
     income_factor: tuple[float, ...]
     due_c: tuple[int, ...]
     rate: tuple[float, ...]
+    split: tuple[int, int, int, int]  # the rule's fractions as _split_cents takes them
+
+
+def _cell(key: tuple, schedule: _Schedule) -> _Cell:
+    """The row ``key``, (profile, rule, scenario, horizon_months), on its schedule."""
+    f_debt, f_savings, _ = key[1].fractions
+    split = (f_debt.numerator, f_debt.denominator, f_savings.numerator, f_savings.denominator)
+    return _Cell(*key, *schedule, split)
 
 
 def _out_of_range(field: str, value: float, owner: str, what: str) -> DomainError:
     return DomainError(f"{owner}: {field} {value!r} puts {what} past the money bound")
 
 
-@lru_cache(maxsize=64)
-def _cell_terms(
-    profile: HouseholdProfile, scenario: ScenarioSpec, horizon_months: int
-) -> _CellTerms:
-    """Month schedule of one (profile, scenario) cell, built on its first
-    trial and shared by the rest.
+def _cell_terms(profile: HouseholdProfile, scenario: ScenarioSpec, horizon_months: int) -> _Schedule:
+    """Month schedule of one (profile, scenario) cell, built once per
+    ``run_stress`` call and shared by the profile's rules, or once per
+    ``run_trial`` call on a generator; nothing keeps it after.
 
-    Checks the horizon and the shock window, then that income drift,
-    expenses due and interest on the opening debt stay finite and within
-    ``MAX_CENTS``; the balance only falls, so no later month can owe more
-    interest.
+    Checks the horizon, an int in 1..``MAX_STEPS``, and the shock window
+    before it builds anything, then that income drift, expenses due and
+    interest on the opening debt stay finite and within ``MAX_CENTS``; the
+    balance only falls, so no later month can owe more interest.
     """
+    if not is_int(horizon_months) or horizon_months > MAX_STEPS:
+        raise ValidationError(f"horizon_months must be an integer of at most {MAX_STEPS}")
     if horizon_months < 1:
         raise ValidationError("horizon_months must be positive")
     if scenario.onset_month > horizon_months:
@@ -225,8 +242,7 @@ def _cell_terms(
         )
     who = f"profile {profile.profile_id!r}"
     where = f"scenario {scenario.name!r}"
-    income_units = profile.income.units
-    drift_c = income_units * (1.0 + profile.mu * horizon_months * _DT) / _MONTHS_PER_YEAR * 100.0
+    drift_c = profile.income.units * (1.0 + profile.mu * horizon_months * _DT) / _MONTHS_PER_YEAR * 100.0
     if not -math.inf < drift_c <= MAX_CENTS:
         raise _out_of_range("mu", profile.mu, who, "income")
 
@@ -256,22 +272,17 @@ def _cell_terms(
             "inflation_annual", scenario.inflation_annual, where, f"expenses due for {who}"
         )
 
-    return _CellTerms(income_units, income_factor, due_c, rate)
+    return income_factor, due_c, rate
 
 
-def _overflow_cause(
-    profile: HouseholdProfile,
-    scenario: ScenarioSpec,
-    cell: _CellTerms,
-    levels: Optional[list[float]],
-    z_peak: float,
-) -> DomainError:
-    """Name the field behind a trial whose income or savings outgrew a
-    float or ``MAX_CENTS``.  ``_cell_terms`` bounds the other fields, so
-    income past the bound over the trial is sigma_income's doing, or
-    income_shock's when only the shocked months pass it; otherwise the
-    larger term of the savings growth factor is; z_peak is the largest
-    market shock in size."""
+def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -> DomainError:
+    """Name the field behind a trial of ``cell`` whose income or savings
+    outgrew a float or ``MAX_CENTS``.  The cell's schedule bounds the other
+    fields, so income past the bound over the trial is sigma_income's
+    doing, or income_shock's when only the shocked months of the schedule
+    pass it; otherwise the larger term of the savings growth factor is;
+    z_peak is the largest market shock in size."""
+    profile, scenario = cell.profile, cell.scenario
     who = f"profile {profile.profile_id!r}"
     if levels is None or not sum(levels) / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
         return _out_of_range("sigma_income", profile.sigma_income, who, "income")
@@ -355,8 +366,7 @@ def _expense_terms(expenses_c, due_c):
 class _CellBlock(NamedTuple):
     """A cell's month terms for one block of draws."""
 
-    cell: tuple  # the (profile, rule, scenario, horizon_months) they belong to
-    terms: _CellTerms
+    cell: _Cell  # the row they belong to
     draws: _Draws
     # (5, lanes, H) int64: income, debt bucket, savings bucket, shortfall
     # and residual; None when int64 cannot hold the rule's split
@@ -367,30 +377,24 @@ class _CellBlock(NamedTuple):
     exact: np.ndarray
 
 
-def _split_args(rule: AllocationRule) -> tuple[int, int, int, int]:
-    """The rule's debt and savings fractions as ``_split_cents`` takes them."""
-    f_debt, f_savings, _ = rule.fractions
-    return f_debt.numerator, f_debt.denominator, f_savings.numerator, f_savings.denominator
-
-
-def _cell_block(cell: tuple, terms: _CellTerms, draws: _Draws) -> _CellBlock:
+def _cell_block(cell: _Cell, draws: _Draws) -> _CellBlock:
     """The cell's month terms for the months the draws hold, which may be
-    fewer than its terms'."""
+    fewer than its schedule's."""
     n_months = draws.growth.shape[1]
     with np.errstate(all="ignore"):
-        income = _raw_income_c(draws.levels[:, 1:], np.asarray(terms.income_factor[:n_months]))
+        income = _raw_income_c(draws.levels[:, 1:], np.asarray(cell.income_factor[:n_months]))
         exact = ~(income.max(axis=1) <= MAX_CENTS)  # NaN is not <= either
         income[exact] = 0.0  # nothing reads these lanes' int64 terms
         income_c = np.rint(income, out=income).astype(np.int64)
-    fd_num, fd_den, fs_num, fs_den = fractions = _split_args(cell[1])
+    fd_num, fd_den, fs_num, fs_den = cell.split
     # int64 holds each denominator and twice each income × numerator product
     if not (2 * int(income_c.max()) * max(fd_num, fs_num) < 2**63 - 1 and max(fd_den, fs_den) < 2**63):
         exact[:] = True  # every lane splits in Python ints, month by month
-        return _CellBlock(cell, terms, draws, None, exact)
-    debt_c, savings_c, expenses_c = _split_cents(income_c, *fractions)
-    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(terms.due_c[:n_months]))
+        return _CellBlock(cell, draws, None, exact)
+    debt_c, savings_c, expenses_c = _split_cents(income_c, *cell.split)
+    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(cell.due_c[:n_months]))
     months = np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c))
-    return _CellBlock(cell, terms, draws, months, exact)
+    return _CellBlock(cell, draws, months, exact)
 
 
 class _Lane(NamedTuple):
@@ -404,41 +408,32 @@ def _lane_months(lane: _Lane) -> Iterator[tuple]:
     """(month, income, debt bucket, savings bucket, shortfall, residual,
     growth, due, rate) of each month of one lane, as Python numbers."""
     block, i = lane
-    terms = block.terms
     growth = block.draws.growth[i].tolist()
     if block.exact[i]:
-        levels = block.draws.levels[i, 1:].tolist()
-        return _exact_months(levels, growth, terms, _split_args(block.cell[1]))
-    return zip(count(1), *block.months[:, i].tolist(), growth, terms.due_c, terms.rate)
+        return _exact_months(block.cell, block.draws.levels[i, 1:].tolist(), growth)
+    return zip(count(1), *block.months[:, i].tolist(), growth, block.cell.due_c, block.cell.rate)
 
 
-def _exact_months(levels, growth, terms: _CellTerms, fractions: tuple[int, int, int, int]):
+def _exact_months(cell: _Cell, levels, growth):
     """``_lane_months`` of a lane whose income leaves the money bound, in
     Python ints month by month: income that leaves the int range raises in
     its own month, after any default that comes first."""
     for month, level, factor, g, due_c, rate in zip(
-        count(1), levels, terms.income_factor, growth, terms.due_c, terms.rate
+        count(1), levels, cell.income_factor, growth, cell.due_c, cell.rate
     ):
         income_c = round(_raw_income_c(level, factor))
-        debt_c, savings_c, expenses_c = _split_cents(income_c, *fractions)
+        debt_c, savings_c, expenses_c = _split_cents(income_c, *cell.split)
         shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
         yield month, income_c, debt_c, savings_c, shortfall_c, residual_c, g, due_c, rate
 
 
-def _month1_cells(
-    profile: HouseholdProfile,
-    rules: Sequence[AllocationRule],
-    scenarios: Sequence[ScenarioSpec],
-    horizon_months: int,
-) -> Optional[list[tuple]]:
-    """(cell, terms, month-1 interest on the opening debt) of each of the
-    profile's cells, for the month-1 screen.
-
-    None when the screen must not run: income may leave the money bound or
-    overflow a float in some month, so that a trial's later months raise
-    even though it defaulted in month 1, or some cell's own terms raise
-    (again when that cell runs)."""
-    peak_factor = max(max(1.0, 1.0 + scenario.income_shock) for scenario in scenarios)
+def _month1_cells(cells: list[_Cell]) -> Optional[list[_Cell]]:
+    """One profile's built cells, for the month-1 screen; None when the
+    screen must not run: income may leave the money bound or overflow a
+    float in some month, so that a trial's later months raise even though
+    it defaulted in month 1."""
+    profile, horizon_months = cells[0].profile, cells[0].horizon_months
+    peak_factor = max(max(1.0, 1.0 + cell.scenario.income_shock) for cell in cells)
     # |W(t)| <= sqrt(dt) H _NORMAL_BOUND bounds each month's income per unit of I0
     unit_peak = (
         1.0
@@ -448,14 +443,6 @@ def _month1_cells(
     # twice the bound covers the rounding of the path and of the cents
     if not 2.0 * _raw_income_c(profile.income.units * unit_peak, peak_factor) <= MAX_CENTS:
         return None
-    cells = []
-    for scenario in scenarios:
-        try:
-            terms = _cell_terms(profile, scenario, horizon_months)
-        except (DomainError, ValidationError):
-            return None
-        interest_c = round(profile.debt_balance.cents * terms.rate[0])
-        cells.extend(((profile, rule, scenario, horizon_months), terms, interest_c) for rule in rules)
     return cells
 
 
@@ -472,7 +459,7 @@ def _screen(
     profile: HouseholdProfile,
     horizon_months: int,
     rngs: list,
-    cells: Optional[list[tuple]],
+    cells: Optional[list[_Cell]],
     width: int,
 ) -> _Run:
     """Draw each trial's first normal, its month-1 income shock, and settle
@@ -495,12 +482,13 @@ def _screen(
         # a month that defaults reads no growth factor
         draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
         settled[:] = True
-        for cell, terms, interest_c in cells:
-            block = _cell_block(cell, terms, draws)
+        for cell in cells:
+            block = _cell_block(cell, draws)
             if block.months is None:  # int64 cannot hold the split
                 settled[:] = False
                 break
             _, debt_c, _, shortfall_c, _ = block.months[..., 0]
+            interest_c = round(profile.debt_balance.cents * cell.rate[0])
             settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
             if not settled.any():
                 break
@@ -529,18 +517,17 @@ def run_trial(
     the month loop.
 
     rng is the trial's ``np.random.Generator``, or a lane that
-    ``run_stress`` built for this cell; a generator becomes a block of one.
+    ``run_stress`` built for this cell.  A generator gets a cell record of
+    its own, schedule included, and becomes a block of one; a bad horizon
+    raises ``ValidationError`` before anything is built or drawn.
     """
-    cell = (profile, rule, scenario, horizon_months)
-    if isinstance(rng, _Lane):
-        lane = rng
-        if lane.block.cell != cell:
-            raise ValidationError("the lane was built for another stress cell")
-    else:
-        terms = _cell_terms(profile, scenario, horizon_months)
-        lane = _Lane(_cell_block(cell, terms, _draw_block(profile, horizon_months, [rng])), 0)
+    key, lane = (profile, rule, scenario, horizon_months), rng
+    if not isinstance(lane, _Lane):
+        cell = _cell(key, _cell_terms(profile, scenario, horizon_months))
+        lane = _Lane(_cell_block(cell, _draw_block(profile, horizon_months, [rng])), 0)
+    elif lane.block.cell[:4] != key:
+        raise ValidationError("the lane was built for another stress cell")
     block, i = lane
-    terms = block.terms
 
     debt_c = profile.debt_balance.cents
     savings_c = 0
@@ -556,7 +543,7 @@ def run_trial(
             # the lane's own draw again: numpy warns, or raises under an
             # error filter, exactly where a trial drawn alone would
             income_levels(
-                terms.income_units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
+                profile.income.units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
             )
         levels = draws.levels[i, 1:]
 
@@ -616,7 +603,7 @@ def run_trial(
         if levels is not None:
             levels = levels.tolist()
         z_peak = draws.z_peak[i].item()
-        raise _overflow_cause(profile, scenario, terms, levels, z_peak) from None
+        raise _overflow_cause(block.cell, levels, z_peak) from None
 
 
 class _Tally:
@@ -652,7 +639,8 @@ def _aggregate(
         statistics.median(tally.clearance_months) / _MONTHS_PER_YEAR if tally.clearance_months else None
     )
     mean_final = Money(_round_div(tally.final_cents, trials))
-    final_due_c = _cell_terms(profile, scenario, horizon_months).due_c[-1]
+    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
+    final_due_c = _expenses_due_cents(baseline_monthly_c, scenario, horizon_months)
     coverage = mean_final.cents / final_due_c if final_due_c > 0 else None
     return StressMetrics(
         profile_id=profile.profile_id,
@@ -668,25 +656,19 @@ def _aggregate(
     )
 
 
-def _trial_blocks(
-    profile: HouseholdProfile,
-    rules: Sequence[AllocationRule],
-    scenarios: Sequence[ScenarioSpec],
-    cfg: PathConfig,
-    width: int,
-) -> Iterator[_Draws]:
-    """The profile's trials in the order each of its cells runs them: per
-    run of up to 256 trials, one block of the month-1 lanes of the trials
-    the screen settles, then the other trials in blocks of ``width`` lanes,
-    each drawn when asked for."""
-    horizon_months = cfg.steps
-    cells = _month1_cells(profile, rules, scenarios, horizon_months)
+def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[_Draws]:
+    """The trials of one profile's built ``cells`` in the order each cell
+    runs them: per run of up to 256 trials, one block of the month-1 lanes
+    of the trials the screen settles, then the other trials in blocks of
+    ``width`` lanes, each drawn when asked for."""
+    profile, horizon_months = cells[0].profile, cfg.steps
+    screened = _month1_cells(cells)
     for start in range(0, cfg.trials, _BLOCK):
         # only _screen holds the generators, so the settled ones go at once
         yield from _screen(
             profile, horizon_months,
             [derive_trial_rng(cfg.master_seed, k) for k in range(start, min(start + _BLOCK, cfg.trials))],
-            cells, width,
+            screened, width,
         ).blocks  # fmt: skip
 
 
@@ -709,8 +691,10 @@ def run_stress(
     one at a time on the calling thread, and is tallied as it finishes.
     Output rows are sorted by (profile_id, rule, scenario).
 
-    The error raised is the first in row order: a cell stops at its first
-    error, from its terms or a trial, and so does every later row.
+    Each (profile, scenario) schedule is built once and shared by the
+    profile's rules.  The error raised is the first in row order: a cell
+    stops at its first error, from its schedule or a trial, and so does
+    every later row.
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -722,35 +706,50 @@ def run_stress(
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
     width = max(1, LANE_BLOCK_BYTES // (2 * horizon_months * 8))
-    cells = sorted(
+    keys = sorted(
         ((p, r, s, horizon_months) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
     )
     rows_of: dict[HouseholdProfile, list[int]] = {}
-    for row, cell in enumerate(cells):
-        rows_of.setdefault(cell[0], []).append(row)
-    tallies = [_Tally() for _ in cells]
-    stop, error = len(cells), None  # the first failed row and its error
+    for row, key in enumerate(keys):
+        rows_of.setdefault(key[0], []).append(row)
+    tallies = [_Tally() for _ in keys]
+    stop, error = len(keys), None  # the first failed row and its error
 
     for profile, rows in rows_of.items():
-        if rows[0] >= stop:  # profiles come in row order, so none left can run
+        # the profile's cells in row order, up to the first whose schedule raises;
+        # none at or past stop, which a profile of the same id, rows interleaved, set
+        cells: dict[int, _Cell] = {}
+        schedules: dict[ScenarioSpec, _Schedule] = {}
+        for row in rows:
+            if row >= stop:
+                break
+            scenario = keys[row][2]
+            try:
+                if scenario not in schedules:
+                    schedules[scenario] = _cell_terms(profile, scenario, horizon_months)
+            except ValueError as exc:  # DomainError or ValidationError
+                stop, error = row, exc
+                break
+            cells[row] = _cell(keys[row], schedules[scenario])
+        if not cells:  # profiles come in row order, so none left can run
             break
-        for draws in _trial_blocks(profile, rules, scenarios, cfg, width):
-            for row in rows:
+        for draws in _trial_blocks(list(cells.values()), cfg, width):
+            for row, cell in cells.items():
                 if row >= stop:
                     break
-                cell = cells[row]
+                key, tally = keys[row], tallies[row]
                 try:
-                    block = _cell_block(cell, _cell_terms(profile, cell[2], horizon_months), draws)
+                    block = _cell_block(cell, draws)
                     for i in range(len(draws.z_peak)):
-                        tallies[row].add(run_trial(*cell, _Lane(block, i)))
-                except ValueError as exc:  # DomainError or ValidationError
+                        tally.add(run_trial(*key, _Lane(block, i)))
+                except ValueError as exc:
                     stop, error = row, exc
             if rows[0] >= stop:  # every cell of the profile has stopped
                 break
     if error is not None:
         raise error
-    return [_aggregate(*cell, tally, cfg.trials) for cell, tally in zip(cells, tallies)]
+    return [_aggregate(*key, tally, cfg.trials) for key, tally in zip(keys, tallies)]
 
 
 def debt_clearance_time(balance: Money, annual_payment: Money, apr: float) -> float:

@@ -7,10 +7,12 @@ oracle; ``run_trial`` must return an equal ``TrialOutcome`` for any
 input, and the CLI report on the benchmark fixtures must keep its bytes.
 """
 
+import gc
 import hashlib
 import inspect
 import math
 import os
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -40,7 +42,7 @@ from thirdrule import (
 from thirdrule.cli import main
 from thirdrule.domain import MAX_CENTS, _round_div, _settle_residual
 from thirdrule.errors import DomainError, ValidationError
-from thirdrule.stochastic import income_levels, mix_correlated
+from thirdrule.stochastic import MAX_STEPS, income_levels, mix_correlated
 
 _MONTHS_PER_YEAR = 12
 _DT = 1.0 / 12.0
@@ -407,6 +409,21 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     assert all(settled == n for pid, n, settled in screened if pid == "q")
 
 
+def test_each_schedule_is_built_once_per_run(monkeypatch):
+    # every block and row of a profile, the screen and _aggregate included,
+    # reads the schedules built before its first block
+    built = Counter()
+    build = stress._cell_terms
+
+    def counted_build(profile, scenario, horizon_months):
+        built[profile.profile_id, scenario.name] += 1
+        return build(profile, scenario, horizon_months)
+
+    monkeypatch.setattr(stress, "_cell_terms", counted_build)
+    run_stress(*_SCREENED_GRID)
+    assert built == {(pid, scenario.name): 1 for pid in "pq" for scenario in _DROPS}
+
+
 def _failing_run_trial(monkeypatch, fail_at):
     """Patch stress.run_trial to raise a DomainError, naming the cell, on
     the cell's n-th trial for each (rule, scenario name): n of ``fail_at``.
@@ -458,18 +475,47 @@ def test_an_earlier_cells_trial_error_beats_a_later_cells_terms_error(monkeypatc
     assert calls == [("one_third", "a", k) for k in range(1, 41)]
 
 
+@pytest.mark.parametrize(
+    "bad, want", [("b", r"'b'\) failed"), ("a", "apr_multiplier")], ids=["later", "earlier"]
+)
+def test_interleaved_rows_of_profiles_that_share_an_id_raise_the_first_rows_error(
+    monkeypatch, bad, want
+):
+    # Rows sort by (profile_id, rule, scenario), so two profiles with one id
+    # interleave: (owes nothing, a), (indebted, a), (owes nothing, b),
+    # (indebted, b).  The first profile's row b fails in its 40th trial, and
+    # the indebted profile's schedule for scenario ``bad`` raises: a later
+    # row when bad is b, an earlier one when it is a.
+    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    calls = _failing_run_trial(monkeypatch, {("one_third", "b"): 40})
+    scenarios = [ScenarioSpec(name, apr_multiplier=1e300 if name == bad else 1.0) for name in "ab"]
+    indebted = HouseholdProfile(**dict(_BASE, baseline_expenses=Money(0)))
+    cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
+    with pytest.raises(DomainError, match=want):
+        run_stress([_UNSETTLED, indebted], [AllocationRule.one_third()], scenarios, cfg)
+    # the rows before the first failed one ran every trial
+    ran = Counter(call[:2] for call in calls)
+    assert ran == {("one_third", "a"): 120 if bad == "b" else 60, ("one_third", "b"): 40}
+
+
+def _built_cell(profile, rule, scenario, horizon_months):
+    """The row's cell record, as run_stress builds it."""
+    key = (profile, rule, scenario, horizon_months)
+    return stress._cell(key, stress._cell_terms(profile, scenario, horizon_months))
+
+
 def test_a_settled_lane_that_does_not_default_raises():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
-    [(cell, terms, _)] = stress._month1_cells(profile, [rule], [BASELINE_SCENARIO], 12)
+    [cell] = stress._month1_cells([_built_cell(profile, rule, BASELINE_SCENARIO, 12)])
     # month 1 at the profile's own income: the debt and expense buckets cover it
     draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
-    lane = stress._Lane(stress._cell_block(cell, terms, draws), 0)
+    lane = stress._Lane(stress._cell_block(cell, draws), 0)
     with pytest.raises(DomainError, match="settled"):
         run_trial(profile, rule, BASELINE_SCENARIO, 12, lane)
     # a one-month horizon walks the whole of it
-    [(cell, terms, _)] = stress._month1_cells(profile, [rule], [BASELINE_SCENARIO], 1)
-    lane = stress._Lane(stress._cell_block(cell, terms, draws), 0)
+    [cell] = stress._month1_cells([_built_cell(profile, rule, BASELINE_SCENARIO, 1)])
+    lane = stress._Lane(stress._cell_block(cell, draws), 0)
     assert not run_trial(profile, rule, BASELINE_SCENARIO, 1, lane).defaulted
 
 
@@ -502,7 +548,7 @@ _EDGE_SCENARIOS = [
 )
 def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(profile, scenarios):
     rules = [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))]
-    cells = stress._month1_cells(profile, rules, scenarios, 24)
+    cells = stress._month1_cells([_built_cell(profile, r, s, 24) for r in rules for s in scenarios])
     run = stress._screen(profile, 24, [derive_trial_rng(9, k) for k in range(60)], cells, 7)
     want = [
         all(
@@ -588,9 +634,8 @@ def test_run_stress_matches_trials_run_alone(grid):
 )
 def test_splits_int64_cannot_hold_take_python_ints(rule, exact):
     profile = _MIXED_PROFILES[0]
-    terms = stress._cell_terms(profile, BASELINE_SCENARIO, 12)
     draws = stress._draw_block(profile, 12, [derive_trial_rng(0, k) for k in range(3)])
-    block = stress._cell_block((profile, rule, BASELINE_SCENARIO, 12), terms, draws)
+    block = stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws)
     assert block.exact.tolist() == [exact] * 3
 
 
@@ -606,16 +651,15 @@ def test_a_block_of_fewer_months_is_the_first_months_of_the_whole_block(rule):
     # the settled trials' one-month lanes take the cell's own terms, of
     # every month of the horizon
     profile = HouseholdProfile(**_BASE)
-    cell = (profile, rule, _LATE_WINDOW, 12)
-    terms = stress._cell_terms(profile, _LATE_WINDOW, 12)
+    cell = _built_cell(profile, rule, _LATE_WINDOW, 12)
     draws = stress._draw_block(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
     draws.levels[0, 1:] = 1e18  # lane 0's income is past the money bound in every month
-    full = stress._cell_block(cell, terms, draws)
+    full = stress._cell_block(cell, draws)
     # int64 cannot hold the huge numerators' split, so every lane is exact
     assert full.exact.tolist() == [True] + [rule is _HUGE_NUMERATORS] * 4
     for k in (1, 2, 6, 12):
         cut = stress._Draws(draws.levels[:, : k + 1], draws.growth[:, :k], draws.z_peak, None)
-        block = stress._cell_block(cell, terms, cut)
+        block = stress._cell_block(cell, cut)
         assert block.exact.tolist() == full.exact.tolist()
         if full.months is None:
             assert block.months is None
@@ -629,9 +673,8 @@ def test_run_stress_matches_reference_loop_past_the_money_bound():
     profile = HouseholdProfile(**dict(_BASE, debt_balance=Money.of("2000000"), debt_apr=0.3))
     scenarios = [ScenarioSpec("shock", income_shock=1e300, onset_month=13)]
     cfg = PathConfig(horizon_years=2, trials=2 * _WIDTH + 3, master_seed=1)
-    terms = stress._cell_terms(profile, scenarios[0], 24)
     draws = stress._draw_block(profile, 24, [derive_trial_rng(1, 0)])
-    block = stress._cell_block((profile, _MIXED_RULES[0], scenarios[0], 24), terms, draws)
+    block = stress._cell_block(_built_cell(profile, _MIXED_RULES[0], scenarios[0], 24), draws)
     assert block.exact.all()  # those lanes run month by month in Python ints
     args = ([profile], _MIXED_RULES, scenarios, cfg)
     rows = run_stress(*args)
@@ -639,12 +682,46 @@ def test_run_stress_matches_reference_loop_past_the_money_bound():
     assert rows == _reference_run_stress(*args)
 
 
+def test_nothing_outlives_a_run():
+    # every trial defaults in month 1, and 64 schedules of 1200 months each
+    # are built: none may stay behind once run_stress returns
+    profile = HouseholdProfile(**dict(_BASE, **_BIG_DEBT))
+    rules = [AllocationRule.one_third()]
+    scenarios = [ScenarioSpec(f"s{k}", inflation_annual=1e-5 * (k + 1)) for k in range(64)]
+    # a first, shorter run pays the lazy imports and the stream seed cache
+    run_stress([profile], rules, scenarios[:1], PathConfig(horizon_years=1, trials=4, master_seed=3))
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_stress([profile], rules, scenarios, PathConfig(horizon_years=100, trials=4, master_seed=3))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held < 0.5e6
+
+
+@pytest.mark.parametrize(
+    "horizon, message",
+    [(12.0, "integer"), (True, "integer"), ("12", "integer"), (0, "positive"), (MAX_STEPS + 1, "at most")],
+)
+def test_run_trial_rejects_a_bad_horizon_before_it_draws(horizon, message):
+    rng = derive_trial_rng(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match=f"horizon_months must be .*{message}"):
+        run_trial(_MIXED_PROFILES[0], AllocationRule.one_third(), BASELINE_SCENARIO, horizon, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_a_lane_runs_only_in_its_own_cell():
     profile = _MIXED_PROFILES[0]
     rule = AllocationRule.one_third()
-    terms = stress._cell_terms(profile, BASELINE_SCENARIO, 12)
     draws = stress._draw_block(profile, 12, [derive_trial_rng(0, 0)])
-    lane = stress._Lane(stress._cell_block((profile, rule, BASELINE_SCENARIO, 12), terms, draws), 0)
+    lane = stress._Lane(stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws), 0)
     assert run_trial(profile, rule, BASELINE_SCENARIO, 12, lane) == run_trial(
         profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0)
     )
