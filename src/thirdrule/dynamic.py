@@ -15,8 +15,8 @@ income and debt only, and next-period savings on the savings numerator,
 income and savings only.  So each period first blends the expected value
 surface along savings once per savings numerator, a (q + 1, ni, nb, ns)
 array, and then blends that along debt per action with two row gathers.
-Blending savings first and adding the precomputed reward and state term
-after the discounted continuation evaluates the textbook expression
+Blending savings first and adding the reward and state term after the
+discounted continuation evaluates the textbook expression
 (1 - bw) * ((1 - sw) * v00 + sw * v01) + bw * ((1 - sw) * v10 + sw * v11)
 operation for operation, so values and chosen actions are exactly those
 of a sweep that gathers all four corners per action.
@@ -25,9 +25,9 @@ The debt blend runs over blocks of actions, SWEEP_BLOCK_BYTES per buffer,
 so the two gathered rows and the expression over them stay in cache.  Each
 block's maxima are folded into the period's values with a strict greater
 than (and a NaN beating any number), which picks the first maximum in
-action order exactly as one np.argmax over all actions would.  Apart from
-the per-action reward plus state term, held as one (n_a, ni, nb, ns)
-array, the sweep's working memory no longer grows with the action count.
+action order exactly as one np.argmax over all actions would.  A block
+sums its reward plus state term into a buffer it has finished with, so
+the sweep's working memory does not grow with the action count.
 
 A block is skipped when _block_bounds proves that none of its totals can
 beat the running best at any node; as a later block wins only with a
@@ -307,13 +307,12 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     b_hi = blend_row[:, :, None] + bi1
     bwx = bw[:, :, :, None]
     bwx_c = 1.0 - bwx
-    base = reward[:, :, None, None] + state_term[None, None, :, :]  # (n_a, ni, nb, ns)
     n_a = len(acts)
-    block = max(1, min(n_a, SWEEP_BLOCK_BYTES // base[0].nbytes))
+    block = max(1, min(n_a, SWEEP_BLOCK_BYTES // (ni * nb * ns * 8)))
     top_reward = np.maximum.reduceat(reward, range(0, n_a, block))[:, :, None, None]
-    total = np.empty((block,) + base.shape[1:])
+    total = np.empty((block, ni, nb, ns))
     upper = np.empty_like(total)
-    best = np.empty(base.shape[1:], dtype=np.intp)
+    best = np.empty((ni, nb, ns), dtype=np.intp)
     acts16 = acts.astype(np.int16)
 
     numerators = np.empty((cfg.horizon, ni, nb, ns, 3), dtype=np.int16)
@@ -335,13 +334,15 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
             # rows are in range (_bracket), so "clip" only skips numpy's copy of out
             np.take(blend, b_lo[start:stop], axis=0, out=tot, mode="clip")
             np.take(blend, b_hi[start:stop], axis=0, out=up, mode="clip")
-            # base + discount * ((1 - bw) * lower + bw * upper), operation
-            # for operation, so the maxima and their first argmax are exact
+            # (reward + state term) + discount * ((1 - bw) * lower + bw *
+            # upper), operation for operation, so the maxima and their first
+            # argmax are exact
             tot *= bwx_c[start:stop]
             up *= bwx[start:stop]
             tot += up
             tot *= cfg.discount
-            tot += base[start:stop]
+            np.add(reward[start:stop, :, None, None], state_term, out=up)
+            tot += up
             arg = np.argmax(tot, axis=0)
             top = np.take_along_axis(tot, arg[None, :, :, :], axis=0)[0]
             # a later block wins only with a greater value or with a NaN

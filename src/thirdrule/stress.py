@@ -37,19 +37,19 @@ ahead of the month loop, in layers:
   ``MAX_CENTS``, and a ``DomainError`` names the profile or scenario
   field that breaks the bound;
 - per profile, for a run of up to 256 trials (the block that
-  ``derive_trial_rng`` seeds at once): the month-1 screen (``_screen``).
-  Each trial draws only its first normal, the month-1 income shock, and
-  month 1 is tested for every rule and scenario cell of the profile at
-  once.  Savings start at zero, so a trial defaults in month 1 exactly
-  when its expense shortfall plus the interest its debt bucket cannot
-  cover is positive.  A trial that defaults there in every cell is
-  settled: it draws nothing more, and the settled trials reach every cell
-  as one block of one-month lanes, their month-1 levels.  The others draw
-  the rest of their rows from the same generators; split draws are the
-  bytes of one draw, so the cells keep common random numbers.  A profile
-  is screened only when a bound on its income shows that no month of any
-  trial can leave ``MAX_CENTS`` or overflow a float, so no month the
-  screen skips could raise;
+  ``derive_trial_rng`` seeds at once), when a bound on the profile's
+  income shows that no month of any trial can leave ``MAX_CENTS`` or
+  overflow a float (``_screenable``), so no month the screen skips could
+  raise: each trial draws only its first normal, the month-1 income shock,
+  and the month-1 screen (``_screen``) tests month 1 for every rule and
+  scenario cell of the profile at once.  Savings start at zero, so a trial
+  defaults in month 1 exactly when its expense shortfall plus the interest
+  its debt bucket cannot cover is positive.  A trial that defaults there
+  in every cell is settled: it draws nothing more, and the settled trials
+  reach every cell as one block of one-month lanes, their month-1 levels.
+  The others draw the rest of their rows from the same generators; split
+  draws are the bytes of one draw, so the cells keep common random
+  numbers (``_trial_blocks``);
 - per profile, for a block of the trials the screen did not settle
   (lanes): each trial's shocks from its own stream, the income levels, the
   mixed market shocks and the savings growth factors (``_draw_block``).
@@ -77,8 +77,8 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, count
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import compress, count
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -427,11 +427,11 @@ def _exact_months(cell: _Cell, levels, growth):
         yield month, income_c, debt_c, savings_c, shortfall_c, residual_c, g, due_c, rate
 
 
-def _month1_cells(cells: list[_Cell]) -> Optional[list[_Cell]]:
-    """One profile's built cells, for the month-1 screen; None when the
-    screen must not run: income may leave the money bound or overflow a
-    float in some month, so that a trial's later months raise even though
-    it defaulted in month 1."""
+def _screenable(cells: list[_Cell]) -> bool:
+    """Whether the month-1 screen may run over one profile's built cells:
+    not when income may leave the money bound or overflow a float in some
+    month, so that a trial's later months raise even though it defaulted
+    in month 1."""
     profile, horizon_months = cells[0].profile, cells[0].horizon_months
     peak_factor = max(max(1.0, 1.0 + cell.scenario.income_shock) for cell in cells)
     # |W(t)| <= sqrt(dt) H _NORMAL_BOUND bounds each month's income per unit of I0
@@ -441,69 +441,33 @@ def _month1_cells(cells: list[_Cell]) -> Optional[list[_Cell]]:
         + profile.sigma_income * math.sqrt(_DT) * horizon_months * _NORMAL_BOUND
     )
     # twice the bound covers the rounding of the path and of the cents
-    if not 2.0 * _raw_income_c(profile.income.units * unit_peak, peak_factor) <= MAX_CENTS:
-        return None
-    return cells
+    return 2.0 * _raw_income_c(profile.income.units * unit_peak, peak_factor) <= MAX_CENTS
 
 
-class _Run(NamedTuple):
-    """One profile's draws for a run of consecutive trials."""
-
-    settled: list[bool]  # trials that default in month 1 in every cell
-    # the settled trials' month-1 lanes as one block, if any, then the other
-    # trials' whole rows in blocks of lanes
-    blocks: Iterable[_Draws]
-
-
-def _screen(
-    profile: HouseholdProfile,
-    horizon_months: int,
-    rngs: list,
-    cells: Optional[list[_Cell]],
-    width: int,
-) -> _Run:
-    """Draw each trial's first normal, its month-1 income shock, and settle
-    the trials that default in month 1 in every one of ``cells``: savings
-    start at zero, so a trial defaults then exactly when its shortfall plus
-    the interest its debt bucket cannot cover is positive.  The settled
-    trials come first, as a block of one-month lanes; the cells' month-1
-    blocks built here only decide which trials settle.  The other trials
-    draw the rest of their rows from the same generators, ``width`` lanes a
-    block.  With no cells, every trial draws its whole row."""
-    n = len(rngs)
-    settled = np.zeros(n, dtype=bool)
-    month1 = []
-    first = None
-    if cells is not None:
-        first = np.fromiter((rng.standard_normal() for rng in rngs), float, n)
-        levels = income_levels(
-            profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None]
-        )
-        # a month that defaults reads no growth factor
-        draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
-        settled[:] = True
-        for cell in cells:
-            block = _cell_block(cell, draws)
-            if block.months is None:  # int64 cannot hold the split
-                settled[:] = False
-                break
-            _, debt_c, _, shortfall_c, _ = block.months[..., 0]
-            interest_c = round(profile.debt_balance.cents * cell.rate[0])
-            settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
-            if not settled.any():
-                break
-        if settled.any():
-            month1.append(_Draws(levels[settled], draws.growth[settled], draws.z_peak[settled], None))
-        live = ~settled
-        rngs = list(compress(rngs, live))
-        first = first[live]
-    blocks = (
-        _draw_block(
-            profile, horizon_months, rngs[j : j + width], None if first is None else first[j : j + width]
-        )
-        for j in range(0, len(rngs), width)
-    )
-    return _Run(settled.tolist(), chain(month1, blocks))
+def _screen(cells: list[_Cell], first: np.ndarray) -> tuple[np.ndarray, _Draws]:
+    """Which of a run's trials default in month 1 in every one of one
+    profile's ``cells``, given each trial's first normal, its month-1
+    income shock: a mask, and the settled trials' month-1 lanes as one
+    block.  It draws nothing.  Savings start at zero, so a trial defaults
+    then exactly when its shortfall plus the interest its debt bucket
+    cannot cover is positive; the cells' month-1 blocks built here only
+    decide which trials settle."""
+    profile, n = cells[0].profile, len(first)
+    levels = income_levels(profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None])
+    # a month that defaults reads no growth factor
+    draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
+    settled = np.ones(n, dtype=bool)
+    for cell in cells:
+        block = _cell_block(cell, draws)
+        if block.months is None:  # int64 cannot hold the split
+            settled[:] = False
+            break
+        _, debt_c, _, shortfall_c, _ = block.months[..., 0]
+        interest_c = round(profile.debt_balance.cents * cell.rate[0])
+        settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
+        if not settled.any():
+            break
+    return settled, _Draws(levels[settled], draws.growth[settled], draws.z_peak[settled], None)
 
 
 def run_trial(
@@ -609,12 +573,10 @@ def run_trial(
 class _Tally:
     """The running sums ``_aggregate`` reads from a cell's trial outcomes."""
 
-    def __init__(self, outcomes: Iterable[TrialOutcome] = ()) -> None:
+    def __init__(self) -> None:
         self.defaults = self.final_cents = self.months = 0
         self.dti_violations = self.ser_violations = 0
         self.clearance_months: list[int] = []
-        for outcome in outcomes:
-            self.add(outcome)
 
     def add(self, outcome: TrialOutcome) -> None:
         self.defaults += outcome.defaulted
@@ -631,10 +593,9 @@ def _aggregate(
     rule: AllocationRule,
     scenario: ScenarioSpec,
     horizon_months: int,
-    outcomes: Iterable[TrialOutcome] | _Tally,
+    tally: _Tally,
     trials: int,
 ) -> StressMetrics:
-    tally = outcomes if isinstance(outcomes, _Tally) else _Tally(outcomes)
     median_years = (
         statistics.median(tally.clearance_months) / _MONTHS_PER_YEAR if tally.clearance_months else None
     )
@@ -658,18 +619,26 @@ def _aggregate(
 
 def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[_Draws]:
     """The trials of one profile's built ``cells`` in the order each cell
-    runs them: per run of up to 256 trials, one block of the month-1 lanes
-    of the trials the screen settles, then the other trials in blocks of
-    ``width`` lanes, each drawn when asked for."""
+    runs them.  Per run of up to 256 trials, when ``_screenable`` allows,
+    each trial draws its first normal and one block holds the month-1
+    lanes of the trials ``_screen`` settles, which draw nothing more.  The
+    other trials follow in blocks of ``width`` lanes, each drawn when asked
+    for."""
     profile, horizon_months = cells[0].profile, cfg.steps
-    screened = _month1_cells(cells)
+    screened = _screenable(cells)
     for start in range(0, cfg.trials, _BLOCK):
-        # only _screen holds the generators, so the settled ones go at once
-        yield from _screen(
-            profile, horizon_months,
-            [derive_trial_rng(cfg.master_seed, k) for k in range(start, min(start + _BLOCK, cfg.trials))],
-            screened, width,
-        ).blocks  # fmt: skip
+        trials = range(start, min(start + _BLOCK, cfg.trials))
+        rngs = [derive_trial_rng(cfg.master_seed, k) for k in trials]
+        first = None
+        if screened:
+            first = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))
+            settled, month1 = _screen(cells, first)
+            rngs, first = list(compress(rngs, ~settled)), first[~settled]
+            if settled.any():
+                yield month1
+        for j in range(0, len(rngs), width):
+            lanes = slice(j, j + width)
+            yield _draw_block(profile, horizon_months, rngs[lanes], None if first is None else first[lanes])
 
 
 def run_stress(

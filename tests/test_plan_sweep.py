@@ -224,8 +224,8 @@ def test_nan_beats_an_earlier_number_across_blocks(monkeypatch, actions):
 def test_plan_deep_working_memory_stays_bounded():
     # Peak Python and numpy allocations of the benchmark's plan_deep solve:
     # 26.4 MB when every period held three full (496, 11, 11, 11) arrays,
-    # about 12.6 MB with the blocked sweep, 5.3 MB of it the one such array
-    # that is left, the per-action reward plus state term.
+    # about 13.4 MB with the blocked sweep and one such array, the
+    # per-action reward plus state term, and 8.1 MB without it.
     cfg = _deep_config(30)
     tracemalloc.start()
     try:
@@ -234,6 +234,21 @@ def test_plan_deep_working_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+def test_the_sweep_holds_no_whole_action_array():
+    # At a short horizon the peak is the sweep's working memory: about
+    # 12-13 MB while one (496, 11, 11, 11) array, 5.3 MB, held every
+    # action's reward plus state term, and about 7-7.5 MB since each block
+    # sums its own.
+    cfg = _deep_config(3)
+    tracemalloc.start()
+    try:
+        solve_plan(_DEEP_INITIAL, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6, peak
 
 
 # sha256 of ``thirdrule plan`` stdout, recorded from the four-gather sweep:

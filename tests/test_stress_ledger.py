@@ -288,15 +288,13 @@ def _rows_order(profiles, rules, scenarios):
 def _reference_run_stress(profiles, rules, scenarios, cfg):
     """run_stress's rows with every trial run by the reference loop on its
     own generator."""
-    return [
-        stress._aggregate(
-            p, r, s, cfg.steps,
-            (_reference_run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k))
-             for k in range(cfg.trials)),
-            cfg.trials,
-        )
-        for p, r, s in _rows_order(profiles, rules, scenarios)
-    ]  # fmt: skip
+    rows = []
+    for p, r, s in _rows_order(profiles, rules, scenarios):
+        tally = stress._Tally()
+        for k in range(cfg.trials):
+            tally.add(_reference_run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k)))
+        rows.append(stress._aggregate(p, r, s, cfg.steps, tally, cfg.trials))
+    return rows
 
 
 def _first_lone_trial_error(profiles, rules, scenarios, cfg):
@@ -395,10 +393,10 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     screened = []
     screen = stress._screen
 
-    def counted_screen(profile, *args):
-        run = screen(profile, *args)
-        screened.append((profile.profile_id, len(run.settled), sum(run.settled)))
-        return run
+    def counted_screen(cells, first):
+        settled, month1 = screen(cells, first)
+        screened.append((cells[0].profile.profile_id, len(settled), int(settled.sum())))
+        return settled, month1
 
     monkeypatch.setattr(stress, "derive_trial_rng", derive)
     monkeypatch.setattr(stress, "_screen", counted_screen)
@@ -507,14 +505,16 @@ def _built_cell(profile, rule, scenario, horizon_months):
 def test_a_settled_lane_that_does_not_default_raises():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
-    [cell] = stress._month1_cells([_built_cell(profile, rule, BASELINE_SCENARIO, 12)])
+    cell = _built_cell(profile, rule, BASELINE_SCENARIO, 12)
+    assert stress._screenable([cell])
     # month 1 at the profile's own income: the debt and expense buckets cover it
     draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
     lane = stress._Lane(stress._cell_block(cell, draws), 0)
     with pytest.raises(DomainError, match="settled"):
         run_trial(profile, rule, BASELINE_SCENARIO, 12, lane)
     # a one-month horizon walks the whole of it
-    [cell] = stress._month1_cells([_built_cell(profile, rule, BASELINE_SCENARIO, 1)])
+    cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
+    assert stress._screenable([cell])
     lane = stress._Lane(stress._cell_block(cell, draws), 0)
     assert not run_trial(profile, rule, BASELINE_SCENARIO, 1, lane).defaulted
 
@@ -548,8 +548,10 @@ _EDGE_SCENARIOS = [
 )
 def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(profile, scenarios):
     rules = [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))]
-    cells = stress._month1_cells([_built_cell(profile, r, s, 24) for r in rules for s in scenarios])
-    run = stress._screen(profile, 24, [derive_trial_rng(9, k) for k in range(60)], cells, 7)
+    cells = [_built_cell(profile, r, s, 24) for r in rules for s in scenarios]
+    assert stress._screenable(cells)
+    first = np.array([derive_trial_rng(9, k).standard_normal() for k in range(60)])
+    settled, month1 = stress._screen(cells, first)
     want = [
         all(
             run_trial(profile, rule, scenario, 24, derive_trial_rng(9, k)).default_month == 1
@@ -558,7 +560,24 @@ def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(pro
         )
         for k in range(60)
     ]
-    assert run.settled == want
+    assert settled.tolist() == want
+    # the settled trials' month-1 levels, in trial order
+    want_levels = income_levels(profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None])
+    assert month1.levels.tolist() == want_levels[settled].tolist()
+
+
+def test_a_profile_past_the_screens_bound_is_never_screened(monkeypatch):
+    # Every trial of the indebted profile defaults in month 1, but the
+    # shock from month 13 puts income past the bound, so no trial settles
+    # and each draws its whole row.
+    grid = _edge_grid([_EDGE_PROFILES[0]], [_EDGE_SCENARIOS[0]])
+    screened, screen = [], stress._screen
+    monkeypatch.setattr(stress, "_screen", lambda *args: screened.append(args) or screen(*args))
+    assert not stress._screenable([_built_cell(grid[0][0], grid[1][0], grid[2][0], 24)])
+    rows = run_stress(*grid)
+    assert screened == []
+    assert rows == _reference_run_stress(*grid)
+    assert all(row.default_rate == 1.0 for row in rows)
 
 
 def _grid_config(horizon, trials, seed):
