@@ -305,6 +305,7 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     blend_row = (acts[:, 1][:, None] * ni + np.arange(ni)[None, :]) * nb
     b_lo = blend_row[:, :, None] + bi0
     b_hi = blend_row[:, :, None] + bi1
+    del debt_next, bi0, bi1, sav_next, si0, si1  # the sweep reads only the indices and weights
     bwx = bw[:, :, :, None]
     bwx_c = 1.0 - bwx
     n_a = len(acts)

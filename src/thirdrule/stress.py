@@ -45,8 +45,8 @@ ahead of the month loop, in layers:
   scenario cell of the profile at once.  Savings start at zero, so a trial
   defaults in month 1 exactly when its expense shortfall plus the interest
   its debt bucket cannot cover is positive.  A trial that defaults there
-  in every cell is settled: it draws nothing more, and the settled trials
-  reach every cell as one block of one-month lanes, their month-1 levels.
+  in every cell is settled: it draws nothing more, never reaches
+  ``run_trial`` and is tallied in closed form (``_Tally.add_settled``).
   The others draw the rest of their rows from the same generators; split
   draws are the bytes of one draw, so the cells keep common random
   numbers (``_trial_blocks``);
@@ -55,9 +55,9 @@ ahead of the month loop, in layers:
   mixed market shocks and the savings growth factors (``_draw_block``).
   Every rule and scenario cell of the profile runs the block before the
   next is drawn, so ``run_stress`` makes one pass over a profile's trials;
-- per cell, for each block, settled or drawn: income in cents, the
-  rule's cent split through ``_split_cents`` and the expense shortfall and
-  residual, for as many months as the block's lanes hold (``_cell_block``).
+- per cell, for each drawn block: income in cents, the rule's cent split
+  through ``_split_cents`` and the expense shortfall and residual, for as
+  many months as the block's lanes hold (``_cell_block``).
 
 The month loop in ``run_trial`` carries only the debt and savings
 recursion: interest, principal, the default test, the savings balance,
@@ -66,9 +66,8 @@ its months to Python numbers in one step.  A lane whose income leaves the
 money bound in some month computes its terms month by month in Python
 ints instead, as a trial run alone would, so a trial whose income or
 savings outgrows Money or a float raises in the same month, naming the
-field behind it.  A settled lane that does not default in month 1 raises
-``DomainError``: no trial ends early.  ``run_stress`` raises the first
-error in row order, whichever block it comes from.
+field behind it.  A settled trial never reaches it.  ``run_stress``
+raises the first error in row order, whichever block it comes from.
 """
 
 from __future__ import annotations
@@ -308,7 +307,7 @@ _NORMAL_BOUND = 20.0
 
 class _Draws(NamedTuple):
     """One profile's draws for a block of trials, one row (lane) a trial,
-    of H months: the horizon, or month 1 alone for the settled trials."""
+    of H months: the horizon, or month 1 alone in the month-1 screen."""
 
     levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
@@ -444,14 +443,12 @@ def _screenable(cells: list[_Cell]) -> bool:
     return 2.0 * _raw_income_c(profile.income.units * unit_peak, peak_factor) <= MAX_CENTS
 
 
-def _screen(cells: list[_Cell], first: np.ndarray) -> tuple[np.ndarray, _Draws]:
-    """Which of a run's trials default in month 1 in every one of one
-    profile's ``cells``, given each trial's first normal, its month-1
-    income shock: a mask, and the settled trials' month-1 lanes as one
-    block.  It draws nothing.  Savings start at zero, so a trial defaults
-    then exactly when its shortfall plus the interest its debt bucket
-    cannot cover is positive; the cells' month-1 blocks built here only
-    decide which trials settle."""
+def _screen(cells: list[_Cell], first: np.ndarray) -> np.ndarray:
+    """The mask of a run's trials that default in month 1 in every one of
+    one profile's ``cells``, given each trial's first normal, its month-1
+    income shock.  It draws nothing.  Savings start at zero, so a trial
+    defaults then exactly when its shortfall plus the interest its debt
+    bucket cannot cover is positive."""
     profile, n = cells[0].profile, len(first)
     levels = income_levels(profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None])
     # a month that defaults reads no growth factor
@@ -460,14 +457,13 @@ def _screen(cells: list[_Cell], first: np.ndarray) -> tuple[np.ndarray, _Draws]:
     for cell in cells:
         block = _cell_block(cell, draws)
         if block.months is None:  # int64 cannot hold the split
-            settled[:] = False
-            break
+            return np.zeros(n, dtype=bool)
         _, debt_c, _, shortfall_c, _ = block.months[..., 0]
         interest_c = round(profile.debt_balance.cents * cell.rate[0])
         settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
         if not settled.any():
             break
-    return settled, _Draws(levels[settled], draws.growth[settled], draws.z_peak[settled], None)
+    return settled
 
 
 def run_trial(
@@ -548,8 +544,6 @@ def run_trial(
             if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
                 raise DomainError(f"monthly cash identity violated in month {month}")
 
-        if default_month is None and len(dti_series) < horizon_months:
-            raise DomainError("a trial the month-1 screen settled lived past month 1")
         return TrialOutcome(
             defaulted=default_month is not None,
             default_month=default_month,
@@ -587,6 +581,12 @@ class _Tally:
         self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
         self.ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
 
+    def add_settled(self, n: int, debt_c: int) -> None:
+        """Add ``n`` trials that default in month 1 on opening debt ``debt_c``."""
+        self.defaults += n  # no month completes: no savings, no ratios
+        if debt_c == 0:  # cleared before month 1
+            self.clearance_months += [0] * n
+
 
 def _aggregate(
     profile: HouseholdProfile,
@@ -617,13 +617,12 @@ def _aggregate(
     )
 
 
-def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[_Draws]:
+def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[int | _Draws]:
     """The trials of one profile's built ``cells`` in the order each cell
     runs them.  Per run of up to 256 trials, when ``_screenable`` allows,
-    each trial draws its first normal and one block holds the month-1
-    lanes of the trials ``_screen`` settles, which draw nothing more.  The
-    other trials follow in blocks of ``width`` lanes, each drawn when asked
-    for."""
+    each trial draws its first normal, and the count of those ``_screen``
+    settles comes first: they draw nothing more.  The other trials follow
+    in blocks of ``width`` lanes, each drawn when asked for."""
     profile, horizon_months = cells[0].profile, cfg.steps
     screened = _screenable(cells)
     for start in range(0, cfg.trials, _BLOCK):
@@ -632,10 +631,9 @@ def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[_
         first = None
         if screened:
             first = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))
-            settled, month1 = _screen(cells, first)
+            settled = _screen(cells, first)
             rngs, first = list(compress(rngs, ~settled)), first[~settled]
-            if settled.any():
-                yield month1
+            yield int(settled.sum())
         for j in range(0, len(rngs), width):
             lanes = slice(j, j + width)
             yield _draw_block(profile, horizon_months, rngs[lanes], None if first is None else first[lanes])
@@ -653,12 +651,11 @@ def run_stress(
     (cfg.master_seed, k), so all combinations share shocks (common random
     numbers).  Each profile makes one pass over its trials, in runs of up
     to 256: the month-1 screen settles the trials that default in month 1
-    in every cell, which draw only their first normal, and the others are
-    drawn in blocks of lanes.  Every cell of the profile runs a block
-    before the next is drawn, so a trial's stream is derived once per
-    profile.  Every trial of every cell still runs through ``run_trial``,
-    one at a time on the calling thread, and is tallied as it finishes.
-    Output rows are sorted by (profile_id, rule, scenario).
+    in every cell, which draw only their first normal and are tallied in
+    closed form, never reaching ``run_trial``; the others run through it
+    in blocks of lanes, one at a time.  Every cell of the profile runs a
+    block before the next is drawn, so a trial's stream is derived once
+    per profile.  Output rows are sorted by (profile_id, rule, scenario).
 
     Each (profile, scenario) schedule is built once and shared by the
     profile's rules.  The error raised is the first in row order: a cell
@@ -708,6 +705,9 @@ def run_stress(
                 if row >= stop:
                     break
                 key, tally = keys[row], tallies[row]
+                if isinstance(draws, int):  # the run's settled trials
+                    tally.add_settled(draws, profile.debt_balance.cents)
+                    continue
                 try:
                     block = _cell_block(cell, draws)
                     for i in range(len(draws.z_peak)):

@@ -394,9 +394,9 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     screen = stress._screen
 
     def counted_screen(cells, first):
-        settled, month1 = screen(cells, first)
+        settled = screen(cells, first)
         screened.append((cells[0].profile.profile_id, len(settled), int(settled.sum())))
-        return settled, month1
+        return settled
 
     monkeypatch.setattr(stress, "derive_trial_rng", derive)
     monkeypatch.setattr(stress, "_screen", counted_screen)
@@ -502,17 +502,11 @@ def _built_cell(profile, rule, scenario, horizon_months):
     return stress._cell(key, stress._cell_terms(profile, scenario, horizon_months))
 
 
-def test_a_settled_lane_that_does_not_default_raises():
+def test_a_one_month_horizon_walks_the_whole_of_it():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
-    cell = _built_cell(profile, rule, BASELINE_SCENARIO, 12)
-    assert stress._screenable([cell])
     # month 1 at the profile's own income: the debt and expense buckets cover it
     draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
-    lane = stress._Lane(stress._cell_block(cell, draws), 0)
-    with pytest.raises(DomainError, match="settled"):
-        run_trial(profile, rule, BASELINE_SCENARIO, 12, lane)
-    # a one-month horizon walks the whole of it
     cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
     assert stress._screenable([cell])
     lane = stress._Lane(stress._cell_block(cell, draws), 0)
@@ -551,7 +545,7 @@ def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(pro
     cells = [_built_cell(profile, r, s, 24) for r in rules for s in scenarios]
     assert stress._screenable(cells)
     first = np.array([derive_trial_rng(9, k).standard_normal() for k in range(60)])
-    settled, month1 = stress._screen(cells, first)
+    settled = stress._screen(cells, first)
     want = [
         all(
             run_trial(profile, rule, scenario, 24, derive_trial_rng(9, k)).default_month == 1
@@ -561,9 +555,6 @@ def test_the_screen_settles_the_trials_that_default_in_month_1_in_every_cell(pro
         for k in range(60)
     ]
     assert settled.tolist() == want
-    # the settled trials' month-1 levels, in trial order
-    want_levels = income_levels(profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None])
-    assert month1.levels.tolist() == want_levels[settled].tolist()
 
 
 def test_a_profile_past_the_screens_bound_is_never_screened(monkeypatch):
@@ -632,6 +623,17 @@ def _edge_grid(profiles, scenarios, horizon=24, trials=80, seed=3, rules=None):
 @example(_edge_grid([_BASE], [ScenarioSpec("a"), _EDGE_SCENARIOS[0]]))
 # a profile past the screen's bound whose trials raise, before one whose trials all settle
 @example(_edge_grid([_EDGE_PROFILES[1], _EDGE_PROFILES[0]], [ScenarioSpec("a")]))
+# no debt, and expenses past every expense bucket: every trial settles, its
+# debt cleared in month 0
+@example(_edge_grid(
+    [dict(_BASE, debt_balance=Money(0), baseline_expenses=Money.of("60000"))], [ScenarioSpec("a")],
+    rules=[AllocationRule.one_third(), AllocationRule.fifty_thirty_twenty()],
+))  # fmt: skip
+# no debt, and expenses near one_third's bucket: about half the trials settle
+@example(_edge_grid(
+    [dict(_BASE, debt_balance=Money(0), baseline_expenses=Money.of("20000"))], [ScenarioSpec("a")],
+    rules=[AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))],
+))  # fmt: skip
 def test_run_stress_matches_trials_run_alone(grid):
     # run_stress's rows are the reference loop's; its error is the first one
     # its trials raise when each runs alone, in row order.  RuntimeWarning is
@@ -667,7 +669,7 @@ _LATE_WINDOW = ScenarioSpec(
 
 @pytest.mark.parametrize("rule", [AllocationRule.one_third(), _HUGE_NUMERATORS])
 def test_a_block_of_fewer_months_is_the_first_months_of_the_whole_block(rule):
-    # the settled trials' one-month lanes take the cell's own terms, of
+    # the month-1 screen's one-month blocks take the cell's own terms, of
     # every month of the horizon
     profile = HouseholdProfile(**_BASE)
     cell = _built_cell(profile, rule, _LATE_WINDOW, 12)
@@ -817,9 +819,10 @@ def test_stress_seams_keep_their_names():
 
 def test_run_stress_calls_its_seams_once_per_row_and_trial(monkeypatch):
     # The traced benchmark times each row in _aggregate and each trial in
-    # run_trial, through the module namespace; settled lanes count too.
-    aggregated, trials = [], Counter()
-    aggregate, trial = stress._aggregate, stress.run_trial
+    # run_trial, through the module namespace.  The trials the month-1
+    # screen settles are tallied in closed form and never reach run_trial.
+    aggregated, trials, settled = [], Counter(), Counter()
+    aggregate, trial, screen = stress._aggregate, stress.run_trial, stress._screen
 
     def counted_aggregate(profile, rule, scenario, *args):
         aggregated.append((profile.profile_id, rule.rule_id.value, scenario.name))
@@ -829,9 +832,16 @@ def test_run_stress_calls_its_seams_once_per_row_and_trial(monkeypatch):
         trials[profile.profile_id, rule.rule_id.value, scenario.name] += 1
         return trial(profile, rule, scenario, *args)
 
+    def counted_screen(cells, first):
+        mask = screen(cells, first)
+        settled[cells[0].profile.profile_id] += int(mask.sum())
+        return mask
+
     monkeypatch.setattr(stress, "_aggregate", counted_aggregate)
     monkeypatch.setattr(stress, "run_trial", counted_trial)
+    monkeypatch.setattr(stress, "_screen", counted_screen)
     rows = run_stress(*_SCREENED_GRID)
     assert aggregated == [(row.profile_id, row.rule.value, row.scenario) for row in rows]
     assert len(rows) == 8
-    assert trials == {row: 300 for row in aggregated}
+    assert {row: trials[row] for row in aggregated} == {row: 300 - settled[row[0]] for row in aggregated}
+    assert settled["q"] == 300 and 0 < settled["p"] < 300
