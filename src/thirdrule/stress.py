@@ -59,14 +59,19 @@ ahead of the month loop, in layers:
   through ``_split_cents`` and the expense shortfall and residual, for as
   many months as the block's lanes hold (``_cell_block``).
 
-The month loop in ``run_trial`` carries only the debt and savings
-recursion: interest, principal, the default test, the savings balance,
-the ratios and the cash identity.  It reads one trial's lane, converting
-its months to Python numbers in one step.  A lane whose income leaves the
-money bound in some month computes its terms month by month in Python
-ints instead, as a trial run alone would, so a trial whose income or
-savings outgrows Money or a float raises in the same month, naming the
-field behind it.  A settled trial never reaches it.  ``run_stress``
+``run_trial`` carries only the debt and savings recursion, over one
+trial's lane, its months converted to Python numbers in one step.  Its
+first loop runs while debt is owed: interest, principal, the default
+test, the savings balance, the ratios and the cash identity.  It ends
+after the month the debt reaches zero, and the paid-off months go on in
+a second loop.  There round(0 × rate) is 0 for every rate the schedule
+admits, so no interest or principal is paid, the whole debt bucket joins
+the savings deposit, the shortfall alone draws on savings and DTI is
+0.0; that loop skips those terms.  A lane whose income leaves the money
+bound in some month computes its terms month by month in Python ints
+instead, as a trial run alone would, so a trial whose income or savings
+outgrows Money or a float raises in the same month, naming the field
+behind it.  A settled trial never reaches ``run_trial``.  ``run_stress``
 raises the first error in row order, whichever block it comes from.
 """
 
@@ -474,7 +479,7 @@ def run_trial(
     rng,
 ) -> TrialOutcome:
     """Simulate one household trajectory.  See the module docstring for
-    the month loop.
+    the month loops, one while debt is owed and one once it is paid off.
 
     rng is the trial's ``np.random.Generator``, or a lane that
     ``run_stress`` built for this cell.  A generator gets a cell record of
@@ -506,11 +511,13 @@ def run_trial(
                 profile.income.units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
             )
         levels = draws.levels[i, 1:]
+        months = _lane_months(lane)
 
+        # while debt is owed
         for (
             month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c,
             growth, due_c, rate,
-        ) in _lane_months(lane):  # fmt: skip
+        ) in months if debt_c else ():  # fmt: skip
             # interest first; what the debt bucket cannot cover comes from savings
             interest_c = round(debt_c * rate)
             spare_c = alloc_debt_c - interest_c
@@ -528,9 +535,6 @@ def run_trial(
                 break
 
             debt_c -= principal_c
-            if debt_c == 0 and cleared is None:
-                cleared = month
-
             deposit_c = alloc_savings_c + excess_c
             savings_c = round(buffer_c * growth) + deposit_c
 
@@ -543,6 +547,32 @@ def run_trial(
 
             if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
                 raise DomainError(f"monthly cash identity violated in month {month}")
+            if debt_c == 0:
+                cleared = month
+                break
+
+        # paid off (a default leaves debt owed): no interest or principal, all
+        # the debt bucket deposited, DTI 0.0
+        for (
+            month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c,
+            growth, due_c, _,
+        ) in months if not debt_c else ():  # fmt: skip
+            buffer_c = savings_c - shortfall_c
+            if buffer_c < 0:
+                default_month = month
+                break
+
+            deposit_c = alloc_savings_c + alloc_debt_c
+            savings_c = round(buffer_c * growth) + deposit_c
+
+            if due_c > 0:
+                ser_series.append(deposit_c / due_c)
+            else:
+                ser_series.append(math.inf if deposit_c > 0 else 1.0)
+
+            if income_c + shortfall_c != due_c + deposit_c + residual_c:
+                raise DomainError(f"monthly cash identity violated in month {month}")
+        dti_series += [0.0] * (len(ser_series) - len(dti_series))  # the paid-off months
 
         return TrialOutcome(
             defaulted=default_month is not None,

@@ -142,6 +142,34 @@ def _fresh_python(*args):
     )
 
 
+def _identity_fault_script(debt, first_month):
+    """A script that runs one 12-month trial on ``debt`` with expenses given
+    one cent more than the split leaves from ``first_month`` on, and prints
+    ``sys.flags.optimize`` and the ``DomainError`` it raises."""
+    return textwrap.dedent(
+        f"""
+        import sys
+        from thirdrule import stress
+        from thirdrule import (AllocationRule, BASELINE_SCENARIO, DomainError,
+            HouseholdProfile, HouseholdType, Money, derive_trial_rng)
+
+        real = stress._split_cents
+        def one_cent_more(*args):
+            debt, savings, expenses = real(*args)
+            expenses[..., {first_month - 1}:] += 1
+            return debt, savings, expenses
+        stress._split_cents = one_cent_more
+        profile = HouseholdProfile("h1", HouseholdType.SINGLE_INCOME, (Money.of("60000"),),
+            Money.of("{debt}"), 0.18, Money.of("18000"), 0.1, 0.15, 0.3, 0.02, 0.04)
+        try:
+            stress.run_trial(profile, AllocationRule.one_third(), BASELINE_SCENARIO, 12,
+                             derive_trial_rng(0, 0))
+        except DomainError as exc:
+            print(sys.flags.optimize, exc)
+        """
+    )
+
+
 class TestScenarioSpec:
     def test_window_bounds(self):
         s = ScenarioSpec(name="w", onset_month=3, duration_months=2)
@@ -196,30 +224,15 @@ class TestRunTrial:
     def test_cash_identity_checked_under_python_O(self):
         # Expenses get one cent more than the split leaves; the monthly
         # identity check must still catch it when asserts are stripped.
-        code = textwrap.dedent(
-            """
-            import sys
-            from thirdrule import stress
-            from thirdrule import (AllocationRule, BASELINE_SCENARIO, DomainError,
-                HouseholdProfile, HouseholdType, Money, derive_trial_rng)
-
-            real = stress._split_cents
-            def one_cent_more(*args):
-                debt, savings, expenses = real(*args)
-                return debt, savings, expenses + 1
-            stress._split_cents = one_cent_more
-            profile = HouseholdProfile("h1", HouseholdType.SINGLE_INCOME, (Money.of("60000"),),
-                Money.of("20000"), 0.18, Money.of("18000"), 0.1, 0.15, 0.3, 0.02, 0.04)
-            try:
-                stress.run_trial(profile, AllocationRule.one_third(), BASELINE_SCENARIO, 12,
-                                 derive_trial_rng(0, 0))
-            except DomainError as exc:
-                print(sys.flags.optimize, exc)
-            """
-        )
-        done = _fresh_python("-O", "-c", code)
+        done = _fresh_python("-O", "-c", _identity_fault_script("20000", 1))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "1 monthly cash identity violated in month 1\n"
+
+    @pytest.mark.parametrize("debt", ["0", "1000"])  # never owed, or cleared in month 1
+    def test_paid_off_months_check_the_cash_identity_under_python_O(self, debt):
+        done = _fresh_python("-O", "-c", _identity_fault_script(debt, 3))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 monthly cash identity violated in month 3\n"
 
     def test_deterministic_across_calls(self):
         a = run_trial(

@@ -274,6 +274,82 @@ def test_run_trial_matches_reference_loop_on_edge_cases():
                     assert got == want, (profile, scenario, rule, k)
 
 
+# 6000 a month of income against 1500 of expenses due
+_NOISY = dict(
+    profile_id="p",
+    household_type=HouseholdType.SINGLE_INCOME,
+    member_incomes=(Money.of("72000"),),
+    debt_balance=Money.of("20000"),
+    debt_apr=0.18,
+    baseline_expenses=Money.of("18000"),
+    sigma_income=0.1,
+    sigma_market=0.15,
+    rho=0.3,
+    mu=0.02,
+    r_savings=0.04,
+)
+# the same, flat, with no interest and no market
+_FLAT = dict(_NOISY, debt_apr=0.0, sigma_income=0.0, sigma_market=0.0, mu=0.0, r_savings=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields, rule, scenario, horizon, seed, cleared, default, exact",
+    [
+        # no opening debt: every month is paid off, and income lost from
+        # month 25 on drains the savings until a late default
+        (dict(_FLAT, debt_balance=Money(0)), AllocationRule.one_third(),
+         ScenarioSpec("lost", income_shock=-1.0, onset_month=25), 120, 0, 0, 89, False),
+        # 2000 a month clears 10000 in the horizon's last month
+        (dict(_FLAT, debt_balance=Money.of("10000")), AllocationRule.one_third(),
+         BASELINE_SCENARIO, 5, 0, 5, None, False),
+        # 20000 at 18 % under noise, cleared in the last month of 10
+        (_NOISY, AllocationRule.one_third(), BASELINE_SCENARIO, 10, 7, 10, None, False),
+        # no savings bucket: month 1 clears 3000 and deposits nothing, so
+        # the income lost in month 2 defaults right after clearance
+        (dict(_FLAT, debt_balance=Money.of("3000")), _custom(Fraction(1, 2), Fraction(0)),
+         ScenarioSpec("lost", income_shock=-1.0, onset_month=2), 12, 0, 1, 2, False),
+        # an exact lane, its income past the money bound in month 24 alone,
+        # that clears its debt in month 2 and defaults in month 10
+        (dict(_NOISY, debt_balance=Money.of("2000"), sigma_income=2.0),
+         AllocationRule.one_third(), ScenarioSpec("late", income_shock=1e12, onset_month=24),
+         24, 164, 2, 10, True),
+    ],
+)  # fmt: skip
+def test_run_trial_matches_reference_loop_past_debt_clearance(
+    fields, rule, scenario, horizon, seed, cleared, default, exact
+):
+    profile = HouseholdProfile(**fields)
+    got = run_trial(profile, rule, scenario, horizon, derive_trial_rng(9, seed))
+    assert got == _reference_run_trial(profile, rule, scenario, horizon, derive_trial_rng(9, seed))
+    assert (got.debt_cleared_month, got.default_month) == (cleared, default)
+    draws = stress._draw_block(profile, horizon, [derive_trial_rng(9, seed)])
+    assert stress._cell_block(_built_cell(profile, rule, scenario, horizon), draws).exact[0] == exact
+
+
+def test_savings_that_outgrow_a_float_after_clearance_raise_in_that_month():
+    # Month 1 clears the debt; the savings grow by 1e300 / 12 a month and
+    # leave the float range in month 3, where the reference loop fails.
+    profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("1000"), r_savings=1e300))
+    rule = AllocationRule.one_third()
+    with pytest.raises(ValidationError, match="out of range"):  # past MAX_CENTS only
+        _reference_run_trial(profile, rule, BASELINE_SCENARIO, 2, derive_trial_rng(0, 0))
+    with pytest.raises(OverflowError), np.errstate(over="ignore"):
+        _reference_run_trial(profile, rule, BASELINE_SCENARIO, 3, derive_trial_rng(0, 0))
+    walked = []
+    real = stress._lane_months
+
+    def lane_months(lane):
+        for month in real(lane):
+            walked.append(month[0])
+            yield month
+
+    with mock.patch.object(stress, "_lane_months", lane_months):
+        with pytest.raises(DomainError) as err:
+            run_trial(profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0))
+    assert str(err.value) == "profile 'p': r_savings 1e+300 puts savings past the money bound"
+    assert walked == [1, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # run_stress, whose trials read month terms built for a block of lanes
 
