@@ -308,12 +308,18 @@ class SimulatedPath:
         return [Money(int(c)) for c in self.cents]
 
 
+def _past_money_bound() -> DomainError:
+    return DomainError(f"a simulated level exceeds the money bound of {MAX_CENTS} cents")
+
+
 def _quantized_path(levels, dt: float, floored_steps: int = 0) -> SimulatedPath:
     """Round per-step levels in units to int64 cents.  A level past
-    Money's bound (or NaN) is a DomainError, not a wrapped int64."""
-    cents = np.rint(np.asarray(levels) * 100.0)
+    Money's bound (or NaN, or one whose cents overflow a float) is a
+    DomainError, not a wrapped int64."""
+    with np.errstate(over="ignore"):
+        cents = np.rint(np.asarray(levels) * 100.0)
     if not cents.max() <= MAX_CENTS:
-        raise DomainError(f"a simulated level exceeds the money bound of {MAX_CENTS} cents")
+        raise _past_money_bound()
     times = np.arange(len(cents)) * dt
     return SimulatedPath(times=times, cents=cents.astype(np.int64), floored_steps=floored_steps)
 
@@ -333,7 +339,11 @@ def simulate_income_path(
     if finite_number(sigma_income, "sigma_income") < 0:
         raise ValidationError("sigma_income must be nonnegative")
     dt = cfg.dt_years
-    raw = i0.units * _unit_path(mu, sigma_income, dt, rng.standard_normal(cfg.steps))
+    z = rng.standard_normal(cfg.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = i0.units * _unit_path(mu, sigma_income, dt, z)
+    if not np.isfinite(raw).all():  # also a level the zero floor would hide
+        raise _past_money_bound()
     # a raw level of exactly zero is not a floored step
     return _quantized_path(_floored(i0.units, raw), dt, int(np.count_nonzero(raw < 0.0)))
 
@@ -362,7 +372,8 @@ def simulate_savings_path(
     c = contribution.units
     value = s0.units
     values = [value]
-    for k in range(n):
-        value = value * max(1.0 + rate * dt + sigma_market * sqrt_dt * z[k], 0.0) + c
-        values.append(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # _quantized_path rejects inf and NaN
+        for k in range(n):
+            value = value * max(1.0 + rate * dt + sigma_market * sqrt_dt * z[k], 0.0) + c
+            values.append(value)
     return _quantized_path(values, dt)

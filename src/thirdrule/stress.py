@@ -45,11 +45,11 @@ ahead of the month loop, in layers:
   scenario cell of the profile at once.  Savings start at zero, so a trial
   defaults in month 1 exactly when its expense shortfall plus the interest
   its debt bucket cannot cover is positive.  A trial that defaults there
-  in every cell is settled: it draws nothing more, never reaches
-  ``run_trial`` and is tallied in closed form (``_Tally.add_settled``).
-  The others draw the rest of their rows from the same generators; split
-  draws are the bytes of one draw, so the cells keep common random
-  numbers (``_trial_blocks``);
+  in every cell is settled: it draws nothing more and never reaches
+  ``run_trial``; ``_Tally.add_settled`` counts it as a default, and as
+  cleared in month 0 if it owes nothing.  The others draw the rest of
+  their rows from the same generators; split draws are the bytes of one
+  draw, so the cells keep common random numbers (``_trial_blocks``);
 - per profile, for a block of the trials the screen did not settle
   (lanes): each trial's shocks from its own stream, the income levels, the
   mixed market shocks and the savings growth factors (``_draw_block``).
@@ -71,17 +71,17 @@ the savings deposit, the shortfall alone draws on savings and DTI is
 bound in some month computes its terms month by month in Python ints
 instead, as a trial run alone would, so a trial whose income or savings
 outgrows Money or a float raises in the same month, naming the field
-behind it.  A settled trial never reaches ``run_trial``.  ``run_stress``
-raises the first error in row order, whichever block it comes from.
+behind it.  ``run_stress`` raises the first error in row order, whichever
+block it comes from.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -595,17 +595,17 @@ def run_trial(
 
 
 class _Tally:
-    """The running sums ``_aggregate`` reads from a cell's trial outcomes."""
+    """The running sums ``_aggregate`` reads from a cell's trial outcomes;
+    ``cleared`` counts trials by clearance month, 0 (no opening debt) to H."""
 
-    def __init__(self) -> None:
-        self.defaults = self.final_cents = self.months = 0
-        self.dti_violations = self.ser_violations = 0
-        self.clearance_months: list[int] = []
+    def __init__(self, horizon_months: int) -> None:
+        self.defaults = self.final_cents = self.months = self.dti_violations = self.ser_violations = 0
+        self.cleared = [0] * (horizon_months + 1)
 
     def add(self, outcome: TrialOutcome) -> None:
         self.defaults += outcome.defaulted
         if outcome.debt_cleared_month is not None:
-            self.clearance_months.append(outcome.debt_cleared_month)
+            self.cleared[outcome.debt_cleared_month] += 1
         self.final_cents += outcome.final_savings.cents
         self.months += len(outcome.dti_series)
         self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
@@ -614,8 +614,7 @@ class _Tally:
     def add_settled(self, n: int, debt_c: int) -> None:
         """Add ``n`` trials that default in month 1 on opening debt ``debt_c``."""
         self.defaults += n  # no month completes: no savings, no ratios
-        if debt_c == 0:  # cleared before month 1
-            self.clearance_months += [0] * n
+        self.cleared[0] += n * (debt_c == 0)  # owing nothing, cleared before month 1
 
 
 def _aggregate(
@@ -626,9 +625,10 @@ def _aggregate(
     tally: _Tally,
     trials: int,
 ) -> StressMetrics:
-    median_years = (
-        statistics.median(tally.clearance_months) / _MONTHS_PER_YEAR if tally.clearance_months else None
-    )
+    by_month = list(accumulate(tally.cleared))  # trials cleared by each month
+    n = by_month[-1]  # an even count's median is the mean of its two middle months
+    middle = bisect_right(by_month, (n - 1) // 2) + bisect_right(by_month, n // 2)
+    median_years = middle / 2 / _MONTHS_PER_YEAR if n else None
     mean_final = Money(_round_div(tally.final_cents, trials))
     baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
     final_due_c = _expenses_due_cents(baseline_monthly_c, scenario, horizon_months)
@@ -709,7 +709,7 @@ def run_stress(
     rows_of: dict[HouseholdProfile, list[int]] = {}
     for row, key in enumerate(keys):
         rows_of.setdefault(key[0], []).append(row)
-    tallies = [_Tally() for _ in keys]
+    tallies = [_Tally(horizon_months) for _ in keys]
     stop, error = len(keys), None  # the first failed row and its error
 
     for profile, rows in rows_of.items():

@@ -58,9 +58,19 @@ def test_oversized_fraction_argument_is_a_usage_error(capsys):
         (["--sigma-income", "nan"], "error: sigma_income must be finite\n"),
         (["--mu", "inf"], "error: mu must be finite\n"),
         (["--kind", "savings", "--rate", "nan"], "error: rate must be finite\n"),
-        (
-            ["--mu", "1e300"],
-            "error: a simulated level exceeds the money bound of 9007199254740992 cents\n",
+        *(
+            (flags, "error: a simulated level exceeds the money bound of 9007199254740992 cents\n")
+            for flags in (
+                ["--mu", "1e300"],
+                # levels that overflow a float, not only the money bound
+                ["--start", "1e13", "--mu", "1e300"],
+                ["--mu", "1e307"],
+                ["--sigma-income", "1e308"],
+                # -inf, which the zero floor would hide
+                ["--mu", "-1e308"],
+                ["--kind", "savings", "--rate", "1e307"],
+                ["--kind", "savings", "--start", "1e13", "--sigma-market", "1e300"],
+            )
         ),
     ],
 )

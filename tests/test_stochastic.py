@@ -478,13 +478,22 @@ def test_income_matches_the_grid_per_call_recipe(start_c, mu, sigma_income, dt, 
     cfg = PathConfig(horizon_years=steps * dt, dt_years=dt)
     assert cfg.steps == steps
     cents = np.rint(want * 100.0)
-    if not cents.max() <= MAX_CENTS:
+    if not (cents.max() <= MAX_CENTS and np.isfinite(raw).all()):
         with pytest.raises(DomainError):
             simulate_income_path(Money(start_c), mu, sigma_income, cfg, derive_trial_rng(seed, 0))
         return
     path = simulate_income_path(Money(start_c), mu, sigma_income, cfg, derive_trial_rng(seed, 0))
     assert path.cents.tobytes() == cents.astype(np.int64).tobytes()
     assert path.floored_steps == int(np.count_nonzero(raw < 0.0))
+
+
+@pytest.mark.parametrize("mu, sigma_income", [(-1e308, 0.0), (1e307, 0.0), (0.0, 1e308)])
+def test_a_level_that_overflows_a_float_is_past_the_money_bound(mu, sigma_income):
+    # mu -1e308 makes every level -inf, which the zero floor would turn
+    # into 0; at 1e307 the levels are finite but their cents overflow
+    cfg = PathConfig(horizon_years=1)
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="money bound"):
+        simulate_income_path(Money.of("100"), mu, sigma_income, cfg, derive_trial_rng(0, 0))
 
 
 @given(

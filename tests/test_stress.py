@@ -514,6 +514,21 @@ class TestRunStress:
         done = _fresh_python("-c", code, *argv)
         assert (done.returncode, done.stderr) == (0, "0 []\n")
 
+    def test_stress_leaves_statistics_unloaded(self):
+        # stress reads csv and json, and takes its clearance median from a
+        # count per month, not from statistics
+        [argv] = [a for a in ARRAY_COMMANDS if a[0] == "stress"]
+        code = textwrap.dedent(
+            """
+            import sys
+            import thirdrule.cli
+            status = thirdrule.cli.main(sys.argv[1:])
+            print(status, "statistics" in sys.modules, file=sys.stderr)
+            """
+        )
+        done = _fresh_python("-c", code, *argv)
+        assert (done.returncode, done.stderr) == (0, "0 False\n")
+
     def test_every_traced_cli_name_is_reached(self):
         reached = {name for names in TRACED_CLI_CALLS.values() for name in names}
         assert reached == {attr for module, attr in _traced_patches() if module == "cli"}

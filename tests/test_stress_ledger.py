@@ -12,6 +12,7 @@ import hashlib
 import inspect
 import math
 import os
+import statistics
 import tracemalloc
 import warnings
 from collections import Counter
@@ -32,6 +33,7 @@ from thirdrule import (
     Money,
     PathConfig,
     ScenarioSpec,
+    StressMetrics,
     THREADS_ENV_VAR,
     TrialOutcome,
     derive_trial_rng,
@@ -42,6 +44,7 @@ from thirdrule import (
 from thirdrule.cli import main
 from thirdrule.domain import MAX_CENTS, _round_div, _settle_residual
 from thirdrule.errors import DomainError, ValidationError
+from thirdrule.risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
 from thirdrule.stochastic import MAX_STEPS, income_levels, mix_correlated
 
 _MONTHS_PER_YEAR = 12
@@ -363,13 +366,34 @@ def _rows_order(profiles, rules, scenarios):
 
 def _reference_run_stress(profiles, rules, scenarios, cfg):
     """run_stress's rows with every trial run by the reference loop on its
-    own generator."""
+    own generator, and aggregated here from the list of outcomes: the
+    clearance median by statistics.median, the violations by counting the
+    series."""
     rows = []
     for p, r, s in _rows_order(profiles, rules, scenarios):
-        tally = stress._Tally()
-        for k in range(cfg.trials):
-            tally.add(_reference_run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k)))
-        rows.append(stress._aggregate(p, r, s, cfg.steps, tally, cfg.trials))
+        outcomes = [
+            _reference_run_trial(p, r, s, cfg.steps, derive_trial_rng(cfg.master_seed, k))
+            for k in range(cfg.trials)
+        ]
+        cleared = [o.debt_cleared_month for o in outcomes if o.debt_cleared_month is not None]
+        mean_final = Money(round(Fraction(sum(o.final_savings.cents for o in outcomes), cfg.trials)))
+        baseline_monthly_c = _round_div(p.baseline_expenses.cents, _MONTHS_PER_YEAR)
+        final_due_c = _reference_expenses_due_cents(baseline_monthly_c, s, cfg.steps)
+        months = sum(len(o.dti_series) for o in outcomes)
+        dti_violations = sum(x > DEFAULT_DTI_LIMIT for o in outcomes for x in o.dti_series)
+        ser_violations = sum(x < DEFAULT_SER_FLOOR for o in outcomes for x in o.ser_series)
+        rows.append(StressMetrics(
+            profile_id=p.profile_id,
+            rule=r.rule_id,
+            scenario=s.name,
+            trials=cfg.trials,
+            default_rate=sum(o.defaulted for o in outcomes) / cfg.trials,
+            median_clearance_years=statistics.median(cleared) / _MONTHS_PER_YEAR if cleared else None,
+            mean_final_savings=mean_final,
+            months_expense_coverage=mean_final.cents / final_due_c if final_due_c > 0 else None,
+            dti_violation_rate=dti_violations / months if months else 0.0,
+            ser_violation_rate=ser_violations / months if months else 0.0,
+        ))  # fmt: skip
     return rows
 
 
@@ -431,6 +455,67 @@ def test_run_stress_matches_reference_loop(trials):
     cfg = PathConfig(horizon_years=_HORIZON / 12, trials=trials, master_seed=trials)
     args = (_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, cfg)
     assert run_stress(*args) == _reference_run_stress(*args)
+
+
+@st.composite
+def _clearance_months(draw):
+    """A horizon and a multiset of clearance months in 0..horizon, as
+    (month, count) pairs."""
+    horizon = draw(st.integers(1, 240))
+    return horizon, draw(st.lists(st.tuples(st.integers(0, horizon), st.integers(1, 40)), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clearance_months())
+@example((120, []))
+@example((120, [(37, 3)]))  # odd
+@example((120, [(3, 1), (10, 1)]))  # even, between two months
+@example((12, [(0, 7), (12, 2), (5, 1), (11, 1)]))  # even, across a gap
+@example((120, [(0, 6)]))  # all month 0
+@example((120, [(120, 4)]))  # all month H
+@example((1, [(0, 1), (1, 1)]))
+def test_the_count_table_median_is_statistics_median(case):
+    horizon, counts = case
+    tally = stress._Tally(horizon)
+    months = []
+    for month, n in counts:
+        tally.cleared[month] += n
+        months += [month] * n
+    profile, rule = _MIXED_PROFILES[0], AllocationRule.one_third()
+    row = stress._aggregate(profile, rule, BASELINE_SCENARIO, horizon, tally, max(1, len(months)))
+    if not months:
+        assert row.median_clearance_years is None
+    else:
+        assert row.median_clearance_years.hex() == (statistics.median(months) / _MONTHS_PER_YEAR).hex()
+
+
+# Owes nothing, and month 1's expense shortfall defaults every trial in every cell.
+_SETTLED_ZERO_DEBT = HouseholdProfile(
+    **dict(_BASE, profile_id="z", debt_balance=Money(0), baseline_expenses=Money.of("600000"))
+)
+
+
+@pytest.mark.parametrize("trials", [10, 5000])
+def test_each_cells_tally_holds_one_count_per_clearance_month(monkeypatch, trials):
+    # the tally is a table of H + 1 counts, whatever the trial count
+    tallies = []
+    aggregate = stress._aggregate
+
+    def recorded_aggregate(profile, rule, scenario, horizon_months, tally, n):
+        tallies.append(list(tally.cleared))
+        return aggregate(profile, rule, scenario, horizon_months, tally, n)
+
+    def unexpected_trial(*args):
+        raise AssertionError("the screen settles every trial of this grid")
+
+    monkeypatch.setattr(stress, "_aggregate", recorded_aggregate)
+    monkeypatch.setattr(stress, "run_trial", unexpected_trial)
+    rules = [AllocationRule.one_third(), AllocationRule.fifty_thirty_twenty(), _MIXED_RULES[1]]
+    cfg = PathConfig(horizon_years=10, trials=trials, master_seed=3)
+    scenarios = [BASELINE_SCENARIO, ScenarioSpec("drop", income_shock=-0.2, onset_month=3)]
+    rows = run_stress([_SETTLED_ZERO_DEBT], rules, scenarios, cfg)
+    assert tallies == [[trials] + [0] * 120] * 6
+    assert all(row.default_rate == 1.0 and row.median_clearance_years == 0.0 for row in rows)
 
 
 # Under one_third, most trials of _BASE default in month 1 in both scenarios.
