@@ -37,19 +37,19 @@ ahead of the month loop, in layers:
   ``MAX_CENTS``, and a ``DomainError`` names the profile or scenario
   field that breaks the bound;
 - per profile, for a run of up to 256 trials (the block that
-  ``derive_trial_rng`` seeds at once), when a bound on the profile's
-  income shows that no month of any trial can leave ``MAX_CENTS`` or
-  overflow a float (``_screenable``), so no month the screen skips could
-  raise: each trial draws only its first normal, the month-1 income shock,
-  and the month-1 screen (``_screen``) tests month 1 for every rule and
-  scenario cell of the profile at once.  Savings start at zero, so a trial
+  ``derive_trial_rng`` seeds at once): each trial draws its first normal,
+  the month-1 income shock.  When a bound on the profile's income shows
+  that no month of any trial can leave ``MAX_CENTS`` or overflow a float
+  (``_screenable``), so no month the screen skips could raise, the
+  month-1 screen (``_screen``) tests month 1 for every rule and scenario
+  cell of the profile at once.  Savings start at zero, so a trial
   defaults in month 1 exactly when its expense shortfall plus the interest
   its debt bucket cannot cover is positive.  A trial that defaults there
   in every cell is settled: it draws nothing more and never reaches
   ``run_trial``; ``_Tally.add_settled`` counts it as a default, and as
   cleared in month 0 if it owes nothing.  The others draw the rest of
-  their rows from the same generators; split draws are the bytes of one
-  draw, so the cells keep common random numbers (``_trial_blocks``);
+  their rows from the same generators, as a trial run alone does; split
+  draws are the bytes of one draw (``_trial_blocks``);
 - per profile, for a block of the trials the screen did not settle
   (lanes): each trial's shocks from its own stream, the income levels, the
   mixed market shocks and the savings growth factors (``_draw_block``).
@@ -59,9 +59,9 @@ ahead of the month loop, in layers:
   through ``_split_cents`` and the expense shortfall and residual, for as
   many months as the block's lanes hold (``_cell_block``).
 
-``run_trial`` carries only the debt and savings recursion, over one
-trial's lane, its months converted to Python numbers in one step.  Its
-first loop runs while debt is owed: interest, principal, the default
+``run_trial`` carries only the debt and savings recursion, over one lane
+of a cell block, its months converted to Python numbers in one step.
+Its first loop runs while debt is owed: interest, principal, the default
 test, the savings balance, the ratios and the cash identity.  It ends
 after the month the debt reaches zero, and the paid-off months go on in
 a second loop.  There round(0 × rate) is 0 for every rate the schedule
@@ -323,21 +323,16 @@ class _Draws(NamedTuple):
 
 
 def _draw_block(
-    profile: HouseholdProfile,
-    horizon_months: int,
-    rngs: Sequence,
-    first: Optional[np.ndarray] = None,
+    profile: HouseholdProfile, horizon_months: int, rngs: Sequence, first: np.ndarray
 ) -> _Draws:
     """Each trial's (2, H) shocks from its own generator, then the income
-    levels, market shocks and growth factors of the whole block.  A trial
-    whose first normal was drawn already (``first``) draws the other 2H - 1:
-    a generator's draws split at any point are the bytes of one draw."""
+    levels, market shocks and growth factors of the whole block.  Each trial
+    drew its first normal (``first``) already and draws the other 2H - 1: a
+    generator's draws split at any point are the bytes of one draw."""
     shocks = np.empty((len(rngs), 2, horizon_months))
     rows = shocks.reshape(len(rngs), -1)
-    if first is not None:
-        rows[:, 0] = first
-        rows = rows[:, 1:]
-    for row, rng in zip(rows, rngs):
+    rows[:, 0] = first
+    for row, rng in zip(rows[:, 1:], rngs):
         rng.standard_normal(out=row)
     z_income = shocks[:, 0]
     flags = []
@@ -401,27 +396,11 @@ def _cell_block(cell: _Cell, draws: _Draws) -> _CellBlock:
     return _CellBlock(cell, draws, months, exact)
 
 
-class _Lane(NamedTuple):
-    """Trial ``index`` of a cell block, as ``run_stress`` hands it to ``run_trial``."""
-
-    block: _CellBlock
-    index: int
-
-
-def _lane_months(lane: _Lane) -> Iterator[tuple]:
-    """(month, income, debt bucket, savings bucket, shortfall, residual,
-    growth, due, rate) of each month of one lane, as Python numbers."""
-    block, i = lane
-    growth = block.draws.growth[i].tolist()
-    if block.exact[i]:
-        return _exact_months(block.cell, block.draws.levels[i, 1:].tolist(), growth)
-    return zip(count(1), *block.months[:, i].tolist(), growth, block.cell.due_c, block.cell.rate)
-
-
 def _exact_months(cell: _Cell, levels, growth):
-    """``_lane_months`` of a lane whose income leaves the money bound, in
-    Python ints month by month: income that leaves the int range raises in
-    its own month, after any default that comes first."""
+    """(month, income, debt bucket, savings bucket, shortfall, residual,
+    growth, due, rate) of each month of a lane whose income leaves the
+    money bound, in Python ints month by month: income that leaves the int
+    range raises in its own month, after any default that comes first."""
     for month, level, factor, g, due_c, rate in zip(
         count(1), levels, cell.income_factor, growth, cell.due_c, cell.rate
     ):
@@ -481,18 +460,21 @@ def run_trial(
     """Simulate one household trajectory.  See the module docstring for
     the month loops, one while debt is owed and one once it is paid off.
 
-    rng is the trial's ``np.random.Generator``, or a lane that
-    ``run_stress`` built for this cell.  A generator gets a cell record of
-    its own, schedule included, and becomes a block of one; a bad horizon
-    raises ``ValidationError`` before anything is built or drawn.
+    rng is the trial's ``np.random.Generator``, or a (cell block, lane
+    index) pair that ``run_stress`` built for this cell.  A generator gets a
+    cell record of its own, schedule included, draws its first normal and
+    then the rest, as in ``run_stress``, and becomes lane 0 of a block of
+    one; a bad horizon raises ``ValidationError`` before anything is built.
     """
-    key, lane = (profile, rule, scenario, horizon_months), rng
-    if not isinstance(lane, _Lane):
+    key = (profile, rule, scenario, horizon_months)
+    if not isinstance(rng, tuple):
         cell = _cell(key, _cell_terms(profile, scenario, horizon_months))
-        lane = _Lane(_cell_block(cell, _draw_block(profile, horizon_months, [rng])), 0)
-    elif lane.block.cell[:4] != key:
+        first = np.array([rng.standard_normal()])
+        rng = (_cell_block(cell, _draw_block(profile, horizon_months, [rng], first)), 0)
+    block, i = rng
+    cell = block.cell
+    if cell[:4] != key:
         raise ValidationError("the lane was built for another stress cell")
-    block, i = lane
 
     debt_c = profile.debt_balance.cents
     savings_c = 0
@@ -511,7 +493,11 @@ def run_trial(
                 profile.income.units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
             )
         levels = draws.levels[i, 1:]
-        months = _lane_months(lane)
+        growth = draws.growth[i].tolist()
+        if block.exact[i]:
+            months = _exact_months(cell, levels.tolist(), growth)
+        else:
+            months = zip(count(1), *block.months[:, i].tolist(), growth, cell.due_c, cell.rate)
 
         # while debt is owed
         for (
@@ -591,7 +577,7 @@ def run_trial(
         if levels is not None:
             levels = levels.tolist()
         z_peak = draws.z_peak[i].item()
-        raise _overflow_cause(block.cell, levels, z_peak) from None
+        raise _overflow_cause(cell, levels, z_peak) from None
 
 
 class _Tally:
@@ -649,24 +635,23 @@ def _aggregate(
 
 def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[int | _Draws]:
     """The trials of one profile's built ``cells`` in the order each cell
-    runs them.  Per run of up to 256 trials, when ``_screenable`` allows,
-    each trial draws its first normal, and the count of those ``_screen``
-    settles comes first: they draw nothing more.  The other trials follow
-    in blocks of ``width`` lanes, each drawn when asked for."""
+    runs them.  Per run of up to 256 trials, each trial draws its first
+    normal, and the count of those ``_screen`` settles comes first (0 when
+    ``_screenable`` rules the screen out): they draw nothing more.  The
+    other trials follow in blocks of ``width`` lanes, each drawn when asked
+    for."""
     profile, horizon_months = cells[0].profile, cfg.steps
     screened = _screenable(cells)
     for start in range(0, cfg.trials, _BLOCK):
         trials = range(start, min(start + _BLOCK, cfg.trials))
         rngs = [derive_trial_rng(cfg.master_seed, k) for k in trials]
-        first = None
-        if screened:
-            first = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))
-            settled = _screen(cells, first)
-            rngs, first = list(compress(rngs, ~settled)), first[~settled]
-            yield int(settled.sum())
+        first = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))
+        settled = _screen(cells, first) if screened else np.zeros(len(rngs), dtype=bool)
+        rngs, first = list(compress(rngs, ~settled)), first[~settled]
+        yield int(settled.sum())
         for j in range(0, len(rngs), width):
             lanes = slice(j, j + width)
-            yield _draw_block(profile, horizon_months, rngs[lanes], None if first is None else first[lanes])
+            yield _draw_block(profile, horizon_months, rngs[lanes], first[lanes])
 
 
 def run_stress(
@@ -741,7 +726,7 @@ def run_stress(
                 try:
                     block = _cell_block(cell, draws)
                     for i in range(len(draws.z_peak)):
-                        tally.add(run_trial(*key, _Lane(block, i)))
+                        tally.add(run_trial(*key, (block, i)))
                 except ValueError as exc:
                     stop, error = row, exc
             if rows[0] >= stop:  # every cell of the profile has stopped

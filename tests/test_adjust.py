@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from thirdrule import (
     AdjustMode,
@@ -17,6 +19,7 @@ from thirdrule import (
     adjustment_factors,
     zero_sum_defect,
 )
+from thirdrule.domain import MAX_CENTS
 
 
 class TestAdjustmentFactors:
@@ -149,3 +152,77 @@ class TestAdjustedAllocation:
         # the same factors pass through the rescaling mode
         a = adjusted_allocation(Money.of("1000"), f, AdjustMode.PROPORTIONAL_RESCALE)
         assert a.income.cents == 100000
+
+
+# ---------------------------------------------------------------------------
+# properties over every factor AdjustmentFactors accepts and every income
+
+_SHIFTS = st.one_of(
+    st.floats(-MAX_SHIFT, MAX_SHIFT),
+    st.sampled_from([-MAX_SHIFT, MAX_SHIFT, 0.0, -0.0]),
+)
+_FACTORS = st.builds(AdjustmentFactors, _SHIFTS, _SHIFTS, _SHIFTS)
+_INCOMES = st.one_of(st.integers(0, MAX_CENTS), st.integers(0, 10**7)).map(Money)
+
+
+def _outcome(income, factors, mode):
+    """The allocation, or the DomainError's message."""
+    try:
+        return adjusted_allocation(income, factors, mode)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FACTORS, _INCOMES)
+@example(AdjustmentFactors(-MAX_SHIFT, MAX_SHIFT, MAX_SHIFT), Money(2))
+@example(AdjustmentFactors(-MAX_SHIFT, MAX_SHIFT, -MAX_SHIFT), Money(MAX_CENTS))
+def test_both_modes_keep_the_cent_identity(factors, income):
+    # Allocation checks the sum, and Money that each bucket is nonnegative
+    a = adjusted_allocation(income, factors, AdjustMode.PROPORTIONAL_RESCALE)
+    assert a.debt.cents + a.savings.cents + a.expenses.cents == income.cents
+    try:
+        a = adjusted_allocation(income, factors, AdjustMode.RESIDUAL_EXPENSES)
+    except DomainError as exc:
+        assert "negative after rounding" in str(exc)
+    else:
+        assert a.debt.cents + a.savings.cents + a.expenses.cents == income.cents
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-MAX_SHIFT / 2, MAX_SHIFT / 2), st.floats(-MAX_SHIFT / 2, MAX_SHIFT / 2), _INCOMES
+)
+def test_the_modes_agree_when_the_defect_is_zero(debt_shift, expenses_shift, income):
+    f = AdjustmentFactors(debt_shift, debt_shift + expenses_shift, expenses_shift)
+    assume(zero_sum_defect(f) == 0.0)
+    assert _outcome(income, f, AdjustMode.RESIDUAL_EXPENSES) == _outcome(
+        income, f, AdjustMode.PROPORTIONAL_RESCALE
+    )
+
+
+_WEIGHTS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+_SIGMAS = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e200))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WEIGHTS, _WEIGHTS, _WEIGHTS, _WEIGHTS, _SIGMAS, _SIGMAS)
+def test_the_clamp_keeps_each_shifts_sign(beta_dti, beta_ser, beta_si, beta_sm, sigma_i, sigma_m):
+    assume(beta_dti != 0 and beta_ser != 0)
+    params = RiskParams(
+        beta_dti=beta_dti, beta_ser=beta_ser, beta_sigma_income=beta_si, beta_sigma_market=beta_sm
+    )
+    income_var = beta_si * sigma_i * sigma_i
+    market_var = beta_sm * sigma_m * sigma_m
+    assume(math.isfinite(income_var + market_var))  # else a ValidationError names them
+    f = adjustment_factors(params, sigma_i, sigma_m)
+    raw = (
+        income_var / (2.0 * beta_dti),
+        (income_var + market_var) / (2.0 * abs(beta_ser)),
+        income_var / (2.0 * beta_dti),
+    )
+    shifts = (f.debt_shift, f.savings_shift, f.expenses_shift)
+    for shift, want in zip(shifts, raw):
+        assert math.copysign(1.0, shift) == math.copysign(1.0, want)
+        assert abs(shift) == min(abs(want), MAX_SHIFT)
+    assert f.clamped == any(abs(want) > MAX_SHIFT for want in raw)

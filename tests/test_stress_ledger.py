@@ -325,7 +325,7 @@ def test_run_trial_matches_reference_loop_past_debt_clearance(
     got = run_trial(profile, rule, scenario, horizon, derive_trial_rng(9, seed))
     assert got == _reference_run_trial(profile, rule, scenario, horizon, derive_trial_rng(9, seed))
     assert (got.debt_cleared_month, got.default_month) == (cleared, default)
-    draws = stress._draw_block(profile, horizon, [derive_trial_rng(9, seed)])
+    draws = _drawn(profile, horizon, [derive_trial_rng(9, seed)])
     assert stress._cell_block(_built_cell(profile, rule, scenario, horizon), draws).exact[0] == exact
 
 
@@ -339,14 +339,14 @@ def test_savings_that_outgrow_a_float_after_clearance_raise_in_that_month():
     with pytest.raises(OverflowError), np.errstate(over="ignore"):
         _reference_run_trial(profile, rule, BASELINE_SCENARIO, 3, derive_trial_rng(0, 0))
     walked = []
-    real = stress._lane_months
+    real = stress.count
 
-    def lane_months(lane):
-        for month in real(lane):
-            walked.append(month[0])
+    def months(start):  # the month numbers of the lane's walk
+        for month in real(start):
+            walked.append(month)
             yield month
 
-    with mock.patch.object(stress, "_lane_months", lane_months):
+    with mock.patch.object(stress, "count", months):
         with pytest.raises(DomainError) as err:
             run_trial(profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0))
     assert str(err.value) == "profile 'p': r_savings 1e+300 puts savings past the money bound"
@@ -568,6 +568,56 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     assert all(settled == n for pid, n, settled in screened if pid == "q")
 
 
+def _advanced(master_seed, trial_index, normals):
+    """The state of trial ``trial_index``'s stream after ``normals`` normals."""
+    rng = derive_trial_rng(master_seed, trial_index)
+    rng.standard_normal(normals)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "fields, settled",
+    [
+        # owes nothing, with expenses near one_third's bucket
+        (dict(_BASE, debt_balance=Money(0), baseline_expenses=Money.of("20000")), 38),
+        # past the screen's income bound, and still reports
+        (dict(_BASE, sigma_income=2e8), 0),
+    ],
+    ids=["screened", "past_the_bound"],
+)
+def test_each_trial_draws_its_first_normal_then_the_rest_or_nothing_more(monkeypatch, fields, settled):
+    captured = []
+
+    def derive(master_seed, trial_index):
+        captured.append((master_seed, trial_index, derive_trial_rng(master_seed, trial_index)))
+        return captured[-1][2]
+
+    masks = []
+    screen = stress._screen
+
+    def recorded_screen(cells, first):
+        masks.append(screen(cells, first))
+        return masks[-1]
+
+    monkeypatch.setattr(stress, "derive_trial_rng", derive)
+    monkeypatch.setattr(stress, "_screen", recorded_screen)
+    profile = HouseholdProfile(**fields)
+    rules = [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))]
+    rows = run_stress([profile], rules, [BASELINE_SCENARIO], _grid_config(12, 80, 3))
+    assert len(rows) == 2
+    assert [k for _, k, _ in captured] == list(range(80))
+    normals = Counter()
+    for master_seed, k, rng in captured:
+        state = rng.bit_generator.state
+        used = [n for n in (1, 24) if _advanced(master_seed, k, n) == state]
+        assert len(used) == 1, k
+        normals[used[0]] += 1
+    assert normals == Counter({1: settled, 24: 80 - settled})
+    # one screened run of 80 trials, or none past the bound
+    assert len(masks) == (1 if settled else 0)
+    assert sum(int(mask.sum()) for mask in masks) == settled
+
+
 def test_each_schedule_is_built_once_per_run(monkeypatch):
     # every block and row of a profile, the screen and _aggregate included,
     # reads the schedules built before its first block
@@ -663,6 +713,12 @@ def _built_cell(profile, rule, scenario, horizon_months):
     return stress._cell(key, stress._cell_terms(profile, scenario, horizon_months))
 
 
+def _drawn(profile, horizon_months, rngs):
+    """A block of draws, each trial's first normal drawn first, as run_stress draws it."""
+    first = np.array([rng.standard_normal() for rng in rngs])
+    return stress._draw_block(profile, horizon_months, rngs, first)
+
+
 def test_a_one_month_horizon_walks_the_whole_of_it():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
@@ -670,7 +726,7 @@ def test_a_one_month_horizon_walks_the_whole_of_it():
     draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
     cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
     assert stress._screenable([cell])
-    lane = stress._Lane(stress._cell_block(cell, draws), 0)
+    lane = (stress._cell_block(cell, draws), 0)
     assert not run_trial(profile, rule, BASELINE_SCENARIO, 1, lane).defaulted
 
 
@@ -816,7 +872,7 @@ def test_run_stress_matches_trials_run_alone(grid):
 )
 def test_splits_int64_cannot_hold_take_python_ints(rule, exact):
     profile = _MIXED_PROFILES[0]
-    draws = stress._draw_block(profile, 12, [derive_trial_rng(0, k) for k in range(3)])
+    draws = _drawn(profile, 12, [derive_trial_rng(0, k) for k in range(3)])
     block = stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws)
     assert block.exact.tolist() == [exact] * 3
 
@@ -834,7 +890,7 @@ def test_a_block_of_fewer_months_is_the_first_months_of_the_whole_block(rule):
     # every month of the horizon
     profile = HouseholdProfile(**_BASE)
     cell = _built_cell(profile, rule, _LATE_WINDOW, 12)
-    draws = stress._draw_block(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
+    draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
     draws.levels[0, 1:] = 1e18  # lane 0's income is past the money bound in every month
     full = stress._cell_block(cell, draws)
     # int64 cannot hold the huge numerators' split, so every lane is exact
@@ -855,7 +911,7 @@ def test_run_stress_matches_reference_loop_past_the_money_bound():
     profile = HouseholdProfile(**dict(_BASE, debt_balance=Money.of("2000000"), debt_apr=0.3))
     scenarios = [ScenarioSpec("shock", income_shock=1e300, onset_month=13)]
     cfg = PathConfig(horizon_years=2, trials=2 * _WIDTH + 3, master_seed=1)
-    draws = stress._draw_block(profile, 24, [derive_trial_rng(1, 0)])
+    draws = _drawn(profile, 24, [derive_trial_rng(1, 0)])
     block = stress._cell_block(_built_cell(profile, _MIXED_RULES[0], scenarios[0], 24), draws)
     assert block.exact.all()  # those lanes run month by month in Python ints
     args = ([profile], _MIXED_RULES, scenarios, cfg)
@@ -902,8 +958,8 @@ def test_run_trial_rejects_a_bad_horizon_before_it_draws(horizon, message):
 def test_a_lane_runs_only_in_its_own_cell():
     profile = _MIXED_PROFILES[0]
     rule = AllocationRule.one_third()
-    draws = stress._draw_block(profile, 12, [derive_trial_rng(0, 0)])
-    lane = stress._Lane(stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws), 0)
+    draws = _drawn(profile, 12, [derive_trial_rng(0, 0)])
+    lane = (stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws), 0)
     assert run_trial(profile, rule, BASELINE_SCENARIO, 12, lane) == run_trial(
         profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0)
     )
@@ -927,6 +983,37 @@ def test_rint_rounds_like_round(values):
     # the block's income in cents is np.rint of the float a trial alone
     # would round with round()
     assert np.rint(np.array(values)).astype(np.int64).tolist() == [round(v) for v in values]
+
+
+@st.composite
+def _cents_times_factor(draw):
+    """int64 amounts up to 2**53 and one finite factor x >= 0, with every
+    amount times x within MAX_CENTS: debt × rate, or buffer × growth."""
+    x = draw(st.one_of(
+        st.floats(0.0, 2.0),  # rates and growth factors
+        st.floats(0.0, float(MAX_CENTS)),
+        st.sampled_from([0.0, 0.5, 1.5, 0.015, 1.0 + 0.04 / 12]),  # 0.5 and 1.5 make halves
+    ))  # fmt: skip
+    limit = 2**53 if x <= 1.0 else int(MAX_CENTS / x)
+    amounts = draw(st.lists(st.integers(0, limit), min_size=1))
+    return [a for a in amounts if a * x <= MAX_CENTS] or [0], x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cents_times_factor())
+def test_rint_of_an_int64_product_rounds_like_round(case):
+    # the walk's interest and savings growth against run_trial's round()
+    amounts, x = case
+    got = np.rint(np.array(amounts, dtype=np.int64) * x).astype(np.int64)
+    assert got.tolist() == [round(int(v) * x) for v in amounts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**53 - 1), st.integers(1, 2**53 - 1)), min_size=1))
+def test_int64_true_division_is_pythons(pairs):
+    # the walk's DTI ratio, debt service over income, against run_trial's
+    s, n = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    assert (s / n).tolist() == [a / b for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
