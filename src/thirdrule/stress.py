@@ -28,14 +28,15 @@ completed month satisfies the cash identity
 exactly in cents; the loop checks it and raises ``DomainError`` if not.
 
 Most of a month's terms never read a balance, so they are computed
-ahead of the month loop, in layers:
+ahead of the recursion, in layers:
 
 - per (profile, scenario) cell, once per run, shared by the profile's
   rules: the shock window's income factor, the expenses due and the
-  monthly debt rate (``_cell_terms``).  Building them checks that income
-  drift, expenses due and interest on the opening debt stay within
-  ``MAX_CENTS``, and a ``DomainError`` names the profile or scenario
-  field that breaks the bound;
+  monthly debt rate (``_cell_terms``), built from the window's three
+  constant runs.  Building them checks that income drift, expenses due
+  and interest on the opening debt stay within ``MAX_CENTS``, and a
+  ``DomainError`` names the profile or scenario field that breaks the
+  bound;
 - per profile, for a run of up to 256 trials (the block that
   ``derive_trial_rng`` seeds at once): each trial draws its first normal,
   the month-1 income shock.  When a bound on the profile's income shows
@@ -47,32 +48,39 @@ ahead of the month loop, in layers:
   its debt bucket cannot cover is positive.  A trial that defaults there
   in every cell is settled: it draws nothing more and never reaches
   ``run_trial``; ``_Tally.add_settled`` counts it as a default, and as
-  cleared in month 0 if it owes nothing.  The others draw the rest of
-  their rows from the same generators, as a trial run alone does; split
-  draws are the bytes of one draw (``_trial_blocks``);
-- per profile, for a block of the trials the screen did not settle
-  (lanes): each trial's shocks from its own stream, the income levels, the
-  mixed market shocks and the savings growth factors (``_draw_block``).
-  Every rule and scenario cell of the profile runs the block before the
-  next is drawn, so ``run_stress`` makes one pass over a profile's trials;
-- per cell, for each drawn block: income in cents, the rule's cent split
-  through ``_split_cents`` and the expense shortfall and residual, for as
-  many months as the block's lanes hold (``_cell_block``).
+  cleared in month 0 if it owes nothing.  The others are pooled across
+  successive runs into blocks of lanes and draw the rest of their rows
+  from the same generators, as a trial run alone does; split draws are the
+  bytes of one draw (``_trial_blocks``);
+- per profile, for a block of lanes: each trial's shocks from its own
+  stream, the income levels, the mixed market shocks and the savings
+  growth factors (``_draw_block``).  Every rule and scenario cell of the
+  profile runs the block before the next is drawn, so ``run_stress`` makes
+  one pass over a profile's trials.  The lane count comes from a budget of
+  row-months, ``ROW_MONTHS_PER_BLOCK``;
+- for cells × lanes and a window of months: income in cents, the rule's
+  cent split through ``_split_cents`` and the expense shortfall and
+  residual (``_cell_block``), which the month-1 screen, the walk and a
+  trial run alone all build.
 
-``run_trial`` carries only the debt and savings recursion, over one lane
-of a cell block, its months converted to Python numbers in one step.
-Its first loop runs while debt is owed: interest, principal, the default
-test, the savings balance, the ratios and the cash identity.  It ends
-after the month the debt reaches zero, and the paid-off months go on in
-a second loop.  There round(0 × rate) is 0 for every rate the schedule
-admits, so no interest or principal is paid, the whole debt bucket joins
-the savings deposit, the shortfall alone draws on savings and DTI is
-0.0; that loop skips those terms.  A lane whose income leaves the money
-bound in some month computes its terms month by month in Python ints
-instead, as a trial run alone would, so a trial whose income or savings
-outgrows Money or a float raises in the same month, naming the field
-behind it.  ``run_stress`` raises the first error in row order, whichever
-block it comes from.
+``_walk`` carries the debt and savings recursion of every (cell, lane) row
+of a block at once in int64 and float64 arrays, building the terms of the
+rows still live 12 months at a time.  It records each row's default month
+and that month's buffer, its clearance month, its final savings and its
+DTI and SER ratios, and checks the cash identity.  ``run_trial`` is called
+once per (row, lane) and reads that row's outcome.  A row the walk cannot
+prove exact is handed to ``run_trial``'s Python-int month loop instead,
+from month 1: income past the money bound in some month, a split that
+int64 cannot hold, a savings growth product of 2**53 or more, savings past
+``MAX_CENTS`` or a broken cash identity.  A block of fewer than
+``_WALK_ROWS`` rows, which long horizons make, is not walked: each cell
+builds its terms for the whole horizon and every row takes that loop, as a
+trial run alone does.  The loop runs while debt is owed, then goes on in a
+second loop for the paid-off months, which skips interest, principal and
+the DTI terms.  So a trial whose income or savings outgrows Money or a
+float raises in the same month as when run alone, naming the field behind
+it, and ``run_stress`` raises the first error in row order, whichever block
+it comes from.
 """
 
 from __future__ import annotations
@@ -186,12 +194,9 @@ class StressMetrics:
     ser_violation_rate: float
 
 
-def _expenses_due_cents(
-    baseline_monthly_cents: int, scenario: ScenarioSpec, month: int
-) -> int:
-    factor = (1.0 + scenario.inflation_annual) ** (
-        scenario.months_active_through(month) / _MONTHS_PER_YEAR
-    )
+def _expenses_due_cents(baseline_monthly_cents: int, inflation_annual: float, months_active: int) -> int:
+    """Expenses due once ``months_active`` months of the shock window have passed."""
+    factor = (1.0 + inflation_annual) ** (months_active / _MONTHS_PER_YEAR)
     return round(baseline_monthly_cents * factor)
 
 
@@ -250,13 +255,19 @@ def _cell_terms(profile: HouseholdProfile, scenario: ScenarioSpec, horizon_month
     if not -math.inf < drift_c <= MAX_CENTS:
         raise _out_of_range("mu", profile.mu, who, "income")
 
-    shock_factor = 1.0 + scenario.income_shock
+    # the window's three constant runs: before the onset, active, after it closes
+    before = scenario.onset_month - 1
+    active = horizon_months - before
+    if scenario.duration_months:
+        active = min(active, scenario.duration_months)
+    after = horizon_months - before - active
+
+    def runs(outside, inside):
+        return (outside,) * before + (inside,) * active + (outside,) * after
+
     monthly_rate_base = profile.debt_apr / _MONTHS_PER_YEAR
-    active_rate = monthly_rate_base * scenario.apr_multiplier
-    months = range(1, horizon_months + 1)
-    active = [scenario.active(month) for month in months]
-    income_factor = tuple(shock_factor if a else 1.0 for a in active)
-    rate = tuple(active_rate if a else monthly_rate_base for a in active)
+    income_factor = runs(1.0, 1.0 + scenario.income_shock)
+    rate = runs(monthly_rate_base, monthly_rate_base * scenario.apr_multiplier)
 
     debt_c = profile.debt_balance.cents
     if not debt_c * monthly_rate_base <= MAX_CENTS:
@@ -268,7 +279,10 @@ def _cell_terms(profile: HouseholdProfile, scenario: ScenarioSpec, horizon_month
 
     baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
     try:
-        due_c = tuple(_expenses_due_cents(baseline_monthly_c, scenario, month) for month in months)
+        # months_active_through counts 0 before the onset, then 1..active, then stays
+        inflation = scenario.inflation_annual
+        due = [_expenses_due_cents(baseline_monthly_c, inflation, k) for k in range(active + 1)]
+        due_c = (due[0],) * before + tuple(due[1:]) + (due[-1],) * after
     except OverflowError:
         due_c = None
     if due_c is None or max(due_c) > MAX_CENTS:
@@ -300,9 +314,16 @@ def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -
     return _out_of_range("sigma_market", profile.sigma_market, who, "savings")
 
 
-# A block of trials draws this many bytes of standard normals, 2 a month
-# per trial (lane); its month terms are computed together.
-LANE_BLOCK_BYTES = 32 * 1024
+# A block holds this many row-months: a profile's cells × lanes × horizon
+# months.  The walk keeps two ratios a row-month, and the draws take about
+# as much again.
+ROW_MONTHS_PER_BLOCK = 27_000
+# The walk builds the month terms of its live rows this many months at a time.
+_WALK_MONTHS = 12
+# A block of fewer (cell, lane) rows runs faster in the Python-int loop,
+# which pays per month of a row where the walk pays per month of the block:
+# about 100 rows break even on stress_full's fixture at 20 and 30 years.
+_WALK_ROWS = 96
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
 # a point of a rectangle, all within r = 3.6541528853610088, or from its
 # tail r + x with x = -ln(1 - U) / r for a uniform U of 53 bits, at most
@@ -312,7 +333,7 @@ _NORMAL_BOUND = 20.0
 
 class _Draws(NamedTuple):
     """One profile's draws for a block of trials, one row (lane) a trial,
-    of H months: the horizon, or month 1 alone in the month-1 screen."""
+    of H months, the horizon."""
 
     levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
@@ -329,23 +350,28 @@ def _draw_block(
     levels, market shocks and growth factors of the whole block.  Each trial
     drew its first normal (``first``) already and draws the other 2H - 1: a
     generator's draws split at any point are the bytes of one draw."""
-    shocks = np.empty((len(rngs), 2, horizon_months))
-    rows = shocks.reshape(len(rngs), -1)
-    rows[:, 0] = first
-    for row, rng in zip(rows[:, 1:], rngs):
+    z_income = np.empty((len(rngs), horizon_months))
+    z_second = np.empty((len(rngs), horizon_months))
+    z_income[:, 0] = first
+    for rng, row, second in zip(rngs, z_income[:, 1:], z_second):
         rng.standard_normal(out=row)
-    z_income = shocks[:, 0]
+        rng.standard_normal(out=second)
+    # each array is freed once read, to keep the peak low
+    z_market = mix_correlated(profile.rho, z_income, z_second)
+    del z_second
+    growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
+    growth_scale = profile.sigma_market * math.sqrt(_DT)
+    with np.errstate(all="ignore"):  # run_trial raises for the lanes that overflow
+        growth = growth_scale * z_market
+        growth += growth_base
+        np.maximum(growth, 0.0, out=growth)
+    z_peak = np.abs(z_market, out=z_market).max(axis=1)
+    del z_market
     flags = []
     with np.errstate(over="call", invalid="call", call=lambda *flag: flags.append(flag)):
         levels = income_levels(
             profile.income.units, profile.mu, profile.sigma_income, _DT, z_income
         )
-    growth_base = 1.0 + profile.r_savings / _MONTHS_PER_YEAR
-    growth_scale = profile.sigma_market * math.sqrt(_DT)
-    z_market = mix_correlated(profile.rho, z_income, shocks[:, 1])
-    with np.errstate(all="ignore"):  # run_trial raises for the lanes that overflow
-        growth = np.maximum(growth_base + growth_scale * z_market, 0.0)
-    z_peak = np.abs(z_market).max(axis=1)
     return _Draws(levels, growth, z_peak, z_income if flags else None)
 
 
@@ -362,38 +388,39 @@ def _expense_terms(expenses_c, due_c):
     return shortfall_c, shortfall_c - gap_c
 
 
-class _CellBlock(NamedTuple):
-    """A cell's month terms for one block of draws."""
-
-    cell: _Cell  # the row they belong to
-    draws: _Draws
-    # (5, lanes, H) int64: income, debt bucket, savings bucket, shortfall
-    # and residual; None when int64 cannot hold the rule's split
-    months: Optional[np.ndarray]
-    # (lanes,) lanes whose income leaves the money bound in some month, or
-    # every lane when int64 cannot hold the split; run_trial computes
-    # theirs month by month in Python ints
-    exact: np.ndarray
+def _split_limit(split: tuple[int, int, int, int]) -> int:
+    """The largest income in cents whose split int64 holds: the
+    denominators, and twice each income × numerator product; -1 if none."""
+    fd_num, fd_den, fs_num, fs_den = split
+    if max(fd_den, fs_den) >= 2**63:
+        return -1
+    return min(MAX_CENTS, (2**63 - 2) // (2 * max(fd_num, fs_num, 1)))
 
 
-def _cell_block(cell: _Cell, draws: _Draws) -> _CellBlock:
-    """The cell's month terms for the months the draws hold, which may be
-    fewer than its schedule's."""
-    n_months = draws.growth.shape[1]
+def _cell_block(cells: Sequence[_Cell], levels: np.ndarray, months: slice) -> tuple:
+    """The month terms of each of one profile's ``cells`` for the schedule's
+    ``months``, given each lane's income levels in those months, (lanes, W):
+    (5, cells, lanes, W) int64 of income, debt bucket, savings bucket,
+    shortfall and residual, and the (cells, lanes, W) mask of exact ones,
+    income past the money bound or a split int64 cannot hold.  Those read 0;
+    run_trial computes them in Python ints."""
+    factor = np.array([cell.income_factor[months] for cell in cells])
+    limits = [_split_limit(cell.split) for cell in cells]
+    # a split past int64 computes on (0, 1, 0, 1), its rows all exact
+    splits = [cell.split if limit >= 0 else (0, 1, 0, 1) for cell, limit in zip(cells, limits)]
     with np.errstate(all="ignore"):
-        income = _raw_income_c(draws.levels[:, 1:], np.asarray(cell.income_factor[:n_months]))
-        exact = ~(income.max(axis=1) <= MAX_CENTS)  # NaN is not <= either
-        income[exact] = 0.0  # nothing reads these lanes' int64 terms
+        income = _raw_income_c(levels, factor[:, None])  # (cells, lanes, W)
+        exact = ~(income <= MAX_CENTS)  # NaN is not <= either
+        income[exact] = 0.0
         income_c = np.rint(income, out=income).astype(np.int64)
-    fd_num, fd_den, fs_num, fs_den = cell.split
-    # int64 holds each denominator and twice each income × numerator product
-    if not (2 * int(income_c.max()) * max(fd_num, fs_num) < 2**63 - 1 and max(fd_den, fs_den) < 2**63):
-        exact[:] = True  # every lane splits in Python ints, month by month
-        return _CellBlock(cell, draws, None, exact)
-    debt_c, savings_c, expenses_c = _split_cents(income_c, *cell.split)
-    shortfall_c, residual_c = _expense_terms(expenses_c, np.asarray(cell.due_c[:n_months]))
-    months = np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c))
-    return _CellBlock(cell, draws, months, exact)
+    split_past = income_c > np.array(limits)[:, None, None]
+    income_c[split_past] = 0
+    exact |= split_past
+    columns = np.array(splits, dtype=np.int64).T[..., None, None]  # 4 × (cells, 1, 1)
+    debt_c, savings_c, expenses_c = _split_cents(income_c, *columns)
+    due_c = np.array([cell.due_c[months] for cell in cells])[:, None]
+    shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
+    return np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c)), exact
 
 
 def _exact_months(cell: _Cell, levels, growth):
@@ -433,21 +460,244 @@ def _screen(cells: list[_Cell], first: np.ndarray) -> np.ndarray:
     income shock.  It draws nothing.  Savings start at zero, so a trial
     defaults then exactly when its shortfall plus the interest its debt
     bucket cannot cover is positive."""
-    profile, n = cells[0].profile, len(first)
+    profile = cells[0].profile
     levels = income_levels(profile.income.units, profile.mu, profile.sigma_income, _DT, first[:, None])
-    # a month that defaults reads no growth factor
-    draws = _Draws(levels, np.zeros((n, 1)), np.zeros(n), None)
-    settled = np.ones(n, dtype=bool)
-    for cell in cells:
-        block = _cell_block(cell, draws)
-        if block.months is None:  # int64 cannot hold the split
-            return np.zeros(n, dtype=bool)
-        _, debt_c, _, shortfall_c, _ = block.months[..., 0]
-        interest_c = round(profile.debt_balance.cents * cell.rate[0])
-        settled &= shortfall_c + np.maximum(interest_c - debt_c, 0) > 0
-        if not settled.any():
+    terms, exact = _cell_block(cells, levels[:, 1:], slice(0, 1))
+    if exact.any():  # int64 cannot hold some cell's split
+        return np.zeros(len(first), dtype=bool)
+    _, debt_c, _, shortfall_c, _ = terms[..., 0]
+    interest_c = np.array([[round(profile.debt_balance.cents * cell.rate[0])] for cell in cells])
+    return (shortfall_c + np.maximum(interest_c - debt_c, 0) > 0).all(axis=0)
+
+
+class _Rows(NamedTuple):
+    """The walk's record of a block's (cell, lane) rows: (cells, lanes)
+    arrays, the ones ``run_trial`` reads turned to nested lists at the end."""
+
+    debt: np.ndarray  # owed after the months completed
+    cleared: np.ndarray  # the clearance month, or -1
+    months: np.ndarray  # months completed
+    default: np.ndarray  # the default month, or 0
+    buffer: np.ndarray  # the default month's buffer, or 0
+    savings: np.ndarray  # after the months completed
+    live: np.ndarray  # neither defaulted nor handed over
+    handed: np.ndarray  # left to run_trial's Python-int month loop
+    # (H, cells, lanes) monthly ratios, valid for the months completed; month
+    # first, so the months no row reaches are never written
+    dti: np.ndarray
+    ser: np.ndarray
+
+
+class _CellBlock(NamedTuple):
+    """A cell's share of a block of draws, as ``run_trial`` reads it: walked,
+    as row ``k`` of ``rows``, or left to the Python-int loop on ``terms``,
+    the cell's ``_cell_block`` over the whole horizon."""
+
+    cell: _Cell
+    draws: _Draws
+    rows: Optional[_Rows]
+    k: int
+    terms: Optional[tuple]
+
+
+def _unwalked(cell: _Cell, draws: _Draws) -> _CellBlock:
+    """The cell's block for the Python-int loop, its terms over the horizon."""
+    return _CellBlock(cell, draws, None, 0, _cell_block([cell], draws.levels[:, 1:], slice(0, None)))
+
+
+def _cell_blocks(cells: list[_Cell], draws: _Draws) -> Iterator[_CellBlock]:
+    """Each of one profile's ``cells`` on a block of draws, in turn: walked
+    together, or each unwalked when the block has too few rows."""
+    if len(cells) * len(draws.z_peak) >= _WALK_ROWS:
+        return iter(_walk(cells, draws))
+    return (_unwalked(cell, draws) for cell in cells)
+
+
+def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
+    """Walk the debt and savings recursion of every (cell, lane) row of one
+    profile's block at once, ``_WALK_MONTHS`` at a time, over the rows
+    still live."""
+    shape = (len(cells), len(draws.z_peak))
+    horizon_months = draws.growth.shape[1]
+    debt_c = cells[0].profile.debt_balance.cents
+    rows = _Rows(
+        np.full(shape, debt_c, dtype=np.int64),
+        np.full(shape, 0 if debt_c == 0 else -1, dtype=np.int64),
+        *np.zeros((4, *shape), dtype=np.int64),
+        np.ones(shape, dtype=bool),
+        np.zeros(shape, dtype=bool),
+        *np.empty((2, horizon_months, *shape)),
+    )
+    rates = np.array([cell.rate for cell in cells])
+    dues = np.array([cell.due_c for cell in cells])
+    with np.errstate(all="ignore"):
+        for start in range(0, horizon_months, _WALK_MONTHS):
+            if not rows.live.any():
+                break
+            window = slice(start, min(start + _WALK_MONTHS, horizon_months))
+            _walk_window(cells, draws, window, rows, rates, dues)
+    read = ("cleared", "months", "default", "buffer", "savings", "handed")
+    rows = rows._replace(**{name: getattr(rows, name).tolist() for name in read})
+    return [_CellBlock(cell, draws, rows, k, None) for k, cell in enumerate(cells)]
+
+
+def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
+    """Walk the live rows through the window's months and record them.  A
+    row stops in the first month whose income is exact or that defaults, or
+    whose savings or cash identity the walk cannot vouch for; the months
+    after that read garbage that nothing uses."""
+    c, lane = np.nonzero(rows.live)
+    start, n_months, n = window.start, window.stop - window.start, len(c)
+    lanes = rows.live.any(axis=0)
+    position = np.cumsum(lanes) - 1
+    terms, exact = _cell_block(cells, draws.levels[lanes, 1 + start : 1 + window.stop], window)
+    # (W, rows) each, a month's row contiguous
+    income, alloc_debt, alloc_savings, shortfall, residual = np.ascontiguousarray(
+        terms[:, c, position[lane]].transpose(0, 2, 1)
+    )
+    exact = exact[c, position[lane]].T
+    del terms
+    rate = np.ascontiguousarray(rates[c, window].T)
+    growth = np.ascontiguousarray(draws.growth[lane, window].T)
+    due = dues[c, window].T
+
+    # debt and savings before each month, and each month's buffer,
+    # interest, excess debt budget and grown savings
+    owed, saved = np.empty((2, n_months + 1, n), dtype=np.int64)
+    owed[0], saved[0] = rows.debt[c, lane], rows.savings[c, lane]
+    buffers, interest, excess = np.empty((3, n_months, n), dtype=np.int64)
+    grown = np.empty((n_months, n))
+    for j in range(n_months):
+        np.rint(np.multiply(owed[j], rate[j], out=grown[j]), out=grown[j])
+        interest[j] = grown[j]
+        spare = alloc_debt[j] - interest[j]
+        paid = np.maximum(spare, 0)  # what the debt bucket holds past interest
+        left = owed[j] - paid
+        np.maximum(left, 0, out=owed[j + 1])
+        np.subtract(owed[j + 1], left, out=excess[j])
+        np.subtract(saved[j], shortfall[j] + (paid - spare), out=buffers[j])
+        np.rint(np.multiply(buffers[j], growth[j], out=grown[j]), out=grown[j])
+        saved[j + 1] = grown[j]
+        saved[j + 1] += alloc_savings[j]
+        saved[j + 1] += excess[j]
+    service = interest + (owed[:-1] - owed[1:])
+    deposit = alloc_savings + excess
+
+    defaults = (buffers < 0) & ~exact
+    unproven = (
+        exact
+        | ~(grown < 2.0**53)
+        | (saved[1:] > MAX_CENTS)
+        | (income + (saved[:-1] - buffers) != due + service + deposit + residual)
+    )
+    stops = defaults | unproven
+    stopped = stops.any(axis=0)
+    month = np.where(stopped, stops.argmax(axis=0), n_months)  # months completed
+    columns = np.arange(n)
+    at = np.minimum(month, n_months - 1), columns
+    failed = stopped & defaults[at]
+    paid_off = owed[1:] == 0
+    cleared_at = paid_off.argmax(axis=0)
+    clears = (owed[0] > 0) & paid_off.any(axis=0) & (cleared_at < month)
+
+    rows.debt[c, lane] = owed[month, columns]
+    rows.savings[c, lane] = saved[month, columns]
+    rows.months[c, lane] = start + month
+    rows.cleared[c[clears], lane[clears]] = start + cleared_at[clears] + 1
+    rows.default[c[failed], lane[failed]] = start + month[failed] + 1
+    rows.buffer[c[failed], lane[failed]] = buffers[at][failed]
+    rows.handed[c, lane] = stopped & ~failed
+    rows.live[c, lane] = ~stopped
+    rows.dti[window, c, lane] = np.divide(service, income, out=np.zeros(grown.shape), where=income > 0)
+    ser = np.where(deposit > 0, math.inf, 1.0)  # where nothing is due
+    rows.ser[window, c, lane] = np.divide(deposit, due, out=ser, where=due > 0)
+
+
+def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, exact: bool) -> TrialOutcome:
+    """One lane's month loops in Python ints (see the module docstring),
+    given its income levels of months 1..H, its (5, H) month terms and
+    whether any month is exact, which ``_exact_months`` computes instead."""
+    if exact:
+        months = _exact_months(cell, levels.tolist(), growth)
+    else:
+        months = zip(count(1), *terms.tolist(), growth, cell.due_c, cell.rate)
+
+    debt_c = cell.profile.debt_balance.cents
+    savings_c = 0
+    cleared: Optional[int] = 0 if debt_c == 0 else None
+    dti_series: list[float] = []
+    ser_series: list[float] = []
+    default_month: Optional[int] = None
+    # while debt is owed
+    for (
+        month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, rate,
+    ) in months if debt_c else ():  # fmt: skip
+        # interest first; what the debt bucket cannot cover comes from savings
+        interest_c = round(debt_c * rate)
+        spare_c = alloc_debt_c - interest_c
+        if spare_c < 0:
+            needed_c = shortfall_c - spare_c
+            principal_c = excess_c = 0
+        else:
+            needed_c = shortfall_c
+            principal_c = debt_c if debt_c < spare_c else spare_c
+            excess_c = spare_c - principal_c
+
+        buffer_c = savings_c - needed_c
+        if buffer_c < 0:
+            default_month = month
             break
-    return settled
+
+        debt_c -= principal_c
+        deposit_c = alloc_savings_c + excess_c
+        savings_c = round(buffer_c * growth) + deposit_c
+
+        debt_service_c = interest_c + principal_c
+        dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
+        if due_c > 0:
+            ser_series.append(deposit_c / due_c)
+        else:
+            ser_series.append(math.inf if deposit_c > 0 else 1.0)
+
+        if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
+            raise DomainError(f"monthly cash identity violated in month {month}")
+        if debt_c == 0:
+            cleared = month
+            break
+
+    # paid off (a default leaves debt owed): round(0 × rate) is 0, so no
+    # interest or principal, all the debt bucket deposited, DTI 0.0
+    for (
+        month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, _,
+    ) in months if not debt_c else ():  # fmt: skip
+        buffer_c = savings_c - shortfall_c
+        if buffer_c < 0:
+            default_month = month
+            break
+
+        deposit_c = alloc_savings_c + alloc_debt_c
+        savings_c = round(buffer_c * growth) + deposit_c
+
+        if due_c > 0:
+            ser_series.append(deposit_c / due_c)
+        else:
+            ser_series.append(math.inf if deposit_c > 0 else 1.0)
+
+        if income_c + shortfall_c != due_c + deposit_c + residual_c:
+            raise DomainError(f"monthly cash identity violated in month {month}")
+    dti_series += [0.0] * (len(ser_series) - len(dti_series))  # the paid-off months
+
+    return TrialOutcome(
+        defaulted=default_month is not None,
+        default_month=default_month,
+        debt_cleared_month=cleared,
+        final_savings=Money(savings_c),
+        # month 1 draws on zero savings, so a survivor's buffer is 0 there
+        # and at least 0 after; the minimum is the default month's, or 0
+        min_cash_buffer=min(buffer_c, 0) / 100.0,
+        dti_series=tuple(dti_series),
+        ser_series=tuple(ser_series),
+    )
 
 
 def run_trial(
@@ -457,11 +707,11 @@ def run_trial(
     horizon_months: int,
     rng,
 ) -> TrialOutcome:
-    """Simulate one household trajectory.  See the module docstring for
-    the month loops, one while debt is owed and one once it is paid off.
+    """Simulate one household trajectory (see the module docstring).
 
     rng is the trial's ``np.random.Generator``, or a (cell block, lane
-    index) pair that ``run_stress`` built for this cell.  A generator gets a
+    index) pair that ``run_stress`` built for this cell: a walked row is
+    read, any other runs the Python-int month loops.  A generator gets a
     cell record of its own, schedule included, draws its first normal and
     then the rest, as in ``run_stress``, and becomes lane 0 of a block of
     one; a bad horizon raises ``ValidationError`` before anything is built.
@@ -470,20 +720,11 @@ def run_trial(
     if not isinstance(rng, tuple):
         cell = _cell(key, _cell_terms(profile, scenario, horizon_months))
         first = np.array([rng.standard_normal()])
-        rng = (_cell_block(cell, _draw_block(profile, horizon_months, [rng], first)), 0)
-    block, i = rng
-    cell = block.cell
+        rng = (_unwalked(cell, _draw_block(profile, horizon_months, [rng], first)), 0)
+    (cell, draws, rows, k, terms), i = rng
     if cell[:4] != key:
         raise ValidationError("the lane was built for another stress cell")
 
-    debt_c = profile.debt_balance.cents
-    savings_c = 0
-    cleared: Optional[int] = 0 if debt_c == 0 else None
-    dti_series: list[float] = []
-    ser_series: list[float] = []
-    default_month: Optional[int] = None
-
-    draws = block.draws
     levels = None
     try:
         if draws.z_income is not None:
@@ -493,83 +734,20 @@ def run_trial(
                 profile.income.units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
             )
         levels = draws.levels[i, 1:]
-        growth = draws.growth[i].tolist()
-        if block.exact[i]:
-            months = _exact_months(cell, levels.tolist(), growth)
-        else:
-            months = zip(count(1), *block.months[:, i].tolist(), growth, cell.due_c, cell.rate)
-
-        # while debt is owed
-        for (
-            month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c,
-            growth, due_c, rate,
-        ) in months if debt_c else ():  # fmt: skip
-            # interest first; what the debt bucket cannot cover comes from savings
-            interest_c = round(debt_c * rate)
-            spare_c = alloc_debt_c - interest_c
-            if spare_c < 0:
-                needed_c = shortfall_c - spare_c
-                principal_c = excess_c = 0
-            else:
-                needed_c = shortfall_c
-                principal_c = debt_c if debt_c < spare_c else spare_c
-                excess_c = spare_c - principal_c
-
-            buffer_c = savings_c - needed_c
-            if buffer_c < 0:
-                default_month = month
-                break
-
-            debt_c -= principal_c
-            deposit_c = alloc_savings_c + excess_c
-            savings_c = round(buffer_c * growth) + deposit_c
-
-            debt_service_c = interest_c + principal_c
-            dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
-            if due_c > 0:
-                ser_series.append(deposit_c / due_c)
-            else:
-                ser_series.append(math.inf if deposit_c > 0 else 1.0)
-
-            if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
-                raise DomainError(f"monthly cash identity violated in month {month}")
-            if debt_c == 0:
-                cleared = month
-                break
-
-        # paid off (a default leaves debt owed): no interest or principal, all
-        # the debt bucket deposited, DTI 0.0
-        for (
-            month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c,
-            growth, due_c, _,
-        ) in months if not debt_c else ():  # fmt: skip
-            buffer_c = savings_c - shortfall_c
-            if buffer_c < 0:
-                default_month = month
-                break
-
-            deposit_c = alloc_savings_c + alloc_debt_c
-            savings_c = round(buffer_c * growth) + deposit_c
-
-            if due_c > 0:
-                ser_series.append(deposit_c / due_c)
-            else:
-                ser_series.append(math.inf if deposit_c > 0 else 1.0)
-
-            if income_c + shortfall_c != due_c + deposit_c + residual_c:
-                raise DomainError(f"monthly cash identity violated in month {month}")
-        dti_series += [0.0] * (len(ser_series) - len(dti_series))  # the paid-off months
-
+        if rows is None or rows.handed[k][i]:
+            # a row the walk handed over gets terms of its own
+            terms, exact = terms or _cell_block([cell], levels[None], slice(0, horizon_months))
+            j = i if rows is None else 0
+            return _ledger(cell, levels, draws.growth[i].tolist(), terms[:, 0, j], exact[0, j].any())
+        months, default_month, cleared = rows.months[k][i], rows.default[k][i], rows.cleared[k][i]
         return TrialOutcome(
-            defaulted=default_month is not None,
-            default_month=default_month,
-            debt_cleared_month=cleared,
-            final_savings=Money(savings_c),
-            # month 1 draws on zero savings, so a survivor's buffer is 0 there
-            # and at least 0 after; the minimum is the default month's, or 0
-            min_cash_buffer=min(buffer_c, 0) / 100.0,
-            dti_series=tuple(dti_series),
-            ser_series=tuple(ser_series),
+            defaulted=default_month > 0,
+            default_month=default_month or None,
+            debt_cleared_month=cleared if cleared >= 0 else None,
+            final_savings=Money(rows.savings[k][i]),
+            min_cash_buffer=rows.buffer[k][i] / 100.0,
+            dti_series=tuple(rows.dti[:months, k, i].tolist()),
+            ser_series=tuple(rows.ser[:months, k, i].tolist()),
         )
     except DomainError:
         raise
@@ -594,8 +772,8 @@ class _Tally:
             self.cleared[outcome.debt_cleared_month] += 1
         self.final_cents += outcome.final_savings.cents
         self.months += len(outcome.dti_series)
-        self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
-        self.ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
+        self.dti_violations += len([x for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT])
+        self.ser_violations += len([x for x in outcome.ser_series if x < DEFAULT_SER_FLOOR])
 
     def add_settled(self, n: int, debt_c: int) -> None:
         """Add ``n`` trials that default in month 1 on opening debt ``debt_c``."""
@@ -617,7 +795,9 @@ def _aggregate(
     median_years = middle / 2 / _MONTHS_PER_YEAR if n else None
     mean_final = Money(_round_div(tally.final_cents, trials))
     baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
-    final_due_c = _expenses_due_cents(baseline_monthly_c, scenario, horizon_months)
+    final_due_c = _expenses_due_cents(
+        baseline_monthly_c, scenario.inflation_annual, scenario.months_active_through(horizon_months)
+    )
     coverage = mean_final.cents / final_due_c if final_due_c > 0 else None
     return StressMetrics(
         profile_id=profile.profile_id,
@@ -636,22 +816,27 @@ def _aggregate(
 def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[int | _Draws]:
     """The trials of one profile's built ``cells`` in the order each cell
     runs them.  Per run of up to 256 trials, each trial draws its first
-    normal, and the count of those ``_screen`` settles comes first (0 when
+    normal, and the count of those ``_screen`` settles comes (0 when
     ``_screenable`` rules the screen out): they draw nothing more.  The
-    other trials follow in blocks of ``width`` lanes, each drawn when asked
-    for."""
+    other trials are pooled across runs and follow in blocks of ``width``
+    lanes, each drawn when asked for."""
     profile, horizon_months = cells[0].profile, cfg.steps
     screened = _screenable(cells)
+    rngs, first = [], np.empty(0)  # the pool
     for start in range(0, cfg.trials, _BLOCK):
         trials = range(start, min(start + _BLOCK, cfg.trials))
-        rngs = [derive_trial_rng(cfg.master_seed, k) for k in trials]
-        first = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))
-        settled = _screen(cells, first) if screened else np.zeros(len(rngs), dtype=bool)
-        rngs, first = list(compress(rngs, ~settled)), first[~settled]
+        run = [derive_trial_rng(cfg.master_seed, k) for k in trials]
+        normals = np.fromiter((rng.standard_normal() for rng in run), float, len(run))
+        settled = _screen(cells, normals) if screened else np.zeros(len(run), dtype=bool)
         yield int(settled.sum())
-        for j in range(0, len(rngs), width):
-            lanes = slice(j, j + width)
-            yield _draw_block(profile, horizon_months, rngs[lanes], first[lanes])
+        rngs += compress(run, ~settled)
+        first = np.concatenate((first, normals[~settled]))
+        del run  # the settled trials' generators
+        last = trials.stop == cfg.trials
+        while len(rngs) >= width or (last and rngs):
+            draws = _draw_block(profile, horizon_months, rngs[:width], first[:width])
+            rngs, first = rngs[width:], first[width:]
+            yield draws
 
 
 def run_stress(
@@ -667,10 +852,12 @@ def run_stress(
     numbers).  Each profile makes one pass over its trials, in runs of up
     to 256: the month-1 screen settles the trials that default in month 1
     in every cell, which draw only their first normal and are tallied in
-    closed form, never reaching ``run_trial``; the others run through it
-    in blocks of lanes, one at a time.  Every cell of the profile runs a
-    block before the next is drawn, so a trial's stream is derived once
-    per profile.  Output rows are sorted by (profile_id, rule, scenario).
+    closed form, never reaching ``run_trial``; the others are pooled into
+    blocks of lanes, one at a time.  Every cell of the profile runs a block,
+    walked together or unwalked (``_cell_blocks``), before the next is
+    drawn, so a trial's stream is derived once per profile, and
+    ``run_trial`` is called for each (row, lane).
+    Output rows are sorted by (profile_id, rule, scenario).
 
     Each (profile, scenario) schedule is built once and shared by the
     profile's rules.  The error raised is the first in row order: a cell
@@ -686,7 +873,6 @@ def run_stress(
     if abs(cfg.dt_years * _MONTHS_PER_YEAR - 1.0) > 1e-9:
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
     horizon_months = cfg.steps
-    width = max(1, LANE_BLOCK_BYTES // (2 * horizon_months * 8))
     keys = sorted(
         ((p, r, s, horizon_months) for p in profiles for r in rules for s in scenarios),
         key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
@@ -715,20 +901,24 @@ def run_stress(
             cells[row] = _cell(keys[row], schedules[scenario])
         if not cells:  # profiles come in row order, so none left can run
             break
+        width = max(1, ROW_MONTHS_PER_BLOCK // (len(cells) * horizon_months))
         for draws in _trial_blocks(list(cells.values()), cfg, width):
-            for row, cell in cells.items():
+            running = [row for row in cells if row < stop]
+            if isinstance(draws, int):  # the run's settled trials
+                for row in running:
+                    tallies[row].add_settled(draws, profile.debt_balance.cents)
+                continue
+            blocks = _cell_blocks([cells[row] for row in running], draws)
+            for row, block in zip(running, blocks):
                 if row >= stop:
                     break
                 key, tally = keys[row], tallies[row]
-                if isinstance(draws, int):  # the run's settled trials
-                    tally.add_settled(draws, profile.debt_balance.cents)
-                    continue
                 try:
-                    block = _cell_block(cell, draws)
                     for i in range(len(draws.z_peak)):
                         tally.add(run_trial(*key, (block, i)))
                 except ValueError as exc:
                     stop, error = row, exc
+            del draws, blocks, block  # before the next block is drawn
             if rows[0] >= stop:  # every cell of the profile has stopped
                 break
     if error is not None:

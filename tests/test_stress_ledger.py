@@ -326,7 +326,8 @@ def test_run_trial_matches_reference_loop_past_debt_clearance(
     assert got == _reference_run_trial(profile, rule, scenario, horizon, derive_trial_rng(9, seed))
     assert (got.debt_cleared_month, got.default_month) == (cleared, default)
     draws = _drawn(profile, horizon, [derive_trial_rng(9, seed)])
-    assert stress._cell_block(_built_cell(profile, rule, scenario, horizon), draws).exact[0] == exact
+    _, exact_months = _terms(_built_cell(profile, rule, scenario, horizon), draws)
+    assert exact_months.any() == exact
 
 
 def test_savings_that_outgrow_a_float_after_clearance_raise_in_that_month():
@@ -351,6 +352,76 @@ def test_savings_that_outgrow_a_float_after_clearance_raise_in_that_month():
             run_trial(profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0))
     assert str(err.value) == "profile 'p': r_savings 1e+300 puts savings past the money bound"
     assert walked == [1, 2, 3]
+
+
+def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkeypatch):
+    # the walk stops that row when its savings pass the money bound in
+    # month 2, and the Python-int loop raises in month 3 as above
+    profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("1000"), r_savings=1e300))
+    handed = []
+    walk = stress._walk
+
+    def recorded_walk(cells, draws):
+        blocks = walk(cells, draws)
+        handed.extend(block.rows.handed[block.k] for block in blocks)
+        return blocks
+
+    monkeypatch.setattr(stress, "_walk", recorded_walk)
+    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk even the one row
+    with pytest.raises(DomainError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_stress([profile], [AllocationRule.one_third()], [BASELINE_SCENARIO], _grid_config(12, 1, 0))
+    assert str(err.value) == "profile 'p': r_savings 1e+300 puts savings past the money bound"
+    assert handed == [[True]]
+
+
+def test_a_row_that_defaults_as_its_debt_bucket_would_clear_the_debt_is_not_cleared(monkeypatch):
+    # Month 1 pays 2000 of the 2500 owed and banks 2000.  In month 2 the
+    # expenses due jump past the expenses bucket and those savings, so the
+    # trial defaults in the month its debt bucket would pay off the last 500.
+    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk the block of three rows
+    profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("2500")))
+    scenario = ScenarioSpec("jump", inflation_annual=1e6, onset_month=2)
+    args = ([profile], [AllocationRule.one_third()], [scenario], _grid_config(12, 3, 0))
+    rows = run_stress(*args)
+    assert rows == _reference_run_stress(*args)
+    assert (rows[0].default_rate, rows[0].median_clearance_years) == (1.0, None)
+
+
+@st.composite
+def _schedule_cases(draw):
+    horizon = draw(st.integers(1, 240))
+    scenario = draw(st.builds(
+        ScenarioSpec,
+        name=st.just("s"),
+        income_shock=st.floats(-1.0, 2.0),
+        apr_multiplier=st.floats(0.1, 5.0),
+        inflation_annual=st.one_of(st.just(0.0), st.floats(-0.9, 3.0)),
+        onset_month=st.integers(1, horizon),
+        duration_months=st.one_of(st.just(0), st.integers(1, 300)),
+    ))  # fmt: skip
+    return _draw_profile(draw), scenario, horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_cases())
+# a window that closes inside the horizon
+@example((
+    HouseholdProfile(**_NOISY),
+    ScenarioSpec("w", inflation_annual=0.3, onset_month=3, duration_months=4),
+    12,
+))  # fmt: skip
+def test_a_schedule_is_its_month_by_month_build(case):
+    # built from the window's three runs, each expenses-due power once
+    profile, scenario, horizon = case
+    income_factor, due_c, rate = stress._cell_terms(profile, scenario, horizon)
+    months = range(1, horizon + 1)
+    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
+    base = profile.debt_apr / _MONTHS_PER_YEAR
+    active = [scenario.active(m) for m in months]
+    assert due_c == tuple(_reference_expenses_due_cents(baseline_monthly_c, scenario, m) for m in months)
+    assert income_factor == tuple(1.0 + scenario.income_shock if a else 1.0 for a in active)
+    assert rate == tuple(base * scenario.apr_multiplier if a else base for a in active)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +493,10 @@ _BASE = dict(
     mu=0.02,
     r_savings=0.04,
 )
+def _grid_config(horizon, trials, seed):
+    return PathConfig(horizon_years=horizon / 12, trials=trials, master_seed=seed)
+
+
 # Splits that int64 cannot hold, so they take Python ints: income times a
 # numerator past 2**62, and a denominator past 2**63.
 _HUGE_NUMERATORS = _custom(Fraction(2**45 + 1, 2**46), Fraction(3**27, 2**46))
@@ -447,7 +522,8 @@ _MIXED_SCENARIOS = [
     ScenarioSpec("inflation", inflation_annual=0.2, onset_month=13),
 ]
 _HORIZON = 120
-_WIDTH = stress.LANE_BLOCK_BYTES // (2 * _HORIZON * 8)  # lanes in a block
+# lanes in a block of a profile's cells
+_WIDTH = stress.ROW_MONTHS_PER_BLOCK // (len(_MIXED_RULES) * len(_MIXED_SCENARIOS) * _HORIZON)
 
 
 @pytest.mark.parametrize("trials", [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 3 * _WIDTH + 2])
@@ -542,9 +618,9 @@ _SCREENED_GRID = (
 
 
 def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
-    # A block holds 3 lanes of 60 months; 256 KiB of draws would hold
+    # A block holds 3 lanes of the profile's 4 cells and 60 months, far
     # fewer than the grid's 300 trials.
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 60 * 8)
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 4 * 60)
     streams = Counter()
 
     def derive(master_seed, trial_index):
@@ -566,6 +642,36 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     assert [(pid, n) for pid, n, _ in screened] == [("p", 256), ("p", 44), ("q", 256), ("q", 44)]
     assert all(0 < settled < n for pid, n, settled in screened if pid == "p")
     assert all(settled == n for pid, n, settled in screened if pid == "q")
+
+
+# Grids for the walk at a given lane count, each with the number of cells
+# a profile has; both hold fewer than 1000 trials.
+_LANE_GRIDS = {
+    # walked rows beside the rows of splits int64 cannot hold, which the
+    # walk hands to the Python-int loop
+    "mixed": ((_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, _grid_config(_HORIZON, 7, 11)), 15),
+    # survivors pooled across two 256-trial runs
+    "screened": (_SCREENED_GRID, 4),
+}
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 1000])
+@pytest.mark.parametrize("grid", sorted(_LANE_GRIDS))
+def test_run_stress_matches_reference_loop_at_any_lane_count(monkeypatch, grid, lanes):
+    args, cells = _LANE_GRIDS[grid]
+    widths = {}
+    draw = stress._draw_block
+
+    def recorded_draw(profile, horizon_months, rngs, first):
+        widths.setdefault(profile.profile_id, []).append(len(rngs))
+        return draw(profile, horizon_months, rngs, first)
+
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", lanes * cells * args[3].steps)
+    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk blocks of any size
+    monkeypatch.setattr(stress, "_draw_block", recorded_draw)
+    assert run_stress(*args) == _reference_run_stress(*args)
+    # every block but a profile's last is full, whichever run its trials come from
+    assert widths and all(w[:-1] == [lanes] * (len(w) - 1) and w[-1] <= lanes for w in widths.values())
 
 
 def _advanced(master_seed, trial_index, normals):
@@ -657,7 +763,7 @@ _UNSETTLED = HouseholdProfile(**dict(_BASE, debt_balance=Money(0), baseline_expe
 
 
 def test_an_earlier_cells_later_trial_error_beats_a_later_cells_first(monkeypatch):
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 2 * 24)  # 3 lanes of 2 cells
     calls = _failing_run_trial(
         monkeypatch, {("one_third", "baseline"): 40, ("seventy_twenty_ten", "baseline"): 1}
     )
@@ -673,7 +779,7 @@ def test_an_earlier_cells_later_trial_error_beats_a_later_cells_first(monkeypatc
 
 
 def test_an_earlier_cells_trial_error_beats_a_later_cells_terms_error(monkeypatch):
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 24)  # 3 lanes of the one cell built
     calls = _failing_run_trial(monkeypatch, {("one_third", "a"): 40})
     cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
     scenarios = [ScenarioSpec("a"), ScenarioSpec("b", onset_month=25)]  # b starts past the horizon
@@ -695,7 +801,7 @@ def test_interleaved_rows_of_profiles_that_share_an_id_raise_the_first_rows_erro
     # (indebted, b).  The first profile's row b fails in its 40th trial, and
     # the indebted profile's schedule for scenario ``bad`` raises: a later
     # row when bad is b, an earlier one when it is a.
-    monkeypatch.setattr(stress, "LANE_BLOCK_BYTES", 3 * 2 * 24 * 8)
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 2 * 24)  # 3 lanes of the first's 2 cells
     calls = _failing_run_trial(monkeypatch, {("one_third", "b"): 40})
     scenarios = [ScenarioSpec(name, apr_multiplier=1e300 if name == bad else 1.0) for name in "ab"]
     indebted = HouseholdProfile(**dict(_BASE, baseline_expenses=Money(0)))
@@ -719,6 +825,28 @@ def _drawn(profile, horizon_months, rngs):
     return stress._draw_block(profile, horizon_months, rngs, first)
 
 
+def _terms(cell, draws):
+    """One cell's month terms and exact mask over the whole horizon of the
+    draws, as a trial run alone builds them."""
+    return stress._cell_block([cell], draws.levels[:, 1:], slice(0, draws.growth.shape[1]))
+
+
+def test_each_walked_row_reads_as_its_trial_run_alone():
+    # every outcome field, the default month's buffer and both series
+    # included, for walked rows and the rows the walk hands over
+    outcomes = Counter()
+    for profile in _MIXED_PROFILES:
+        cells = [_built_cell(profile, r, s, 60) for r in _MIXED_RULES for s in _MIXED_SCENARIOS]
+        draws = _drawn(profile, 60, [derive_trial_rng(2, k) for k in range(12)])
+        for block in stress._walk(cells, draws):
+            key = block.cell[:4]
+            for i in range(12):
+                got = run_trial(*key, (block, i))
+                assert got == run_trial(*key, derive_trial_rng(2, i)), (key[1:3], i)
+                outcomes[got.defaulted, block.rows.handed[block.k][i]] += 1
+    assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
+
+
 def test_a_one_month_horizon_walks_the_whole_of_it():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
@@ -726,7 +854,7 @@ def test_a_one_month_horizon_walks_the_whole_of_it():
     draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
     cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
     assert stress._screenable([cell])
-    lane = (stress._cell_block(cell, draws), 0)
+    lane = (stress._walk([cell], draws)[0], 0)
     assert not run_trial(profile, rule, BASELINE_SCENARIO, 1, lane).defaulted
 
 
@@ -786,10 +914,6 @@ def test_a_profile_past_the_screens_bound_is_never_screened(monkeypatch):
     assert screened == []
     assert rows == _reference_run_stress(*grid)
     assert all(row.default_rate == 1.0 for row in rows)
-
-
-def _grid_config(horizon, trials, seed):
-    return PathConfig(horizon_years=horizon / 12, trials=trials, master_seed=seed)
 
 
 @st.composite
@@ -873,8 +997,8 @@ def test_run_stress_matches_trials_run_alone(grid):
 def test_splits_int64_cannot_hold_take_python_ints(rule, exact):
     profile = _MIXED_PROFILES[0]
     draws = _drawn(profile, 12, [derive_trial_rng(0, k) for k in range(3)])
-    block = stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws)
-    assert block.exact.tolist() == [exact] * 3
+    _, exact_months = _terms(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws)
+    assert exact_months[0].all(axis=1).tolist() == [exact] * 3
 
 
 # the income, expense and rate shocks open in month 2 and close after month 6
@@ -885,24 +1009,24 @@ _LATE_WINDOW = ScenarioSpec(
 
 
 @pytest.mark.parametrize("rule", [AllocationRule.one_third(), _HUGE_NUMERATORS])
-def test_a_block_of_fewer_months_is_the_first_months_of_the_whole_block(rule):
-    # the month-1 screen's one-month blocks take the cell's own terms, of
-    # every month of the horizon
+def test_a_window_of_months_is_those_months_of_the_whole_block(rule):
+    # the month-1 screen and the walk's windows take the cells' own terms,
+    # of every month of the horizon, and each cell's are its own block's
     profile = HouseholdProfile(**_BASE)
-    cell = _built_cell(profile, rule, _LATE_WINDOW, 12)
+    cells = [_built_cell(profile, rule, scenario, 12) for scenario in (_LATE_WINDOW, BASELINE_SCENARIO)]
     draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
     draws.levels[0, 1:] = 1e18  # lane 0's income is past the money bound in every month
-    full = stress._cell_block(cell, draws)
+    months, exact = stress._cell_block(cells, draws.levels[:, 1:], slice(0, 12))
     # int64 cannot hold the huge numerators' split, so every lane is exact
-    assert full.exact.tolist() == [True] + [rule is _HUGE_NUMERATORS] * 4
-    for k in (1, 2, 6, 12):
-        cut = stress._Draws(draws.levels[:, : k + 1], draws.growth[:, :k], draws.z_peak, None)
-        block = stress._cell_block(cell, cut)
-        assert block.exact.tolist() == full.exact.tolist()
-        if full.months is None:
-            assert block.months is None
-        else:
-            assert np.array_equal(block.months, full.months[..., :k])
+    assert exact.all(axis=2).tolist() == [[True] + [rule is _HUGE_NUMERATORS] * 4] * 2
+    for k, cell in enumerate(cells):
+        alone = _terms(cell, draws)
+        assert np.array_equal(alone[0], months[:, k : k + 1])
+        assert np.array_equal(alone[1], exact[k : k + 1])
+    for start, stop in ((0, 1), (0, 2), (1, 6), (5, 12), (11, 12)):
+        window = stress._cell_block(cells, draws.levels[:, 1 + start : 1 + stop], slice(start, stop))
+        assert np.array_equal(window[0], months[..., start:stop])
+        assert np.array_equal(window[1], exact[..., start:stop])
 
 
 def test_run_stress_matches_reference_loop_past_the_money_bound():
@@ -912,8 +1036,9 @@ def test_run_stress_matches_reference_loop_past_the_money_bound():
     scenarios = [ScenarioSpec("shock", income_shock=1e300, onset_month=13)]
     cfg = PathConfig(horizon_years=2, trials=2 * _WIDTH + 3, master_seed=1)
     draws = _drawn(profile, 24, [derive_trial_rng(1, 0)])
-    block = stress._cell_block(_built_cell(profile, _MIXED_RULES[0], scenarios[0], 24), draws)
-    assert block.exact.all()  # those lanes run month by month in Python ints
+    _, exact = _terms(_built_cell(profile, _MIXED_RULES[0], scenarios[0], 24), draws)
+    # from month 13 the terms are Python ints' to compute, not the walk's
+    assert exact.tolist() == [[[False] * 12 + [True] * 12]]
     args = ([profile], _MIXED_RULES, scenarios, cfg)
     rows = run_stress(*args)
     assert [row.default_rate for row in rows] == [1.0] * len(_MIXED_RULES)
@@ -959,7 +1084,7 @@ def test_a_lane_runs_only_in_its_own_cell():
     profile = _MIXED_PROFILES[0]
     rule = AllocationRule.one_third()
     draws = _drawn(profile, 12, [derive_trial_rng(0, 0)])
-    lane = (stress._cell_block(_built_cell(profile, rule, BASELINE_SCENARIO, 12), draws), 0)
+    lane = (stress._walk([_built_cell(profile, rule, BASELINE_SCENARIO, 12)], draws)[0], 0)
     assert run_trial(profile, rule, BASELINE_SCENARIO, 12, lane) == run_trial(
         profile, rule, BASELINE_SCENARIO, 12, derive_trial_rng(0, 0)
     )
@@ -1067,8 +1192,10 @@ def test_stress_seams_keep_their_names():
 
 def test_run_stress_calls_its_seams_once_per_row_and_trial(monkeypatch):
     # The traced benchmark times each row in _aggregate and each trial in
-    # run_trial, through the module namespace.  The trials the month-1
-    # screen settles are tallied in closed form and never reach run_trial.
+    # run_trial, through the module namespace.  run_trial reads each
+    # (row, lane) of a walked block, or runs a row the walk handed over in
+    # Python ints.  The trials the month-1 screen settles are tallied in
+    # closed form and never reach run_trial.
     aggregated, trials, settled = [], Counter(), Counter()
     aggregate, trial, screen = stress._aggregate, stress.run_trial, stress._screen
 
