@@ -36,7 +36,7 @@ def _round_div(num, den: int):
     num may be an int or an int64 array, which rounds elementwise."""
     q, r = divmod(num, den)
     # up when the remainder passes half of den, or is half of it and q is odd
-    return q + (2 * r + (q & 1) > den)
+    return q + (2 * r + q % 2 > den)
 
 
 @dataclass(frozen=True, order=True)

@@ -72,15 +72,11 @@ once per (row, lane) and reads that row's outcome.  A row the walk cannot
 prove exact is handed to ``run_trial``'s Python-int month loop instead,
 from month 1: income past the money bound in some month, a split that
 int64 cannot hold, a savings growth product of 2**53 or more, savings past
-``MAX_CENTS`` or a broken cash identity.  A block of fewer than
-``_WALK_ROWS`` rows, which long horizons make, is not walked: each cell
-builds its terms for the whole horizon and every row takes that loop, as a
-trial run alone does.  The loop runs while debt is owed, then goes on in a
-second loop for the paid-off months, which skips interest, principal and
-the DTI terms.  So a trial whose income or savings outgrows Money or a
-float raises in the same month as when run alone, naming the field behind
-it, and ``run_stress`` raises the first error in row order, whichever block
-it comes from.
+``MAX_CENTS`` or a broken cash identity.  A trial run alone takes the same
+loop on terms of its own.  So a trial whose income or savings outgrows
+Money or a float raises in the same month as when run alone, naming the
+field behind it, and ``run_stress`` raises the first error in row order,
+whichever block it comes from.
 """
 
 from __future__ import annotations
@@ -318,12 +314,6 @@ def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -
 # months.  The walk keeps two ratios a row-month, and the draws take about
 # as much again.
 ROW_MONTHS_PER_BLOCK = 27_000
-# The walk builds the month terms of its live rows this many months at a time.
-_WALK_MONTHS = 12
-# A block of fewer (cell, lane) rows runs faster in the Python-int loop,
-# which pays per month of a row where the walk pays per month of the block:
-# about 100 rows break even on stress_full's fixture at 20 and 30 years.
-_WALK_ROWS = 96
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
 # a point of a rectangle, all within r = 3.6541528853610088, or from its
 # tail r + x with x = -ln(1 - U) / r for a uniform U of 53 bits, at most
@@ -489,33 +479,18 @@ class _Rows(NamedTuple):
 
 
 class _CellBlock(NamedTuple):
-    """A cell's share of a block of draws, as ``run_trial`` reads it: walked,
-    as row ``k`` of ``rows``, or left to the Python-int loop on ``terms``,
-    the cell's ``_cell_block`` over the whole horizon."""
+    """A cell's share of a walked block of draws, row ``k`` of ``rows``, as
+    ``run_trial`` reads it."""
 
     cell: _Cell
     draws: _Draws
-    rows: Optional[_Rows]
+    rows: _Rows
     k: int
-    terms: Optional[tuple]
-
-
-def _unwalked(cell: _Cell, draws: _Draws) -> _CellBlock:
-    """The cell's block for the Python-int loop, its terms over the horizon."""
-    return _CellBlock(cell, draws, None, 0, _cell_block([cell], draws.levels[:, 1:], slice(0, None)))
-
-
-def _cell_blocks(cells: list[_Cell], draws: _Draws) -> Iterator[_CellBlock]:
-    """Each of one profile's ``cells`` on a block of draws, in turn: walked
-    together, or each unwalked when the block has too few rows."""
-    if len(cells) * len(draws.z_peak) >= _WALK_ROWS:
-        return iter(_walk(cells, draws))
-    return (_unwalked(cell, draws) for cell in cells)
 
 
 def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
     """Walk the debt and savings recursion of every (cell, lane) row of one
-    profile's block at once, ``_WALK_MONTHS`` at a time, over the rows
+    profile's block at once, a year of months at a time, over the rows
     still live."""
     shape = (len(cells), len(draws.z_peak))
     horizon_months = draws.growth.shape[1]
@@ -531,14 +506,14 @@ def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
     rates = np.array([cell.rate for cell in cells])
     dues = np.array([cell.due_c for cell in cells])
     with np.errstate(all="ignore"):
-        for start in range(0, horizon_months, _WALK_MONTHS):
+        for start in range(0, horizon_months, _MONTHS_PER_YEAR):
             if not rows.live.any():
                 break
-            window = slice(start, min(start + _WALK_MONTHS, horizon_months))
+            window = slice(start, min(start + _MONTHS_PER_YEAR, horizon_months))
             _walk_window(cells, draws, window, rows, rates, dues)
     read = ("cleared", "months", "default", "buffer", "savings", "handed")
     rows = rows._replace(**{name: getattr(rows, name).tolist() for name in read})
-    return [_CellBlock(cell, draws, rows, k, None) for k, cell in enumerate(cells)]
+    return [_CellBlock(cell, draws, rows, k) for k, cell in enumerate(cells)]
 
 
 def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
@@ -614,7 +589,7 @@ def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
 
 
 def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, exact: bool) -> TrialOutcome:
-    """One lane's month loops in Python ints (see the module docstring),
+    """One lane's month loop in Python ints (see the module docstring),
     given its income levels of months 1..H, its (5, H) month terms and
     whether any month is exact, which ``_exact_months`` computes instead."""
     if exact:
@@ -628,10 +603,9 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
     dti_series: list[float] = []
     ser_series: list[float] = []
     default_month: Optional[int] = None
-    # while debt is owed
     for (
         month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, rate,
-    ) in months if debt_c else ():  # fmt: skip
+    ) in months:  # fmt: skip
         # interest first; what the debt bucket cannot cover comes from savings
         interest_c = round(debt_c * rate)
         spare_c = alloc_debt_c - interest_c
@@ -661,31 +635,8 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
 
         if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
             raise DomainError(f"monthly cash identity violated in month {month}")
-        if debt_c == 0:
+        if cleared is None and debt_c == 0:
             cleared = month
-            break
-
-    # paid off (a default leaves debt owed): round(0 × rate) is 0, so no
-    # interest or principal, all the debt bucket deposited, DTI 0.0
-    for (
-        month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, _,
-    ) in months if not debt_c else ():  # fmt: skip
-        buffer_c = savings_c - shortfall_c
-        if buffer_c < 0:
-            default_month = month
-            break
-
-        deposit_c = alloc_savings_c + alloc_debt_c
-        savings_c = round(buffer_c * growth) + deposit_c
-
-        if due_c > 0:
-            ser_series.append(deposit_c / due_c)
-        else:
-            ser_series.append(math.inf if deposit_c > 0 else 1.0)
-
-        if income_c + shortfall_c != due_c + deposit_c + residual_c:
-            raise DomainError(f"monthly cash identity violated in month {month}")
-    dti_series += [0.0] * (len(ser_series) - len(dti_series))  # the paid-off months
 
     return TrialOutcome(
         defaulted=default_month is not None,
@@ -710,20 +661,22 @@ def run_trial(
     """Simulate one household trajectory (see the module docstring).
 
     rng is the trial's ``np.random.Generator``, or a (cell block, lane
-    index) pair that ``run_stress`` built for this cell: a walked row is
-    read, any other runs the Python-int month loops.  A generator gets a
-    cell record of its own, schedule included, draws its first normal and
-    then the rest, as in ``run_stress``, and becomes lane 0 of a block of
-    one; a bad horizon raises ``ValidationError`` before anything is built.
+    index) pair that ``run_stress`` walked for this cell, whose row is read
+    unless the walk handed it to the Python-int month loop.  A generator
+    gets a cell record of its own, schedule included, draws its first
+    normal and then the rest, as in ``run_stress``, into a block of one
+    lane, and runs that loop; a bad horizon raises ``ValidationError``
+    before anything is built.
     """
     key = (profile, rule, scenario, horizon_months)
-    if not isinstance(rng, tuple):
+    if isinstance(rng, tuple):
+        (cell, draws, rows, k), i = rng
+        if cell[:4] != key:
+            raise ValidationError("the lane was built for another stress cell")
+    else:
         cell = _cell(key, _cell_terms(profile, scenario, horizon_months))
         first = np.array([rng.standard_normal()])
-        rng = (_unwalked(cell, _draw_block(profile, horizon_months, [rng], first)), 0)
-    (cell, draws, rows, k, terms), i = rng
-    if cell[:4] != key:
-        raise ValidationError("the lane was built for another stress cell")
+        draws, rows, k, i = _draw_block(profile, horizon_months, [rng], first), None, 0, 0
 
     levels = None
     try:
@@ -735,10 +688,9 @@ def run_trial(
             )
         levels = draws.levels[i, 1:]
         if rows is None or rows.handed[k][i]:
-            # a row the walk handed over gets terms of its own
-            terms, exact = terms or _cell_block([cell], levels[None], slice(0, horizon_months))
-            j = i if rows is None else 0
-            return _ledger(cell, levels, draws.growth[i].tolist(), terms[:, 0, j], exact[0, j].any())
+            # a trial run alone, or a row the walk handed over, gets terms of its own
+            terms, exact = _cell_block([cell], levels[None], slice(0, horizon_months))
+            return _ledger(cell, levels, draws.growth[i].tolist(), terms[:, 0, 0], exact.any())
         months, default_month, cleared = rows.months[k][i], rows.default[k][i], rows.cleared[k][i]
         return TrialOutcome(
             defaulted=default_month > 0,
@@ -772,8 +724,8 @@ class _Tally:
             self.cleared[outcome.debt_cleared_month] += 1
         self.final_cents += outcome.final_savings.cents
         self.months += len(outcome.dti_series)
-        self.dti_violations += len([x for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT])
-        self.ser_violations += len([x for x in outcome.ser_series if x < DEFAULT_SER_FLOOR])
+        self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
+        self.ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
 
     def add_settled(self, n: int, debt_c: int) -> None:
         """Add ``n`` trials that default in month 1 on opening debt ``debt_c``."""
@@ -853,10 +805,9 @@ def run_stress(
     to 256: the month-1 screen settles the trials that default in month 1
     in every cell, which draw only their first normal and are tallied in
     closed form, never reaching ``run_trial``; the others are pooled into
-    blocks of lanes, one at a time.  Every cell of the profile runs a block,
-    walked together or unwalked (``_cell_blocks``), before the next is
-    drawn, so a trial's stream is derived once per profile, and
-    ``run_trial`` is called for each (row, lane).
+    blocks of lanes, one at a time.  Every cell of the profile walks a block
+    together before the next is drawn, so a trial's stream is derived once
+    per profile, and ``run_trial`` is called for each (row, lane).
     Output rows are sorted by (profile_id, rule, scenario).
 
     Each (profile, scenario) schedule is built once and shared by the
@@ -908,7 +859,7 @@ def run_stress(
                 for row in running:
                     tallies[row].add_settled(draws, profile.debt_balance.cents)
                 continue
-            blocks = _cell_blocks([cells[row] for row in running], draws)
+            blocks = _walk([cells[row] for row in running], draws)
             for row, block in zip(running, blocks):
                 if row >= stop:
                     break

@@ -367,7 +367,6 @@ def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkey
         return blocks
 
     monkeypatch.setattr(stress, "_walk", recorded_walk)
-    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk even the one row
     with pytest.raises(DomainError) as err, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         run_stress([profile], [AllocationRule.one_third()], [BASELINE_SCENARIO], _grid_config(12, 1, 0))
@@ -375,11 +374,10 @@ def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkey
     assert handed == [[True]]
 
 
-def test_a_row_that_defaults_as_its_debt_bucket_would_clear_the_debt_is_not_cleared(monkeypatch):
+def test_a_row_that_defaults_as_its_debt_bucket_would_clear_the_debt_is_not_cleared():
     # Month 1 pays 2000 of the 2500 owed and banks 2000.  In month 2 the
     # expenses due jump past the expenses bucket and those savings, so the
     # trial defaults in the month its debt bucket would pay off the last 500.
-    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk the block of three rows
     profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("2500")))
     scenario = ScenarioSpec("jump", inflation_annual=1e6, onset_month=2)
     args = ([profile], [AllocationRule.one_third()], [scenario], _grid_config(12, 3, 0))
@@ -667,7 +665,6 @@ def test_run_stress_matches_reference_loop_at_any_lane_count(monkeypatch, grid, 
         return draw(profile, horizon_months, rngs, first)
 
     monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", lanes * cells * args[3].steps)
-    monkeypatch.setattr(stress, "_WALK_ROWS", 1)  # walk blocks of any size
     monkeypatch.setattr(stress, "_draw_block", recorded_draw)
     assert run_stress(*args) == _reference_run_stress(*args)
     # every block but a profile's last is full, whichever run its trials come from
