@@ -26,6 +26,10 @@ completed month satisfies the cash identity
     expenses paid + debt service + savings deposits + residual cash
 
 exactly in cents; the loop checks it and raises ``DomainError`` if not.
+A trial's outcome counts the months it completed whose debt service over
+income (DTI, 0 with no income) passes ``DEFAULT_DTI_LIMIT``, and those
+whose deposit over the expenses due (SER) falls short of
+``DEFAULT_SER_FLOOR``; a month with nothing due never does.
 
 Most of a month's terms never read a balance, so they are computed
 ahead of the recursion, in layers:
@@ -65,10 +69,10 @@ ahead of the recursion, in layers:
 
 ``_walk`` carries the debt and savings recursion of every (cell, lane) row
 of a block at once in int64 and float64 arrays, building the terms of the
-rows still live 12 months at a time.  It records each row's default month
-and that month's buffer, its clearance month, its final savings and its
-DTI and SER ratios, and checks the cash identity.  ``run_trial`` is called
-once per (row, lane) and reads that row's outcome.  A row the walk cannot
+rows still live 12 months at a time.  It records each row's default month,
+its clearance month, its final savings and its DTI and SER violation
+counts, and checks the cash identity.  ``run_trial`` is called once per
+(row, lane) and reads that row's outcome.  A row the walk cannot
 prove exact is handed to ``run_trial``'s Python-int month loop instead,
 from month 1: income past the money bound in some month, a split that
 int64 cannot hold, a savings growth product of 2**53 or more, savings past
@@ -171,9 +175,8 @@ class TrialOutcome:
     default_month: Optional[int]
     debt_cleared_month: Optional[int]
     final_savings: Money
-    min_cash_buffer: float
-    dti_series: tuple[float, ...]
-    ser_series: tuple[float, ...]
+    dti_violations: int  # months completed past the DTI limit (module docstring)
+    ser_violations: int  # months completed short of the SER floor
 
 
 @dataclass(frozen=True)
@@ -311,8 +314,8 @@ def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -
 
 
 # A block holds this many row-months: a profile's cells × lanes × horizon
-# months.  The walk keeps two ratios a row-month, and the draws take about
-# as much again.
+# months.  The draws keep a few floats a lane-month, and the walk about
+# twenty numbers a row-month of its 12-month window.
 ROW_MONTHS_PER_BLOCK = 27_000
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
 # a point of a rectangle, all within r = 3.6541528853610088, or from its
@@ -466,16 +469,12 @@ class _Rows(NamedTuple):
 
     debt: np.ndarray  # owed after the months completed
     cleared: np.ndarray  # the clearance month, or -1
-    months: np.ndarray  # months completed
     default: np.ndarray  # the default month, or 0
-    buffer: np.ndarray  # the default month's buffer, or 0
     savings: np.ndarray  # after the months completed
+    dti: np.ndarray  # DTI violations in the months completed
+    ser: np.ndarray  # SER violations in the months completed
     live: np.ndarray  # neither defaulted nor handed over
     handed: np.ndarray  # left to run_trial's Python-int month loop
-    # (H, cells, lanes) monthly ratios, valid for the months completed; month
-    # first, so the months no row reaches are never written
-    dti: np.ndarray
-    ser: np.ndarray
 
 
 class _CellBlock(NamedTuple):
@@ -491,7 +490,7 @@ class _CellBlock(NamedTuple):
 def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
     """Walk the debt and savings recursion of every (cell, lane) row of one
     profile's block at once, a year of months at a time, over the rows
-    still live."""
+    still live, counting each row's DTI and SER violations as it goes."""
     shape = (len(cells), len(draws.z_peak))
     horizon_months = draws.growth.shape[1]
     debt_c = cells[0].profile.debt_balance.cents
@@ -501,7 +500,6 @@ def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
         *np.zeros((4, *shape), dtype=np.int64),
         np.ones(shape, dtype=bool),
         np.zeros(shape, dtype=bool),
-        *np.empty((2, horizon_months, *shape)),
     )
     rates = np.array([cell.rate for cell in cells])
     dues = np.array([cell.due_c for cell in cells])
@@ -511,16 +509,17 @@ def _walk(cells: list[_Cell], draws: _Draws) -> list[_CellBlock]:
                 break
             window = slice(start, min(start + _MONTHS_PER_YEAR, horizon_months))
             _walk_window(cells, draws, window, rows, rates, dues)
-    read = ("cleared", "months", "default", "buffer", "savings", "handed")
+    read = ("cleared", "default", "savings", "dti", "ser", "handed")
     rows = rows._replace(**{name: getattr(rows, name).tolist() for name in read})
     return [_CellBlock(cell, draws, rows, k) for k, cell in enumerate(cells)]
 
 
 def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
-    """Walk the live rows through the window's months and record them.  A
-    row stops in the first month whose income is exact or that defaults, or
-    whose savings or cash identity the walk cannot vouch for; the months
-    after that read garbage that nothing uses."""
+    """Walk the live rows through the window's months and record them,
+    adding each row's violations over the months it completed.  A row stops
+    in the first month whose income is exact or that defaults, or whose
+    savings or cash identity the walk cannot vouch for; the months after
+    that read garbage that nothing counts."""
     c, lane = np.nonzero(rows.live)
     start, n_months, n = window.start, window.stop - window.start, len(c)
     lanes = rows.live.any(axis=0)
@@ -574,18 +573,19 @@ def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
     paid_off = owed[1:] == 0
     cleared_at = paid_off.argmax(axis=0)
     clears = (owed[0] > 0) & paid_off.any(axis=0) & (cleared_at < month)
+    done = np.arange(n_months)[:, None] < month
+    # DTI 0 where there is no income; SER inf where nothing is due
+    dti = np.divide(service, income, out=np.zeros(grown.shape), where=income > 0)
+    ser = np.divide(deposit, due, out=np.full(grown.shape, math.inf), where=due > 0)
 
     rows.debt[c, lane] = owed[month, columns]
     rows.savings[c, lane] = saved[month, columns]
-    rows.months[c, lane] = start + month
+    rows.dti[c, lane] += (done & (dti > DEFAULT_DTI_LIMIT)).sum(axis=0)
+    rows.ser[c, lane] += (done & (ser < DEFAULT_SER_FLOOR)).sum(axis=0)
     rows.cleared[c[clears], lane[clears]] = start + cleared_at[clears] + 1
     rows.default[c[failed], lane[failed]] = start + month[failed] + 1
-    rows.buffer[c[failed], lane[failed]] = buffers[at][failed]
     rows.handed[c, lane] = stopped & ~failed
     rows.live[c, lane] = ~stopped
-    rows.dti[window, c, lane] = np.divide(service, income, out=np.zeros(grown.shape), where=income > 0)
-    ser = np.where(deposit > 0, math.inf, 1.0)  # where nothing is due
-    rows.ser[window, c, lane] = np.divide(deposit, due, out=ser, where=due > 0)
 
 
 def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, exact: bool) -> TrialOutcome:
@@ -600,8 +600,7 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
     debt_c = cell.profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
-    dti_series: list[float] = []
-    ser_series: list[float] = []
+    dti_violations = ser_violations = 0
     default_month: Optional[int] = None
     for (
         month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, rate,
@@ -627,11 +626,10 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
         savings_c = round(buffer_c * growth) + deposit_c
 
         debt_service_c = interest_c + principal_c
-        dti_series.append(debt_service_c / income_c if income_c > 0 else 0.0)
-        if due_c > 0:
-            ser_series.append(deposit_c / due_c)
-        else:
-            ser_series.append(math.inf if deposit_c > 0 else 1.0)
+        if income_c > 0 and debt_service_c / income_c > DEFAULT_DTI_LIMIT:
+            dti_violations += 1
+        if due_c > 0 and deposit_c / due_c < DEFAULT_SER_FLOOR:
+            ser_violations += 1
 
         if income_c + needed_c != due_c + debt_service_c + deposit_c + residual_c:
             raise DomainError(f"monthly cash identity violated in month {month}")
@@ -643,11 +641,8 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
         default_month=default_month,
         debt_cleared_month=cleared,
         final_savings=Money(savings_c),
-        # month 1 draws on zero savings, so a survivor's buffer is 0 there
-        # and at least 0 after; the minimum is the default month's, or 0
-        min_cash_buffer=min(buffer_c, 0) / 100.0,
-        dti_series=tuple(dti_series),
-        ser_series=tuple(ser_series),
+        dti_violations=dti_violations,
+        ser_violations=ser_violations,
     )
 
 
@@ -661,8 +656,9 @@ def run_trial(
     """Simulate one household trajectory (see the module docstring).
 
     rng is the trial's ``np.random.Generator``, or a (cell block, lane
-    index) pair that ``run_stress`` walked for this cell, whose row is read
-    unless the walk handed it to the Python-int month loop.  A generator
+    index) pair that ``run_stress`` walked for this cell, whose row, with
+    the violation counts the walk made, is read unless the walk handed it
+    to the Python-int month loop, which counts them itself.  A generator
     gets a cell record of its own, schedule included, draws its first
     normal and then the rest, as in ``run_stress``, into a block of one
     lane, and runs that loop; a bad horizon raises ``ValidationError``
@@ -691,15 +687,14 @@ def run_trial(
             # a trial run alone, or a row the walk handed over, gets terms of its own
             terms, exact = _cell_block([cell], levels[None], slice(0, horizon_months))
             return _ledger(cell, levels, draws.growth[i].tolist(), terms[:, 0, 0], exact.any())
-        months, default_month, cleared = rows.months[k][i], rows.default[k][i], rows.cleared[k][i]
+        default_month, cleared = rows.default[k][i], rows.cleared[k][i]
         return TrialOutcome(
             defaulted=default_month > 0,
             default_month=default_month or None,
             debt_cleared_month=cleared if cleared >= 0 else None,
             final_savings=Money(rows.savings[k][i]),
-            min_cash_buffer=rows.buffer[k][i] / 100.0,
-            dti_series=tuple(rows.dti[:months, k, i].tolist()),
-            ser_series=tuple(rows.ser[:months, k, i].tolist()),
+            dti_violations=rows.dti[k][i],
+            ser_violations=rows.ser[k][i],
         )
     except DomainError:
         raise
@@ -712,10 +707,12 @@ def run_trial(
 
 class _Tally:
     """The running sums ``_aggregate`` reads from a cell's trial outcomes;
-    ``cleared`` counts trials by clearance month, 0 (no opening debt) to H."""
+    ``cleared`` counts trials by clearance month, 0 (no opening debt) to H,
+    and ``months`` the months the trials completed."""
 
     def __init__(self, horizon_months: int) -> None:
         self.defaults = self.final_cents = self.months = self.dti_violations = self.ser_violations = 0
+        self.horizon_months = horizon_months
         self.cleared = [0] * (horizon_months + 1)
 
     def add(self, outcome: TrialOutcome) -> None:
@@ -723,13 +720,13 @@ class _Tally:
         if outcome.debt_cleared_month is not None:
             self.cleared[outcome.debt_cleared_month] += 1
         self.final_cents += outcome.final_savings.cents
-        self.months += len(outcome.dti_series)
-        self.dti_violations += sum(1 for x in outcome.dti_series if x > DEFAULT_DTI_LIMIT)
-        self.ser_violations += sum(1 for x in outcome.ser_series if x < DEFAULT_SER_FLOOR)
+        self.months += outcome.default_month - 1 if outcome.defaulted else self.horizon_months
+        self.dti_violations += outcome.dti_violations
+        self.ser_violations += outcome.ser_violations
 
     def add_settled(self, n: int, debt_c: int) -> None:
         """Add ``n`` trials that default in month 1 on opening debt ``debt_c``."""
-        self.defaults += n  # no month completes: no savings, no ratios
+        self.defaults += n  # no month completes: no savings, no violations
         self.cleared[0] += n * (debt_c == 0)  # owing nothing, cleared before month 1
 
 

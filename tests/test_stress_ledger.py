@@ -2,9 +2,11 @@
 
 ``_reference_run_trial`` is the month loop as it stood before the
 month-only terms moved out of it: every month recomputes the scenario
-window, the expenses due and the debt rate.  It is kept here only as an
-oracle; ``run_trial`` must return an equal ``TrialOutcome`` for any
-input, and the CLI report on the benchmark fixtures must keep its bytes.
+window, the expenses due and the debt rate, and keeps each month's DTI
+and SER ratio, counting the violations from them at the end.  It is kept
+here only as an oracle; ``run_trial`` must return an equal
+``TrialOutcome`` for any input, and the CLI report on the benchmark
+fixtures must keep its bytes.
 """
 
 import gc
@@ -81,9 +83,18 @@ def _reference_run_trial(profile, rule, scenario, horizon_months, rng):
     debt_c = profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
-    min_buffer_c: Optional[int] = None
     dti_series: list[float] = []
     ser_series: list[float] = []
+
+    def outcome(default_month):
+        return TrialOutcome(
+            defaulted=default_month is not None,
+            default_month=default_month,
+            debt_cleared_month=cleared,
+            final_savings=Money(savings_c),
+            dti_violations=sum(x > DEFAULT_DTI_LIMIT for x in dti_series),
+            ser_violations=sum(x < DEFAULT_SER_FLOOR for x in ser_series),
+        )
 
     for month in range(1, horizon_months + 1):
         active = scenario.active(month)
@@ -110,18 +121,8 @@ def _reference_run_trial(profile, rule, scenario, horizon_months, rng):
 
         needed_c = shortfall_c + interest_gap_c
         buffer_c = savings_c - needed_c
-        if min_buffer_c is None or buffer_c < min_buffer_c:
-            min_buffer_c = buffer_c
         if buffer_c < 0:
-            return TrialOutcome(
-                defaulted=True,
-                default_month=month,
-                debt_cleared_month=cleared,
-                final_savings=Money(savings_c),
-                min_cash_buffer=buffer_c / 100.0,
-                dti_series=tuple(dti_series),
-                ser_series=tuple(ser_series),
-            )
+            return outcome(month)
         savings_c -= needed_c
 
         principal_c = min(debt_c, max(0, alloc_debt_c - interest_c))
@@ -151,15 +152,7 @@ def _reference_run_trial(profile, rule, scenario, horizon_months, rng):
         if ledger_in != ledger_out:
             raise DomainError(f"monthly cash identity violated in month {month}")
 
-    return TrialOutcome(
-        defaulted=False,
-        default_month=None,
-        debt_cleared_month=cleared,
-        final_savings=Money(savings_c),
-        min_cash_buffer=(min_buffer_c if min_buffer_c is not None else savings_c) / 100.0,
-        dti_series=tuple(dti_series),
-        ser_series=tuple(ser_series),
-    )
+    return outcome(None)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +347,9 @@ def test_savings_that_outgrow_a_float_after_clearance_raise_in_that_month():
     assert walked == [1, 2, 3]
 
 
-def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkeypatch):
-    # the walk stops that row when its savings pass the money bound in
-    # month 2, and the Python-int loop raises in month 3 as above
-    profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("1000"), r_savings=1e300))
+def _recorded_handed(monkeypatch):
+    """A list that gets, for each cell of each block run_stress walks, the
+    flags of the rows the walk hands to the Python-int loop."""
     handed = []
     walk = stress._walk
 
@@ -367,6 +359,14 @@ def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkey
         return blocks
 
     monkeypatch.setattr(stress, "_walk", recorded_walk)
+    return handed
+
+
+def test_run_stress_hands_savings_that_outgrow_a_float_to_the_python_loop(monkeypatch):
+    # the walk stops that row when its savings pass the money bound in
+    # month 2, and the Python-int loop raises in month 3 as above
+    profile = HouseholdProfile(**dict(_FLAT, debt_balance=Money.of("1000"), r_savings=1e300))
+    handed = _recorded_handed(monkeypatch)
     with pytest.raises(DomainError) as err, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         run_stress([profile], [AllocationRule.one_third()], [BASELINE_SCENARIO], _grid_config(12, 1, 0))
@@ -384,6 +384,42 @@ def test_a_row_that_defaults_as_its_debt_bucket_would_clear_the_debt_is_not_clea
     rows = run_stress(*args)
     assert rows == _reference_run_stress(*args)
     assert (rows[0].default_rate, rows[0].median_clearance_years) == (1.0, None)
+
+
+def test_a_month_at_a_limit_is_no_violation_and_one_cent_past_it_is(monkeypatch):
+    # 30000 a year is 250000 cents a month: the 9/25 debt bucket pays the
+    # 90000 interest on 90000 at 12 %, DTI exactly 0.36, and the 8/25 savings
+    # bucket deposits 80000 against 80000 due, SER exactly 1.0.  In month 2
+    # alone, "interest" owes one cent past the debt bucket (DTI 90001 /
+    # 250000); from month 2 on, "due" asks 80001 (SER 80000 / 80001).
+    # Savings pay the cent, and no month defaults.
+    assert (90000 / 250000, 80000 / 80000) == (DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR)
+    profile = HouseholdProfile(**dict(
+        _FLAT,
+        member_incomes=(Money.of("30000"),),
+        debt_balance=Money.of("90000"),
+        debt_apr=0.12,
+        baseline_expenses=Money.of("9600"),
+    ))  # fmt: skip
+    rule = _custom(Fraction(9, 25), Fraction(8, 25))
+    scenarios = [
+        BASELINE_SCENARIO,
+        ScenarioSpec("interest", apr_multiplier=1 + 1 / 90000, onset_month=2, duration_months=1),
+        ScenarioSpec("due", inflation_annual=(1 + 1 / 80000) ** 12 - 1, onset_month=2, duration_months=1),
+    ]
+    want = {"baseline": (0, 0), "interest": (1, 0), "due": (0, 11)}
+    for scenario in scenarios:  # the Python-int loop of a trial run alone
+        out = run_trial(profile, rule, scenario, 12, derive_trial_rng(0, 0))
+        assert not out.defaulted
+        assert (out.dti_violations, out.ser_violations) == want[scenario.name]
+
+    handed = _recorded_handed(monkeypatch)
+    args = ([profile], [rule], scenarios, _grid_config(12, 4, 0))
+    rows = run_stress(*args)
+    assert handed == [[False] * 4] * 3  # every row walked
+    assert rows == _reference_run_stress(*args)
+    rates = {row.scenario: (row.dti_violation_rate, row.ser_violation_rate) for row in rows}
+    assert rates == {"baseline": (0.0, 0.0), "interest": (1 / 12, 0.0), "due": (0.0, 11 / 12)}
 
 
 @st.composite
@@ -436,8 +472,8 @@ def _rows_order(profiles, rules, scenarios):
 def _reference_run_stress(profiles, rules, scenarios, cfg):
     """run_stress's rows with every trial run by the reference loop on its
     own generator, and aggregated here from the list of outcomes: the
-    clearance median by statistics.median, the violations by counting the
-    series."""
+    clearance median by statistics.median, the violation rates over the
+    months completed, taken from each trial's default month."""
     rows = []
     for p, r, s in _rows_order(profiles, rules, scenarios):
         outcomes = [
@@ -448,9 +484,10 @@ def _reference_run_stress(profiles, rules, scenarios, cfg):
         mean_final = Money(round(Fraction(sum(o.final_savings.cents for o in outcomes), cfg.trials)))
         baseline_monthly_c = _round_div(p.baseline_expenses.cents, _MONTHS_PER_YEAR)
         final_due_c = _reference_expenses_due_cents(baseline_monthly_c, s, cfg.steps)
-        months = sum(len(o.dti_series) for o in outcomes)
-        dti_violations = sum(x > DEFAULT_DTI_LIMIT for o in outcomes for x in o.dti_series)
-        ser_violations = sum(x < DEFAULT_SER_FLOOR for o in outcomes for x in o.ser_series)
+        # a trial completes the months before its default, or all of them
+        months = sum(o.default_month - 1 if o.defaulted else cfg.steps for o in outcomes)
+        dti_violations = sum(o.dti_violations for o in outcomes)
+        ser_violations = sum(o.ser_violations for o in outcomes)
         rows.append(StressMetrics(
             profile_id=p.profile_id,
             rule=r.rule_id,
@@ -829,8 +866,8 @@ def _terms(cell, draws):
 
 
 def test_each_walked_row_reads_as_its_trial_run_alone():
-    # every outcome field, the default month's buffer and both series
-    # included, for walked rows and the rows the walk hands over
+    # every outcome field, both violation counts included, for walked rows
+    # and the rows the walk hands over
     outcomes = Counter()
     for profile in _MIXED_PROFILES:
         cells = [_built_cell(profile, r, s, 60) for r in _MIXED_RULES for s in _MIXED_SCENARIOS]
