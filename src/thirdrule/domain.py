@@ -327,6 +327,8 @@ class HouseholdProfile:
     def __post_init__(self) -> None:
         # A message about one field starts with the field's name, which
         # cli.load_profiles turns into a row and column.
+        if not isinstance(self.profile_id, str):
+            raise ValidationError("profile_id must be a string")
         if not self.profile_id:
             raise ValidationError("profile_id must be nonempty")
         try:
@@ -336,6 +338,13 @@ class HouseholdProfile:
                 f"household_type must be one of {[t.value for t in HouseholdType]}, "
                 f"got {self.household_type!r}"
             ) from None
+        incomes = self.member_incomes
+        if not isinstance(incomes, (tuple, list)) or not all(isinstance(m, Money) for m in incomes):
+            raise ValidationError("member_incomes must be a tuple of Money")
+        object.__setattr__(self, "member_incomes", tuple(incomes))  # a list becomes a tuple
+        for name in ("debt_balance", "baseline_expenses"):
+            if not isinstance(getattr(self, name), Money):
+                raise ValidationError(f"{name} must be Money")
         counts = {  # every type needs at least one member
             HouseholdType.SINGLE_INCOME: (1, 1),
             HouseholdType.DUAL_INCOME: (2, 2),

@@ -64,8 +64,7 @@ ahead of the recursion, in layers:
   row-months, ``ROW_MONTHS_PER_BLOCK``;
 - for cells × lanes and a window of months: income in cents, the rule's
   cent split through ``_split_cents`` and the expense shortfall and
-  residual (``_cell_block``), which the month-1 screen, the walk and a
-  trial run alone all build.
+  residual (``_cell_block``), which the month-1 screen and the walk build.
 
 ``_walk`` carries the debt and savings recursion of every (cell, lane) row
 of a block at once in int64 and float64 arrays, building the terms of the
@@ -77,10 +76,11 @@ prove exact is handed to ``run_trial``'s Python-int month loop instead,
 from month 1: income past the money bound in some month, a split that
 int64 cannot hold, a savings growth product of 2**53 or more, savings past
 ``MAX_CENTS`` or a broken cash identity.  A trial run alone takes the same
-loop on terms of its own.  So a trial whose income or savings outgrows
-Money or a float raises in the same month as when run alone, naming the
-field behind it, and ``run_stress`` raises the first error in row order,
-whichever block it comes from.
+loop, which builds each month's terms itself in Python ints through the
+same ``_split_cents`` and ``_expense_terms``.  So a trial whose income or
+savings outgrows Money or a float raises in the same month as when run
+alone, naming the field behind it, and ``run_stress`` raises the first
+error in row order, whichever block it comes from.
 """
 
 from __future__ import annotations
@@ -416,20 +416,6 @@ def _cell_block(cells: Sequence[_Cell], levels: np.ndarray, months: slice) -> tu
     return np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c)), exact
 
 
-def _exact_months(cell: _Cell, levels, growth):
-    """(month, income, debt bucket, savings bucket, shortfall, residual,
-    growth, due, rate) of each month of a lane whose income leaves the
-    money bound, in Python ints month by month: income that leaves the int
-    range raises in its own month, after any default that comes first."""
-    for month, level, factor, g, due_c, rate in zip(
-        count(1), levels, cell.income_factor, growth, cell.due_c, cell.rate
-    ):
-        income_c = round(_raw_income_c(level, factor))
-        debt_c, savings_c, expenses_c = _split_cents(income_c, *cell.split)
-        shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
-        yield month, income_c, debt_c, savings_c, shortfall_c, residual_c, g, due_c, rate
-
-
 def _screenable(cells: list[_Cell]) -> bool:
     """Whether the month-1 screen may run over one profile's built cells:
     not when income may leave the money bound or overflow a float in some
@@ -588,23 +574,23 @@ def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
     rows.live[c, lane] = ~stopped
 
 
-def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, exact: bool) -> TrialOutcome:
+def _ledger(cell: _Cell, levels: list, growth: list) -> TrialOutcome:
     """One lane's month loop in Python ints (see the module docstring),
-    given its income levels of months 1..H, its (5, H) month terms and
-    whether any month is exact, which ``_exact_months`` computes instead."""
-    if exact:
-        months = _exact_months(cell, levels.tolist(), growth)
-    else:
-        months = zip(count(1), *terms.tolist(), growth, cell.due_c, cell.rate)
-
+    given its income levels and savings growth factors of months 1..H.
+    It builds each month's income, split, shortfall and residual itself,
+    so income that leaves the int range raises in its own month, after
+    any default that comes first."""
     debt_c = cell.profile.debt_balance.cents
     savings_c = 0
     cleared: Optional[int] = 0 if debt_c == 0 else None
     dti_violations = ser_violations = 0
     default_month: Optional[int] = None
-    for (
-        month, income_c, alloc_debt_c, alloc_savings_c, shortfall_c, residual_c, growth, due_c, rate,
-    ) in months:  # fmt: skip
+    for month, level, factor, g, due_c, rate in zip(
+        count(1), levels, cell.income_factor, growth, cell.due_c, cell.rate
+    ):
+        income_c = round(_raw_income_c(level, factor))
+        alloc_debt_c, alloc_savings_c, expenses_c = _split_cents(income_c, *cell.split)
+        shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
         # interest first; what the debt bucket cannot cover comes from savings
         interest_c = round(debt_c * rate)
         spare_c = alloc_debt_c - interest_c
@@ -623,7 +609,7 @@ def _ledger(cell: _Cell, levels: np.ndarray, growth: list, terms: np.ndarray, ex
 
         debt_c -= principal_c
         deposit_c = alloc_savings_c + excess_c
-        savings_c = round(buffer_c * growth) + deposit_c
+        savings_c = round(buffer_c * g) + deposit_c
 
         debt_service_c = interest_c + principal_c
         if income_c > 0 and debt_service_c / income_c > DEFAULT_DTI_LIMIT:
@@ -661,8 +647,8 @@ def run_trial(
     to the Python-int month loop, which counts them itself.  A generator
     gets a cell record of its own, schedule included, draws its first
     normal and then the rest, as in ``run_stress``, into a block of one
-    lane, and runs that loop; a bad horizon raises ``ValidationError``
-    before anything is built.
+    lane, and runs that loop, which builds the lane's month terms itself;
+    a bad horizon raises ``ValidationError`` before anything is built.
     """
     key = (profile, rule, scenario, horizon_months)
     if isinstance(rng, tuple):
@@ -684,9 +670,7 @@ def run_trial(
             )
         levels = draws.levels[i, 1:]
         if rows is None or rows.handed[k][i]:
-            # a trial run alone, or a row the walk handed over, gets terms of its own
-            terms, exact = _cell_block([cell], levels[None], slice(0, horizon_months))
-            return _ledger(cell, levels, draws.growth[i].tolist(), terms[:, 0, 0], exact.any())
+            return _ledger(cell, levels.tolist(), draws.growth[i].tolist())
         default_month, cleared = rows.default[k][i], rows.cleared[k][i]
         return TrialOutcome(
             defaulted=default_month > 0,

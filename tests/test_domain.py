@@ -335,6 +335,11 @@ class TestHouseholdProfile:
         with pytest.raises(ValidationError):
             self._base(profile_id="")
 
+    def test_a_list_of_member_incomes_becomes_a_tuple(self):
+        p = self._base(member_incomes=[Money.of("41000")])
+        assert p.member_incomes == (Money.of("41000"),)
+        assert hash(p) == hash(self._base())
+
     def test_rho_endpoints_allowed(self):
         assert self._base(rho=1.0).rho == 1.0
         assert self._base(rho=-1.0).rho == -1.0
@@ -353,6 +358,11 @@ class TestHouseholdProfile:
         "field, value, problem",
         [
             ("profile_id", "", "must be nonempty"),
+            ("profile_id", 3, "must be a string"),
+            ("member_incomes", (41000,), "must be a tuple of Money"),
+            ("member_incomes", Money.of("41000"), "must be a tuple of Money"),
+            ("debt_balance", 63000, "must be Money"),
+            ("baseline_expenses", "13000", "must be Money"),
             ("debt_apr", float("inf"), "must be finite"),
             ("mu", "0.1", "must be a number"),
             ("rho", -1.5, r"must lie in \[-1, 1\]"),

@@ -1,6 +1,10 @@
 """Probit bankruptcy risk against a high-precision oracle."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -116,3 +120,64 @@ class TestClassifyStability:
         p = RiskParams(dti_limit=0.5, ser_floor=0.5)
         flags = classify_stability(p, 0.45, 0.6)
         assert flags.dti_ok and flags.ser_ok
+
+
+# ---------------------------------------------------------------------------
+# properties over weights and ratios: the probability against the oracle,
+# and its direction in DTI and SER
+
+_WEIGHT = st.floats(-10.0, 10.0)
+_RATIO = st.floats(0.0, 10.0)
+_SIGMA = st.floats(0.0, 2.0)
+
+
+def _index_oracle(params, dti, ser, sigma_income, sigma_market):
+    """The linear index of the float inputs at 50 decimal digits."""
+    with mpmath.workdps(50):
+        terms = (
+            (params.beta_dti, dti),
+            (params.beta_ser, ser),
+            (params.beta_sigma_income, sigma_income),
+            (params.beta_sigma_market, sigma_market),
+        )
+        return sum(mpmath.mpf(w) * mpmath.mpf(x) for w, x in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT, _RATIO, _RATIO, _SIGMA, _SIGMA)
+@example(2.0, -1.0, 1.0, 0.5, 0.4, 0.8, 0.0, 0.0)  # the index is 0
+@example(10.0, -10.0, 0.0, 0.0, 0.0, 3.8, 0.0, 0.0)  # deep in the lower tail
+def test_probability_is_the_normal_cdf_of_the_index(b_dti, b_ser, b_si, b_sm, dti, ser, si, sm):
+    # |index| <= 240, so the float index is off by under 1e-13; the CDF's
+    # relative slope is at most about |index| where it does not underflow
+    params = RiskParams(
+        beta_dti=b_dti, beta_ser=b_ser, beta_sigma_income=b_si, beta_sigma_market=b_sm
+    )
+    got = bankruptcy_probability(params, dti, ser, si, sm)
+    with mpmath.workdps(50):
+        want = float(mpmath.ncdf(_index_oracle(params, dti, ser, si, sm)))
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WEIGHT, _WEIGHT, _RATIO, _RATIO, _RATIO, _SIGMA, _SIGMA, st.booleans())
+def test_probability_moves_with_the_sign_of_each_ratios_weight(
+    b_dti, b_ser, x, y, other, si, sm, on_dti
+):
+    params = RiskParams(beta_dti=b_dti, beta_ser=b_ser)
+    weight = b_dti if on_dti else b_ser
+    lo, hi = sorted((x, y))
+
+    def probability(ratio):
+        dti, ser = (ratio, other) if on_dti else (other, ratio)
+        return bankruptcy_probability(params, dti, ser, si, sm)
+
+    p_lo, p_hi = probability(lo), probability(hi)
+    if weight == 0.0:
+        assert p_lo == p_hi
+        return
+    # never against the weight's sign, saturated or not
+    assert math.copysign(1.0, weight) * (p_hi - p_lo) >= 0.0
+    # and strictly where the float CDF resolves a change of the index
+    if abs(weight) * (hi - lo) > 1e-6 and 1e-12 < min(p_lo, p_hi) and max(p_lo, p_hi) < 1 - 1e-6:
+        assert p_lo != p_hi

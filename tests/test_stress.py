@@ -148,16 +148,16 @@ def _identity_fault_script(debt, first_month):
     ``sys.flags.optimize`` and the ``DomainError`` it raises."""
     return textwrap.dedent(
         f"""
-        import sys
+        import itertools, sys
         from thirdrule import stress
         from thirdrule import (AllocationRule, BASELINE_SCENARIO, DomainError,
             HouseholdProfile, HouseholdType, Money, derive_trial_rng)
 
-        real = stress._split_cents
+        real, calls = stress._split_cents, itertools.count(1)
         def one_cent_more(*args):
+            # the month loop splits one month a call, month 1 first
             debt, savings, expenses = real(*args)
-            expenses[..., {first_month - 1}:] += 1
-            return debt, savings, expenses
+            return debt, savings, expenses + (next(calls) >= {first_month})
         stress._split_cents = one_cent_more
         profile = HouseholdProfile("h1", HouseholdType.SINGLE_INCOME, (Money.of("60000"),),
             Money.of("{debt}"), 0.18, Money.of("18000"), 0.1, 0.15, 0.3, 0.02, 0.04)

@@ -861,7 +861,7 @@ def _drawn(profile, horizon_months, rngs):
 
 def _terms(cell, draws):
     """One cell's month terms and exact mask over the whole horizon of the
-    draws, as a trial run alone builds them."""
+    draws, as one window the size of the horizon."""
     return stress._cell_block([cell], draws.levels[:, 1:], slice(0, draws.growth.shape[1]))
 
 

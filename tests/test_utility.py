@@ -8,8 +8,11 @@ beat or match.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from thirdrule import (
     Allocation,
@@ -230,3 +233,79 @@ class TestDeviationPenalty:
             penalty_coefficient(
                 UtilityParams(alpha=0.5, beta=0.3, gamma=0.2), Money.of("3")
             )
+
+
+# ---------------------------------------------------------------------------
+# properties over exponents and incomes, against exact and mpmath oracles
+
+@st.composite
+def _params(draw):
+    alpha, part = draw(st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 2))
+    beta = part * (1.0 - alpha)  # savings take a part of what debt leaves
+    assume(beta > 0.0 and 1.0 - alpha - beta > 0.0)
+    return UtilityParams(alpha, beta, 1.0 - alpha - beta)
+
+
+_CENTS = st.one_of(st.integers(0, 10**9), st.integers(0, MAX_CENTS))
+
+
+def _mp_utility(params, debt, savings, expenses):
+    """Cobb-Douglas utility at working precision."""
+    return debt ** mpmath.mpf(params.alpha) * savings ** mpmath.mpf(params.beta) * (
+        expenses ** mpmath.mpf(params.gamma)
+    )
+
+
+def _nearest_cents(share: Fraction) -> set:
+    """The cents nearest ``share``, ties to even; and both neighbours where
+    share lies within a float product's rounding, share * 2**-53, of a tie,
+    which ``round(alpha * cents)`` may then break either way (income 3 cents
+    at alpha 0.16666666666666669 gives debt 0, not the exact share's 1)."""
+    low = math.floor(share)
+    if abs(share - low - Fraction(1, 2)) <= share / 2**53:
+        return {low, low + 1}
+    return {round(share)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_params(), _CENTS)
+@example(UtilityParams(0.3, 0.7, 1e-13), 5)  # 1.5 and 3.5 round up, a cent past income
+@example(UtilityParams(0.16666666666666669, 0.5, 1 - 0.16666666666666669 - 0.5), 3)  # a near tie
+def test_optimal_allocation_rounds_the_exponent_shares(params, cents):
+    a = optimal_allocation(params, Money(cents))
+    assert a.debt.cents + a.savings.cents + a.expenses.cents == cents
+    shares = (Fraction(params.alpha) * cents, Fraction(params.beta) * cents)
+    debt_c, savings_c = map(_nearest_cents, shares)
+    if a.expenses.cents == 0:  # shares past income give a cent back, from savings first
+        debt_c |= {c - 1 for c in debt_c}
+        savings_c |= {c - 1 for c in savings_c}
+    assert a.debt.cents in debt_c and a.savings.cents in savings_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_params(), st.lists(st.integers(1, MAX_CENTS // 3), min_size=3, max_size=3))
+def test_gradient_matches_the_mpmath_derivative(params, buckets):
+    debt, savings, expenses = map(Money, buckets)
+    grad = utility_gradient(params, Allocation(debt + savings + expenses, debt, savings, expenses))
+    with mpmath.workdps(40):
+        point = [mpmath.mpf(m.cents) / 100 for m in (debt, savings, expenses)]
+        for axis, g in enumerate(grad):
+            order = [0, 0, 0]
+            order[axis] = 1
+            want = mpmath.diff(lambda *x: _mp_utility(params, *x), point, tuple(order))
+            assert g == pytest.approx(float(want), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(300, MAX_CENTS), st.floats(1e-4, 1e-3), st.booleans())
+@example(300, 1e-4, False)  # criterion 03's inputs
+def test_deviation_loss_over_d_squared_tends_to_u_star_over_3_t_squared(cents, x, negative):
+    params = UtilityParams.symmetric()
+    t = cents / 100 / 3.0
+    d = -x * t if negative else x * t
+    with mpmath.workdps(40):
+        limit = _mp_utility(params, t, t, t) / (3 * mpmath.mpf(t) ** 2)
+    ratio = deviation_utility_loss(params, Money(cents), d) / d**2
+    # the series' next term is x**2 / 3 of the limit; the float loss
+    # cancels about 1e-15 of U*, or 1e-15 / x**2 of the limit
+    assert ratio == pytest.approx(float(limit), rel=x**2 + 1e-14 / x**2)
