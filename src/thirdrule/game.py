@@ -42,12 +42,13 @@ class CoalitionSpec:
     subset_costs: Optional[Mapping[frozenset[int], Money]] = None
 
     def __post_init__(self) -> None:
-        n = len(self.member_incomes)
+        incomes = self.member_incomes
+        if not isinstance(incomes, (tuple, list)) or not all(isinstance(m, Money) for m in incomes):
+            raise ValidationError("member_incomes must be a tuple of Money")
+        object.__setattr__(self, "member_incomes", tuple(incomes))  # a list becomes a tuple
+        n = len(incomes)
         if n < 1:
             raise ValidationError("a coalition game needs at least one member")
-        for m in self.member_incomes:
-            if not isinstance(m, Money):
-                raise ValidationError("member incomes must be Money")
         for table_name in ("scale_benefit", "coordination_cost"):
             table = getattr(self, table_name)
             for size, amount in table.items():

@@ -79,8 +79,13 @@ int64 cannot hold, a savings growth product of 2**53 or more, savings past
 loop, which builds each month's terms itself in Python ints through the
 same ``_split_cents`` and ``_expense_terms``.  So a trial whose income or
 savings outgrows Money or a float raises in the same month as when run
-alone, naming the field behind it, and ``run_stress`` raises the first
-error in row order, whichever block it comes from.
+alone, naming the field behind it.  A lane whose raw income level is not
+a finite float in some month, even one that the zero floor hides or that
+comes after a default, is flagged when its block is drawn, and its trial
+raises before its first month, naming sigma_income, as
+``simulate_income_path`` rejects such a path; no warnings filter changes
+that.  ``run_stress`` raises the first error in row order, whichever
+block it comes from.
 """
 
 from __future__ import annotations
@@ -105,7 +110,9 @@ from .domain import (
 )
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
-from .stochastic import _BLOCK, MAX_STEPS, PathConfig, income_levels, mix_correlated, derive_trial_rng
+from .stochastic import (
+    _BLOCK, MAX_STEPS, PathConfig, _floored, _unit_path, derive_trial_rng, income_levels, mix_correlated
+)
 
 _MONTHS_PER_YEAR = 12
 _DT = 1.0 / 12.0
@@ -331,9 +338,7 @@ class _Draws(NamedTuple):
     levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
     z_peak: np.ndarray  # (lanes,) largest market shock in size
-    # (lanes, H) income shocks, kept only if income_levels overflowed a
-    # float in some lane
-    z_income: Optional[np.ndarray]
+    overflowed: np.ndarray  # (lanes,) some raw level not finite, floored or not
 
 
 def _draw_block(
@@ -360,12 +365,13 @@ def _draw_block(
         np.maximum(growth, 0.0, out=growth)
     z_peak = np.abs(z_market, out=z_market).max(axis=1)
     del z_market
-    flags = []
-    with np.errstate(over="call", invalid="call", call=lambda *flag: flags.append(flag)):
-        levels = income_levels(
-            profile.income.units, profile.mu, profile.sigma_income, _DT, z_income
-        )
-    return _Draws(levels, growth, z_peak, z_income if flags else None)
+    # income_levels' levels, whose raw form shows the overflow the floor hides
+    i0 = profile.income.units
+    with np.errstate(all="ignore"):  # run_trial raises for the lanes that overflow
+        raw = i0 * _unit_path(profile.mu, profile.sigma_income, _DT, z_income)
+        del z_income
+        levels = _floored(i0, raw)
+    return _Draws(levels, growth, z_peak, ~np.isfinite(raw).all(axis=1))
 
 
 def _raw_income_c(level, factor):
@@ -660,15 +666,10 @@ def run_trial(
         first = np.array([rng.standard_normal()])
         draws, rows, k, i = _draw_block(profile, horizon_months, [rng], first), None, 0, 0
 
-    levels = None
+    if draws.overflowed[i]:
+        raise _overflow_cause(cell, None, draws.z_peak[i].item())
+    levels = draws.levels[i, 1:]
     try:
-        if draws.z_income is not None:
-            # the lane's own draw again: numpy warns, or raises under an
-            # error filter, exactly where a trial drawn alone would
-            income_levels(
-                profile.income.units, profile.mu, profile.sigma_income, _DT, draws.z_income[i]
-            )
-        levels = draws.levels[i, 1:]
         if rows is None or rows.handed[k][i]:
             return _ledger(cell, levels.tolist(), draws.growth[i].tolist())
         default_month, cleared = rows.default[k][i], rows.cleared[k][i]
@@ -682,11 +683,8 @@ def run_trial(
         )
     except DomainError:
         raise
-    except (ArithmeticError, ValueError, RuntimeWarning):  # an amount outgrew Money or a float
-        if levels is not None:
-            levels = levels.tolist()
-        z_peak = draws.z_peak[i].item()
-        raise _overflow_cause(cell, levels, z_peak) from None
+    except (ArithmeticError, ValueError):  # an amount outgrew Money or a float
+        raise _overflow_cause(cell, levels.tolist(), draws.z_peak[i].item()) from None
 
 
 class _Tally:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import Allocation, Money, SignedMoney, _settle_residual
+from .domain import Allocation, Money, SignedMoney, _split_cents
 from .errors import DomainError, ValidationError, finite_number
 
 _EXPONENT_SUM_TOL = 1e-12
@@ -84,12 +84,11 @@ def utility_gradient(params: UtilityParams, allocation: Allocation) -> tuple[flo
 
 def optimal_allocation(params: UtilityParams, income: Money) -> Allocation:
     """Budget-constrained utility maximizer: income split in proportion to
-    the exponents.  Cent rounding sends the residual to expenses."""
-    cents = income.cents
-    debt_c, savings_c, expenses_c = _settle_residual(
-        cents, round(params.alpha * cents), round(params.beta * cents)
-    )
-    return Allocation(income, Money(debt_c), Money(savings_c), Money(expenses_c))
+    the exponents.  Debt and savings round their exact shares half-to-even,
+    and expenses take the residual cents."""
+    alpha, beta = params.alpha.as_integer_ratio(), params.beta.as_integer_ratio()
+    cents = _split_cents(income.cents, *alpha, *beta)
+    return Allocation(income, *map(Money, cents))
 
 
 def verify_first_order(params: UtilityParams, allocation: Allocation, tol: float) -> bool:

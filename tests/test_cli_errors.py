@@ -402,7 +402,8 @@ def test_stress_shock_past_the_bound_after_every_default_still_reports(tmp_path,
 def test_stress_overflow_the_zero_floor_hides_is_an_error(tmp_path, capsys):
     # At seed 2 the one month's income shock is negative: income overflows
     # to -inf and the zero floor turns it into 0.  numpy still reports the
-    # overflow, and the CLI names the field, as for a trial drawn alone.
+    # overflow; stress flags the lane when it draws it, and the CLI names
+    # the field, as for a trial drawn alone.
     shocks = derive_trial_rng(2, 0).standard_normal((2, 1))
     with pytest.warns(RuntimeWarning, match="overflow"):
         levels = income_levels(60000.0, 0.02, 1e308, 1 / 12, shocks[0])

@@ -174,6 +174,20 @@ class TestCoalitionValue:
             coalition_value(spec, [1])
 
 
+    @pytest.mark.parametrize(
+        "incomes",
+        [(41000,), Money.of("41000"), [Money.of("1"), "2"], None],
+    )
+    def test_member_incomes_message_starts_with_the_field(self, incomes):
+        with pytest.raises(ValidationError, match="^member_incomes must be a tuple of Money$"):
+            CoalitionSpec(member_incomes=incomes)
+
+    def test_a_list_of_member_incomes_becomes_a_tuple(self):
+        spec = CoalitionSpec(member_incomes=[Money.of("100"), Money.of("200")])
+        assert spec.member_incomes == (Money.of("100"), Money.of("200"))
+        assert coalition_value(spec, [0, 1]) == Money.of("300")
+
+
 class TestShapley:
     def test_two_member_worked_example(self):
         spec = CoalitionSpec(

@@ -885,7 +885,7 @@ def test_a_one_month_horizon_walks_the_whole_of_it():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
     # month 1 at the profile's own income: the debt and expense buckets cover it
-    draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), None)
+    draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), np.zeros(1, bool))
     cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
     assert stress._screenable([cell])
     lane = (stress._walk([cell], draws)[0], 0)
@@ -1022,6 +1022,49 @@ def test_run_stress_matches_trials_run_alone(grid):
             with pytest.raises(Exception) as got:
                 run_stress(*grid)
             assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
+def test_a_block_flags_the_lanes_whose_raw_income_overflows_a_float():
+    # At this volatility a lane's raw income overflows once |W(t)| passes
+    # about 1, to inf or, floored at zero, to 0.  The levels are those of
+    # income_levels bit for bit, and the flags are the lanes for which
+    # numpy reports an overflow.
+    profile = HouseholdProfile(**dict(_BASE, sigma_income=3e303))
+    args = (profile.income.units, profile.mu, profile.sigma_income, _DT)
+    draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(40)])
+    for k in range(40):
+        shocks = derive_trial_rng(4, k).standard_normal(12)
+        with np.errstate(all="ignore"):
+            levels = income_levels(*args, shocks)
+        assert draws.levels[k].tobytes() == levels.tobytes()
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                income_levels(*args, shocks)
+            except FloatingPointError:
+                assert draws.overflowed[k]
+            else:
+                assert not draws.overflowed[k]
+    hidden = draws.overflowed & np.isfinite(draws.levels).all(axis=1)
+    assert hidden.any() and not draws.overflowed.all()
+
+
+@pytest.mark.parametrize("action", ["default", "error", "ignore"])
+def test_income_that_overflows_a_float_raises_whatever_the_warnings_filter(action):
+    # At seed 2 the one month's income shock is negative: income overflows
+    # to -inf and the zero floor turns it into 0.  The lane is flagged when
+    # it is drawn, so a trial run alone and run_stress raise, and warn of
+    # nothing, under any filter.
+    profile = HouseholdProfile(**dict(_BASE, profile_id="h1", sigma_income=1e308))
+    rule = AllocationRule.one_third()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(DomainError) as alone:
+            run_trial(profile, rule, BASELINE_SCENARIO, 1, derive_trial_rng(2, 0))
+        with pytest.raises(DomainError) as stressed:
+            run_stress([profile], [rule], [BASELINE_SCENARIO], _grid_config(1, 1, 2))
+    message = "profile 'h1': sigma_income 1e+308 puts income past the money bound"
+    assert str(alone.value) == str(stressed.value) == message
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ library's own formulas; they are the ground truth the closed forms must
 beat or match.
 """
 
-import math
 import random
 
 import mpmath
@@ -256,30 +255,22 @@ def _mp_utility(params, debt, savings, expenses):
     )
 
 
-def _nearest_cents(share: Fraction) -> set:
-    """The cents nearest ``share``, ties to even; and both neighbours where
-    share lies within a float product's rounding, share * 2**-53, of a tie,
-    which ``round(alpha * cents)`` may then break either way (income 3 cents
-    at alpha 0.16666666666666669 gives debt 0, not the exact share's 1)."""
-    low = math.floor(share)
-    if abs(share - low - Fraction(1, 2)) <= share / 2**53:
-        return {low, low + 1}
-    return {round(share)}
-
-
 @settings(max_examples=300, deadline=None)
 @given(_params(), _CENTS)
-@example(UtilityParams(0.3, 0.7, 1e-13), 5)  # 1.5 and 3.5 round up, a cent past income
-@example(UtilityParams(0.16666666666666669, 0.5, 1 - 0.16666666666666669 - 0.5), 3)  # a near tie
+@example(UtilityParams(0.3, 0.7, 1e-13), 5)  # the exact shares 1.4999… and 3.4999… round down
+# both shares a hair past half a cent round up, a cent past income
+@example(UtilityParams(0.5 + 1e-13, 0.5 + 1e-13, 1e-13), 1)
+# the exact share 0.50000000000000007 rounds up, the float product 0.5 down
+@example(UtilityParams(0.16666666666666669, 0.5, 1 - 0.16666666666666669 - 0.5), 3)
 def test_optimal_allocation_rounds_the_exponent_shares(params, cents):
     a = optimal_allocation(params, Money(cents))
     assert a.debt.cents + a.savings.cents + a.expenses.cents == cents
-    shares = (Fraction(params.alpha) * cents, Fraction(params.beta) * cents)
-    debt_c, savings_c = map(_nearest_cents, shares)
-    if a.expenses.cents == 0:  # shares past income give a cent back, from savings first
-        debt_c |= {c - 1 for c in debt_c}
-        savings_c |= {c - 1 for c in savings_c}
-    assert a.debt.cents in debt_c and a.savings.cents in savings_c
+    # each exact share rounds half-to-even; shares past income give the
+    # overshoot back, from savings first
+    debt_c, savings_c = (round(Fraction(x) * cents) for x in (params.alpha, params.beta))
+    over = max(debt_c + savings_c - cents, 0)
+    back = min(over, savings_c)
+    assert (a.debt.cents, a.savings.cents) == (debt_c - (over - back), savings_c - back)
 
 
 @settings(max_examples=200, deadline=None)
