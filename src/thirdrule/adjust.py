@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import Allocation, Money
+from .domain import Allocation, Money, _round_div
 from .errors import DomainError, ValidationError, finite_number, nonnegative_ratio
 from .risk import RiskParams
 
@@ -97,10 +97,10 @@ def adjusted_allocation(
 ) -> Allocation:
     """Apply the shifted shares to an income.
 
-    residual_expenses rounds debt and savings and lets expenses absorb
-    the remainder; proportional_rescale divides all three shares by their
-    sum first.  The two modes agree bit for bit when the zero-sum defect
-    vanishes.
+    residual_expenses rounds debt and savings, each share's exact value of
+    income half-to-even, and lets expenses absorb the remainder;
+    proportional_rescale divides all three shares by their sum first.  The
+    two modes agree bit for bit when the zero-sum defect vanishes.
     """
     mode = AdjustMode(mode)
     third = 1.0 / 3.0
@@ -121,8 +121,11 @@ def adjusted_allocation(
         share_debt /= total
         share_savings /= total
     cents = income.cents
-    debt_c = round(share_debt * cents)
-    savings_c = round(share_savings * cents)
+    # each share's exact value, not the float product, rounds half-to-even
+    debt_c, savings_c = (
+        _round_div(cents * num, den)
+        for num, den in (share_debt.as_integer_ratio(), share_savings.as_integer_ratio())
+    )
     expenses_c = cents - debt_c - savings_c
     if expenses_c < 0:
         raise DomainError(

@@ -40,7 +40,8 @@ ahead of the recursion, in layers:
   constant runs.  Building them checks that income drift, expenses due
   and interest on the opening debt stay within ``MAX_CENTS``, and a
   ``DomainError`` names the profile or scenario field that breaks the
-  bound;
+  bound.  Each row's tally (``_Tally``) takes the expenses due in month H
+  from it, the unit of the row's expense coverage;
 - per profile, for a run of up to 256 trials (the block that
   ``derive_trial_rng`` seeds at once): each trial draws its first normal,
   the month-1 income shock.  When a bound on the profile's income shows
@@ -57,11 +58,12 @@ ahead of the recursion, in layers:
   from the same generators, as a trial run alone does; split draws are the
   bytes of one draw (``_trial_blocks``);
 - per profile, for a block of lanes: each trial's shocks from its own
-  stream, the income levels, the mixed market shocks and the savings
-  growth factors (``_draw_block``).  Every rule and scenario cell of the
-  profile runs the block before the next is drawn, so ``run_stress`` makes
-  one pass over a profile's trials.  The lane count comes from a budget of
-  row-months, ``ROW_MONTHS_PER_BLOCK``;
+  stream, then the income levels and the savings growth factors of months
+  1..H, indexed by month as the schedule is, the mixed market shocks'
+  largest size and each lane's overflow flag (``_draw_block``).  Every
+  rule and scenario cell of the profile runs the block before the next is
+  drawn, so ``run_stress`` makes one pass over a profile's trials.  The
+  lane count comes from a budget of row-months, ``ROW_MONTHS_PER_BLOCK``;
 - for cells × lanes and a window of months: income in cents, the rule's
   cent split through ``_split_cents`` and the expense shortfall and
   residual (``_cell_block``), which the month-1 screen and the walk build.
@@ -111,7 +113,7 @@ from .domain import (
 from .errors import DebtNeverClearsError, DomainError, ValidationError, finite_number, is_int
 from .risk import DEFAULT_DTI_LIMIT, DEFAULT_SER_FLOOR
 from .stochastic import (
-    _BLOCK, MAX_STEPS, PathConfig, _floored, _unit_path, derive_trial_rng, income_levels, mix_correlated
+    _BLOCK, MAX_STEPS, PathConfig, _unit_path, derive_trial_rng, income_levels, mix_correlated
 )
 
 _MONTHS_PER_YEAR = 12
@@ -200,12 +202,6 @@ class StressMetrics:
     ser_violation_rate: float
 
 
-def _expenses_due_cents(baseline_monthly_cents: int, inflation_annual: float, months_active: int) -> int:
-    """Expenses due once ``months_active`` months of the shock window have passed."""
-    factor = (1.0 + inflation_annual) ** (months_active / _MONTHS_PER_YEAR)
-    return round(baseline_monthly_cents * factor)
-
-
 # A (profile, scenario) cell's month schedule, which neither a draw nor the rule
 # changes: each month's income factor, expenses due and debt rate.
 _Schedule = tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]
@@ -257,7 +253,7 @@ def _cell_terms(profile: HouseholdProfile, scenario: ScenarioSpec, horizon_month
         )
     who = f"profile {profile.profile_id!r}"
     where = f"scenario {scenario.name!r}"
-    drift_c = profile.income.units * (1.0 + profile.mu * horizon_months * _DT) / _MONTHS_PER_YEAR * 100.0
+    drift_c = _raw_income_c(profile.income.units * (1.0 + profile.mu * horizon_months * _DT), 1.0)
     if not -math.inf < drift_c <= MAX_CENTS:
         raise _out_of_range("mu", profile.mu, who, "income")
 
@@ -285,9 +281,10 @@ def _cell_terms(profile: HouseholdProfile, scenario: ScenarioSpec, horizon_month
 
     baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
     try:
-        # months_active_through counts 0 before the onset, then 1..active, then stays
-        inflation = scenario.inflation_annual
-        due = [_expenses_due_cents(baseline_monthly_c, inflation, k) for k in range(active + 1)]
+        # expenses due once k months of the window have passed: 0 before the
+        # onset, then 1..active, then it stays
+        growth = 1.0 + scenario.inflation_annual
+        due = [round(baseline_monthly_c * growth ** (k / _MONTHS_PER_YEAR)) for k in range(active + 1)]
         due_c = (due[0],) * before + tuple(due[1:]) + (due[-1],) * after
     except OverflowError:
         due_c = None
@@ -308,10 +305,10 @@ def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -
     z_peak is the largest market shock in size."""
     profile, scenario = cell.profile, cell.scenario
     who = f"profile {profile.profile_id!r}"
-    if levels is None or not sum(levels) / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
+    if levels is None or not _raw_income_c(sum(levels), 1.0) <= MAX_CENTS:
         return _out_of_range("sigma_income", profile.sigma_income, who, "income")
     shocked = sum(level * f for level, f in zip(levels, cell.income_factor))
-    if not shocked / _MONTHS_PER_YEAR * 100.0 <= MAX_CENTS:
+    if not _raw_income_c(shocked, 1.0) <= MAX_CENTS:
         where = f"scenario {scenario.name!r}"
         return _out_of_range("income_shock", scenario.income_shock, where, f"income for {who}")
     volatility = profile.sigma_market * math.sqrt(_DT) * z_peak
@@ -333,9 +330,10 @@ _NORMAL_BOUND = 20.0
 
 class _Draws(NamedTuple):
     """One profile's draws for a block of trials, one row (lane) a trial,
-    of H months, the horizon."""
+    of H months, the horizon: column j of ``levels`` and ``growth`` is
+    month j + 1, as in a cell's schedule."""
 
-    levels: np.ndarray  # (lanes, H + 1) income levels, I0 first, floored at zero
+    levels: np.ndarray  # (lanes, H) income levels of months 1..H, floored at zero
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
     z_peak: np.ndarray  # (lanes,) largest market shock in size
     overflowed: np.ndarray  # (lanes,) some raw level not finite, floored or not
@@ -365,13 +363,13 @@ def _draw_block(
         np.maximum(growth, 0.0, out=growth)
     z_peak = np.abs(z_market, out=z_market).max(axis=1)
     del z_market
-    # income_levels' levels, whose raw form shows the overflow the floor hides
-    i0 = profile.income.units
+    # income_levels' levels past I0: the raw path shows the overflow the floor hides
     with np.errstate(all="ignore"):  # run_trial raises for the lanes that overflow
-        raw = i0 * _unit_path(profile.mu, profile.sigma_income, _DT, z_income)
+        levels = profile.income.units * _unit_path(profile.mu, profile.sigma_income, _DT, z_income)
         del z_income
-        levels = _floored(i0, raw)
-    return _Draws(levels, growth, z_peak, ~np.isfinite(raw).all(axis=1))
+        overflowed = ~np.isfinite(levels).all(axis=1)
+        np.maximum(levels, 0.0, out=levels)
+    return _Draws(levels, growth, z_peak, overflowed)
 
 
 def _raw_income_c(level, factor):
@@ -516,7 +514,7 @@ def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
     start, n_months, n = window.start, window.stop - window.start, len(c)
     lanes = rows.live.any(axis=0)
     position = np.cumsum(lanes) - 1
-    terms, exact = _cell_block(cells, draws.levels[lanes, 1 + start : 1 + window.stop], window)
+    terms, exact = _cell_block(cells, draws.levels[lanes, window], window)
     # (W, rows) each, a month's row contiguous
     income, alloc_debt, alloc_savings, shortfall, residual = np.ascontiguousarray(
         terms[:, c, position[lane]].transpose(0, 2, 1)
@@ -668,7 +666,7 @@ def run_trial(
 
     if draws.overflowed[i]:
         raise _overflow_cause(cell, None, draws.z_peak[i].item())
-    levels = draws.levels[i, 1:]
+    levels = draws.levels[i]
     try:
         if rows is None or rows.handed[k][i]:
             return _ledger(cell, levels.tolist(), draws.growth[i].tolist())
@@ -688,14 +686,15 @@ def run_trial(
 
 
 class _Tally:
-    """The running sums ``_aggregate`` reads from a cell's trial outcomes;
-    ``cleared`` counts trials by clearance month, 0 (no opening debt) to H,
-    and ``months`` the months the trials completed."""
+    """The running sums ``_aggregate`` reads from a row's trial outcomes,
+    with the horizon H and the expenses due in month H of the row's built
+    cell; ``cleared`` counts trials by clearance month, 0 (no opening debt)
+    to H, and ``months`` the months the trials completed."""
 
-    def __init__(self, horizon_months: int) -> None:
+    def __init__(self, cell: _Cell) -> None:
         self.defaults = self.final_cents = self.months = self.dti_violations = self.ser_violations = 0
-        self.horizon_months = horizon_months
-        self.cleared = [0] * (horizon_months + 1)
+        self.horizon_months, self.final_due_c = cell.horizon_months, cell.due_c[-1]
+        self.cleared = [0] * (cell.horizon_months + 1)
 
     def add(self, outcome: TrialOutcome) -> None:
         self.defaults += outcome.defaulted
@@ -713,23 +712,16 @@ class _Tally:
 
 
 def _aggregate(
-    profile: HouseholdProfile,
-    rule: AllocationRule,
-    scenario: ScenarioSpec,
-    horizon_months: int,
-    tally: _Tally,
-    trials: int,
+    profile: HouseholdProfile, rule: AllocationRule, scenario: ScenarioSpec, tally: _Tally, trials: int
 ) -> StressMetrics:
+    """A row's metrics over its ``trials``, from its tally; expense
+    coverage is in months of the expenses due in the horizon's last month."""
     by_month = list(accumulate(tally.cleared))  # trials cleared by each month
     n = by_month[-1]  # an even count's median is the mean of its two middle months
     middle = bisect_right(by_month, (n - 1) // 2) + bisect_right(by_month, n // 2)
     median_years = middle / 2 / _MONTHS_PER_YEAR if n else None
     mean_final = Money(_round_div(tally.final_cents, trials))
-    baseline_monthly_c = _round_div(profile.baseline_expenses.cents, _MONTHS_PER_YEAR)
-    final_due_c = _expenses_due_cents(
-        baseline_monthly_c, scenario.inflation_annual, scenario.months_active_through(horizon_months)
-    )
-    coverage = mean_final.cents / final_due_c if final_due_c > 0 else None
+    coverage = mean_final.cents / tally.final_due_c if tally.final_due_c > 0 else None
     return StressMetrics(
         profile_id=profile.profile_id,
         rule=rule.rule_id,
@@ -810,7 +802,7 @@ def run_stress(
     rows_of: dict[HouseholdProfile, list[int]] = {}
     for row, key in enumerate(keys):
         rows_of.setdefault(key[0], []).append(row)
-    tallies = [_Tally(horizon_months) for _ in keys]
+    tallies: dict[int, _Tally] = {}  # each built with its row's cell
     stop, error = len(keys), None  # the first failed row and its error
 
     for profile, rows in rows_of.items():
@@ -829,6 +821,7 @@ def run_stress(
                 stop, error = row, exc
                 break
             cells[row] = _cell(keys[row], schedules[scenario])
+            tallies[row] = _Tally(cells[row])
         if not cells:  # profiles come in row order, so none left can run
             break
         width = max(1, ROW_MONTHS_PER_BLOCK // (len(cells) * horizon_months))
@@ -853,7 +846,7 @@ def run_stress(
                 break
     if error is not None:
         raise error
-    return [_aggregate(*key, tally, cfg.trials) for key, tally in zip(keys, tallies)]
+    return [_aggregate(*key[:3], tallies[row], cfg.trials) for row, key in enumerate(keys)]
 
 
 def debt_clearance_time(balance: Money, annual_payment: Money, apr: float) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -112,6 +113,14 @@ class TestAdjustedAllocation:
         assert str(a.savings) == "30675.00"
         assert str(a.expenses) == "29550.00"
 
+    def test_each_share_rounds_its_exact_value(self):
+        # the exact shares of 1800 cents are 595.4999... and 613.4999...;
+        # their float products round to 595.5 and 613.5, which would give
+        # debt 5.96, savings 6.14 and expenses 5.90
+        f = adjustment_factors(RiskParams(), 0.1, 0.1)
+        a = adjusted_allocation(Money.of("18"), f, AdjustMode.RESIDUAL_EXPENSES)
+        assert (str(a.debt), str(a.savings), str(a.expenses)) == ("5.95", "6.13", "5.92")
+
     def test_modes_agree_exactly_when_defect_vanishes(self):
         # dyadic shifts make the defect exactly 0.0 in floating point
         f = AdjustmentFactors(
@@ -199,6 +208,26 @@ def test_the_modes_agree_when_the_defect_is_zero(debt_shift, expenses_shift, inc
     assert _outcome(income, f, AdjustMode.RESIDUAL_EXPENSES) == _outcome(
         income, f, AdjustMode.PROPORTIONAL_RESCALE
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTORS, _INCOMES, st.sampled_from(AdjustMode))
+@example(adjustment_factors(RiskParams(), 0.1, 0.1), Money(1800), AdjustMode.RESIDUAL_EXPENSES)
+@example(adjustment_factors(RiskParams(), 0.1, 0.1), Money(4200), AdjustMode.PROPORTIONAL_RESCALE)
+def test_debt_and_savings_round_their_exact_shares(factors, income, mode):
+    # each share is the float the mode computes; Fraction holds it exactly,
+    # and round() of a Fraction is half-to-even
+    shares = (1.0 / 3.0 - factors.debt_shift, 1.0 / 3.0 + factors.savings_shift)
+    if mode is AdjustMode.PROPORTIONAL_RESCALE:
+        shares = tuple(share / (1.0 + zero_sum_defect(factors)) for share in shares)
+    debt_c, savings_c = (round(Fraction(share) * income.cents) for share in shares)
+    expenses_c = income.cents - debt_c - savings_c
+    got = _outcome(income, factors, mode)
+    if expenses_c < 0:
+        assert mode is AdjustMode.RESIDUAL_EXPENSES and "negative after rounding" in got
+    else:
+        got_c = (got.debt.cents, got.savings.cents, got.expenses.cents)
+        assert got_c == (debt_c, savings_c, expenses_c)
 
 
 _WEIGHTS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))

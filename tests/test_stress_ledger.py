@@ -587,13 +587,13 @@ def _clearance_months(draw):
 @example((1, [(0, 1), (1, 1)]))
 def test_the_count_table_median_is_statistics_median(case):
     horizon, counts = case
-    tally = stress._Tally(horizon)
+    profile, rule = _MIXED_PROFILES[0], AllocationRule.one_third()
+    tally = stress._Tally(_built_cell(profile, rule, BASELINE_SCENARIO, horizon))
     months = []
     for month, n in counts:
         tally.cleared[month] += n
         months += [month] * n
-    profile, rule = _MIXED_PROFILES[0], AllocationRule.one_third()
-    row = stress._aggregate(profile, rule, BASELINE_SCENARIO, horizon, tally, max(1, len(months)))
+    row = stress._aggregate(profile, rule, BASELINE_SCENARIO, tally, max(1, len(months)))
     if not months:
         assert row.median_clearance_years is None
     else:
@@ -612,9 +612,9 @@ def test_each_cells_tally_holds_one_count_per_clearance_month(monkeypatch, trial
     tallies = []
     aggregate = stress._aggregate
 
-    def recorded_aggregate(profile, rule, scenario, horizon_months, tally, n):
+    def recorded_aggregate(profile, rule, scenario, tally, n):
         tallies.append(list(tally.cleared))
-        return aggregate(profile, rule, scenario, horizon_months, tally, n)
+        return aggregate(profile, rule, scenario, tally, n)
 
     def unexpected_trial(*args):
         raise AssertionError("the screen settles every trial of this grid")
@@ -862,7 +862,7 @@ def _drawn(profile, horizon_months, rngs):
 def _terms(cell, draws):
     """One cell's month terms and exact mask over the whole horizon of the
     draws, as one window the size of the horizon."""
-    return stress._cell_block([cell], draws.levels[:, 1:], slice(0, draws.growth.shape[1]))
+    return stress._cell_block([cell], draws.levels, slice(0, draws.growth.shape[1]))
 
 
 def test_each_walked_row_reads_as_its_trial_run_alone():
@@ -885,7 +885,7 @@ def test_a_one_month_horizon_walks_the_whole_of_it():
     profile = HouseholdProfile(**_BASE)
     rule = AllocationRule.one_third()
     # month 1 at the profile's own income: the debt and expense buckets cover it
-    draws = stress._Draws(np.array([[60000.0, 60000.0]]), np.zeros((1, 1)), np.zeros(1), np.zeros(1, bool))
+    draws = stress._Draws(np.array([[60000.0]]), np.zeros((1, 1)), np.zeros(1), np.zeros(1, bool))
     cell = _built_cell(profile, rule, BASELINE_SCENARIO, 1)
     assert stress._screenable([cell])
     lane = (stress._walk([cell], draws)[0], 0)
@@ -1027,8 +1027,8 @@ def test_run_stress_matches_trials_run_alone(grid):
 def test_a_block_flags_the_lanes_whose_raw_income_overflows_a_float():
     # At this volatility a lane's raw income overflows once |W(t)| passes
     # about 1, to inf or, floored at zero, to 0.  The levels are those of
-    # income_levels bit for bit, and the flags are the lanes for which
-    # numpy reports an overflow.
+    # income_levels past I0 bit for bit, and the flags are the lanes for
+    # which numpy reports an overflow.
     profile = HouseholdProfile(**dict(_BASE, sigma_income=3e303))
     args = (profile.income.units, profile.mu, profile.sigma_income, _DT)
     draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(40)])
@@ -1036,7 +1036,7 @@ def test_a_block_flags_the_lanes_whose_raw_income_overflows_a_float():
         shocks = derive_trial_rng(4, k).standard_normal(12)
         with np.errstate(all="ignore"):
             levels = income_levels(*args, shocks)
-        assert draws.levels[k].tobytes() == levels.tobytes()
+        assert draws.levels[k].tobytes() == levels[1:].tobytes()
         with np.errstate(over="raise", invalid="raise"):
             try:
                 income_levels(*args, shocks)
@@ -1092,8 +1092,8 @@ def test_a_window_of_months_is_those_months_of_the_whole_block(rule):
     profile = HouseholdProfile(**_BASE)
     cells = [_built_cell(profile, rule, scenario, 12) for scenario in (_LATE_WINDOW, BASELINE_SCENARIO)]
     draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
-    draws.levels[0, 1:] = 1e18  # lane 0's income is past the money bound in every month
-    months, exact = stress._cell_block(cells, draws.levels[:, 1:], slice(0, 12))
+    draws.levels[0] = 1e18  # lane 0's income is past the money bound in every month
+    months, exact = stress._cell_block(cells, draws.levels, slice(0, 12))
     # int64 cannot hold the huge numerators' split, so every lane is exact
     assert exact.all(axis=2).tolist() == [[True] + [rule is _HUGE_NUMERATORS] * 4] * 2
     for k, cell in enumerate(cells):
@@ -1101,7 +1101,7 @@ def test_a_window_of_months_is_those_months_of_the_whole_block(rule):
         assert np.array_equal(alone[0], months[:, k : k + 1])
         assert np.array_equal(alone[1], exact[k : k + 1])
     for start, stop in ((0, 1), (0, 2), (1, 6), (5, 12), (11, 12)):
-        window = stress._cell_block(cells, draws.levels[:, 1 + start : 1 + stop], slice(start, stop))
+        window = stress._cell_block(cells, draws.levels[:, start:stop], slice(start, stop))
         assert np.array_equal(window[0], months[..., start:stop])
         assert np.array_equal(window[1], exact[..., start:stop])
 
