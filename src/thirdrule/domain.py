@@ -308,6 +308,15 @@ def classify_income(income: Money, regional_median: Money) -> IncomeBand:
     return IncomeBand.HIGH
 
 
+def _store_member_incomes(record) -> None:
+    """Check a frozen record's member_incomes, a tuple or list of Money,
+    and store it as a tuple."""
+    incomes = record.member_incomes
+    if not isinstance(incomes, (tuple, list)) or not all(isinstance(m, Money) for m in incomes):
+        raise ValidationError("member_incomes must be a tuple of Money")
+    object.__setattr__(record, "member_incomes", tuple(incomes))  # a list becomes a tuple
+
+
 @dataclass(frozen=True)
 class HouseholdProfile:
     """Static description of one household used by risk and stress runs."""
@@ -338,10 +347,7 @@ class HouseholdProfile:
                 f"household_type must be one of {[t.value for t in HouseholdType]}, "
                 f"got {self.household_type!r}"
             ) from None
-        incomes = self.member_incomes
-        if not isinstance(incomes, (tuple, list)) or not all(isinstance(m, Money) for m in incomes):
-            raise ValidationError("member_incomes must be a tuple of Money")
-        object.__setattr__(self, "member_incomes", tuple(incomes))  # a list becomes a tuple
+        _store_member_incomes(self)
         for name in ("debt_balance", "baseline_expenses"):
             if not isinstance(getattr(self, name), Money):
                 raise ValidationError(f"{name} must be Money")

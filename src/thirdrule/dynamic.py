@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .domain import Allocation, Money
-from .errors import ValidationError, finite_number, is_int
+from .errors import DomainError, ValidationError, finite_number, is_int
 from .utility_opt import UtilityParams, _cobb_douglas
 
 DEFAULT_ACTION_STEP = Fraction(1, 30)
@@ -208,13 +208,13 @@ def _block_bounds(
     by_node = blend.reshape((-1, top_reward.shape[1]) + state_term.shape)  # (q + 1, ni, nb, ns)
     high = by_node.max(axis=0).max(axis=1, keepdims=True)
     size = np.maximum(high, -by_node.min(axis=0).min(axis=1, keepdims=True))
-    with np.errstate(all="ignore"):  # an inf or NaN bound only skips nothing
-        cont = discount * high + (5e-13 * (size + size) + 1e-300)  # (ni, 1, ns)
+    # An inf or NaN bound only skips nothing; solve_plan's errstate, which
+    # holds while it resumes this generator, keeps its overflow quiet.
+    cont = discount * high + (5e-13 * (size + size) + 1e-300)  # (ni, 1, ns)
     out = np.empty(by_node.shape[1:])
     for top in top_reward:
         np.add(top, state_term, out=out)
-        with np.errstate(all="ignore"):
-            np.add(out, cont, out=out)
+        np.add(out, cont, out=out)
         yield out
 
 
@@ -260,8 +260,29 @@ class Policy:
         return picks[0], picks[1], picks[2]
 
 
+def _in_float_range(
+    values: np.ndarray, cfg: DynamicConfig, field: str, what: str, *grids: str
+) -> None:
+    """Raise a DomainError naming ``field``, and the top node of each of
+    ``grids`` that ``values`` also grow with, if any value has left the
+    float range."""
+    if not np.isfinite(values).all():
+        tops = " and ".join(f"{name} up to {getattr(cfg, name)[-1]!r}" for name in grids)
+        joined = f" with {tops}" if grids else ""
+        raise DomainError(
+            f"{field} {getattr(cfg, field)!r}{joined} puts {what} past the float range"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # each result is checked instead
 def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
-    """Backward induction over the full grid.  Terminal value is zero."""
+    """Backward induction over the full grid.  Terminal value is zero.
+
+    A next-period state or the state term past the float range is a
+    DomainError naming the field behind it and the grids the state grows
+    from, and so is a value surface that overflows; no float warning is
+    raised under any filter.
+    """
     inc_g = np.asarray(cfg.income_grid)
     debt_g = np.asarray(cfg.debt_grid)
     sav_g = np.asarray(cfg.savings_grid)
@@ -273,12 +294,17 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
     state_term = cfg.state_weight * (
         np.log1p(sav_g)[None, :] - np.log1p(debt_g)[:, None]
     )  # (nb, ns)
+    _in_float_range(state_term, cfg, "state_weight", "the state term")
 
     z_nodes, z_weights = _quad_nodes(cfg)
     mix = np.zeros((ni, ni))
+    _in_float_range(
+        inc_g * (1.0 + cfg.income_growth), cfg, "income_growth", "next-period income", "income_grid"
+    )
     for z, wq in zip(z_nodes, z_weights):
-        nxt = np.maximum(inc_g * (1.0 + cfg.income_growth + cfg.shock_std * z), 0.0)
-        lo, hi, w = _bracket(inc_g, nxt)
+        nxt = inc_g * (1.0 + cfg.income_growth + cfg.shock_std * z)
+        _in_float_range(nxt, cfg, "shock_std", "next-period income", "income_grid")
+        lo, hi, w = _bracket(inc_g, np.maximum(nxt, 0.0))
         np.add.at(mix, (np.arange(ni), lo), wq * (1.0 - w))
         np.add.at(mix, (np.arange(ni), hi), wq * w)
 
@@ -286,6 +312,7 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
         debt_g[None, None, :] * (1.0 + cfg.debt_apr) - frac[:, 0][:, None, None] * inc_g[None, :, None],
         0.0,
     )  # (n_a, ni, nb)
+    _in_float_range(debt_next, cfg, "debt_apr", "next-period debt", "debt_grid")
     bi0, bi1, bw = _bracket(debt_g, debt_next)
     # Savings-next depends on the action only through its savings
     # numerator, so its brackets are computed once per numerator.
@@ -293,6 +320,9 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
         sav_g[None, None, :] * (1.0 + cfg.savings_return)
         + (np.arange(q + 1) / q)[:, None, None] * inc_g[None, :, None]
     )  # (q + 1, ni, ns)
+    _in_float_range(
+        sav_next, cfg, "savings_return", "next-period savings", "savings_grid", "income_grid"
+    )
     si0, si1, sw = _bracket(sav_g, sav_next)
 
     # Flat indices into vbar for the savings blend, (q + 1, ni, nb, ns).
@@ -351,6 +381,8 @@ def solve_plan(initial: HouseholdState, cfg: DynamicConfig) -> Policy:
             later = (top > v_next) | (np.isnan(top) & ~np.isnan(v_next))
             np.copyto(v_next, top, where=later)
             np.copyto(best, arg + start, where=later)
+        if not np.isfinite(v_next).all():
+            raise DomainError(f"the plan's values overflow a float in period {t}")
         numerators[t - 1] = acts16[best]
     return Policy(
         config=cfg,

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .domain import Allocation, AllocationRule, Money, rule_allocation, total_income
+from .domain import (
+    Allocation, AllocationRule, Money, _store_member_incomes, rule_allocation, total_income
+)
 from .errors import DomainError, ValidationError, is_int
 
 SUPERADDITIVITY_MAX_MEMBERS = 16
@@ -42,11 +44,8 @@ class CoalitionSpec:
     subset_costs: Optional[Mapping[frozenset[int], Money]] = None
 
     def __post_init__(self) -> None:
-        incomes = self.member_incomes
-        if not isinstance(incomes, (tuple, list)) or not all(isinstance(m, Money) for m in incomes):
-            raise ValidationError("member_incomes must be a tuple of Money")
-        object.__setattr__(self, "member_incomes", tuple(incomes))  # a list becomes a tuple
-        n = len(incomes)
+        _store_member_incomes(self)
+        n = len(self.member_incomes)
         if n < 1:
             raise ValidationError("a coalition game needs at least one member")
         for table_name in ("scale_benefit", "coordination_cost"):

@@ -782,9 +782,10 @@ def run_stress(
     Output rows are sorted by (profile_id, rule, scenario).
 
     Each (profile, scenario) schedule is built once and shared by the
-    profile's rules.  The error raised is the first in row order: a cell
-    stops at its first error, from its schedule or a trial, and so does
-    every later row.
+    profile's rules.  A repeated profile id is a ``ValidationError`` before
+    any schedule or stream, so each profile's rows are one run.  The error
+    raised is the first in row order: a cell stops at its first error, from
+    its schedule or a trial, and so does every later row.
     """
     if not profiles:
         raise ValidationError("at least one profile is required")
@@ -794,59 +795,55 @@ def run_stress(
         raise ValidationError("at least one scenario is required")
     if abs(cfg.dt_years * _MONTHS_PER_YEAR - 1.0) > 1e-9:
         raise ValidationError("stress runs use a monthly step; set dt_years to 1/12")
+    seen: set[str] = set()
+    for profile in profiles:
+        if profile.profile_id in seen:
+            raise ValidationError(f"duplicate profile id {profile.profile_id!r}")
+        seen.add(profile.profile_id)
     horizon_months = cfg.steps
-    keys = sorted(
-        ((p, r, s, horizon_months) for p in profiles for r in rules for s in scenarios),
-        key=lambda c: (c[0].profile_id, c[1].rule_id.value, c[2].name),
-    )
-    rows_of: dict[HouseholdProfile, list[int]] = {}
-    for row, key in enumerate(keys):
-        rows_of.setdefault(key[0], []).append(row)
-    tallies: dict[int, _Tally] = {}  # each built with its row's cell
-    stop, error = len(keys), None  # the first failed row and its error
-
-    for profile, rows in rows_of.items():
-        # the profile's cells in row order, up to the first whose schedule raises;
-        # none at or past stop, which a profile of the same id, rows interleaved, set
-        cells: dict[int, _Cell] = {}
+    metrics: list[StressMetrics] = []
+    for profile in sorted(profiles, key=lambda p: p.profile_id):
+        keys = sorted(
+            ((profile, r, s, horizon_months) for r in rules for s in scenarios),
+            key=lambda c: (c[1].rule_id.value, c[2].name),
+        )
+        # the profile's cells in row order, up to the first whose schedule raises
+        cells: list[_Cell] = []
         schedules: dict[ScenarioSpec, _Schedule] = {}
-        for row in rows:
-            if row >= stop:
-                break
-            scenario = keys[row][2]
+        error = None  # the first failed row's error
+        for key in keys:
             try:
-                if scenario not in schedules:
-                    schedules[scenario] = _cell_terms(profile, scenario, horizon_months)
+                if key[2] not in schedules:
+                    schedules[key[2]] = _cell_terms(profile, key[2], horizon_months)
             except ValueError as exc:  # DomainError or ValidationError
-                stop, error = row, exc
+                error = exc
                 break
-            cells[row] = _cell(keys[row], schedules[scenario])
-            tallies[row] = _Tally(cells[row])
-        if not cells:  # profiles come in row order, so none left can run
-            break
+            cells.append(_cell(key, schedules[key[2]]))
+        if not cells:
+            raise error
+        tallies = [_Tally(cell) for cell in cells]  # each built with its row's cell
+        stop = len(cells)  # the first failed row, or the count of cells
         width = max(1, ROW_MONTHS_PER_BLOCK // (len(cells) * horizon_months))
-        for draws in _trial_blocks(list(cells.values()), cfg, width):
-            running = [row for row in cells if row < stop]
+        for draws in _trial_blocks(cells, cfg, width):
             if isinstance(draws, int):  # the run's settled trials
-                for row in running:
-                    tallies[row].add_settled(draws, profile.debt_balance.cents)
+                for tally in tallies[:stop]:
+                    tally.add_settled(draws, profile.debt_balance.cents)
                 continue
-            blocks = _walk([cells[row] for row in running], draws)
-            for row, block in zip(running, blocks):
-                if row >= stop:
-                    break
-                key, tally = keys[row], tallies[row]
+            blocks = _walk(cells[:stop], draws)
+            for k, block in enumerate(blocks):
                 try:
                     for i in range(len(draws.z_peak)):
-                        tally.add(run_trial(*key, (block, i)))
+                        tallies[k].add(run_trial(*keys[k], (block, i)))
                 except ValueError as exc:
-                    stop, error = row, exc
+                    stop, error = k, exc
+                    break
             del draws, blocks, block  # before the next block is drawn
-            if rows[0] >= stop:  # every cell of the profile has stopped
+            if stop == 0:  # every cell of the profile has stopped
                 break
-    if error is not None:
-        raise error
-    return [_aggregate(*key[:3], tallies[row], cfg.trials) for row, key in enumerate(keys)]
+        if error is not None:
+            raise error
+        metrics += [_aggregate(*key[:3], tally, cfg.trials) for key, tally in zip(keys, tallies)]
+    return metrics
 
 
 def debt_clearance_time(balance: Money, annual_payment: Money, apr: float) -> float:

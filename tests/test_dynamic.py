@@ -1,6 +1,7 @@
 """Finite-horizon planner: policies, values, and their scalar replay."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from thirdrule import (
     solve_plan,
     transition,
 )
+from thirdrule.cli import main
 from thirdrule.dynamic import _bracket, _quad_nodes
+from thirdrule.errors import DomainError
 
 
 def _state(income="36000", debt="10000", savings="5000"):
@@ -283,3 +286,76 @@ def test_nearest_node():
     assert cfg.income_grid[i] == pytest.approx(36000.0, rel=0.2)
     # debt 10000 against a 0..108000 grid lands on the 10800 node
     assert cfg.debt_grid[b] == pytest.approx(10800.0)
+
+
+# (plan options past the income, horizon, and the error's start): a rate
+# that puts a next-period state or the state term past the float range,
+# and a state weight whose values overflow only over many periods
+_OVERFLOWS = [
+    ("--debt-apr 1e308", 2, "debt_apr 1e+308 with debt_grid up to 180000.0 puts next-period debt"),
+    ("--savings-return 1e308", 2, "savings_return 1e+308 with savings_grid up to 180000.0 and income_grid"),
+    ("--income-growth 1e308", 2, "income_growth 1e+308 with income_grid up to 240000.0 puts next-period"),
+    ("--shock-std 1e307", 2, "shock_std 1e+307 with income_grid up to 240000.0 puts next-period"),
+    ("--state-weight 1e308", 2, "state_weight 1e+308 puts the state term"),
+    ("--debt 20000 --state-weight 1e306", 30, "the plan's values overflow a float"),
+]
+
+
+@pytest.mark.parametrize("options, horizon, want", _OVERFLOWS)
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_plan_overflow_is_a_domain_error_without_a_warning(options, horizon, want, action):
+    words = options.split()
+    fields = {name[2:].replace("-", "_"): value for name, value in zip(words[::2], words[1::2])}
+    initial = _state(income="60000", debt=fields.pop("debt", "0"), savings="0")
+    cfg = default_config(initial, horizon, **{name: float(v) for name, v in fields.items()})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(DomainError) as info:
+            solve_plan(initial, cfg)
+    assert str(info.value).startswith(want)
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("options, horizon, want", _OVERFLOWS)
+def test_plan_overflow_exits_1_with_one_line_naming_its_cause(options, horizon, want, capsys):
+    argv = ["plan", "--income", "60000", "--horizon", str(horizon), *options.split()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith(f"error: {want}")
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "grids, rates, want",
+    [
+        (
+            {"savings_grid": (0.0, 1e308)},
+            {"savings_return": 1.0},
+            "savings_return 1.0 with savings_grid up to 1e+308 and income_grid up to 240000.0",
+        ),
+        (  # the top node plus the largest deposit
+            {"savings_grid": (0.0, 1e308), "income_grid": (1.0, 1e308)},
+            {},
+            "savings_return 0.0 with savings_grid up to 1e+308 and income_grid up to 1e+308",
+        ),
+        ({"debt_grid": (0.0, 1e308)}, {"debt_apr": 1.0}, "debt_apr 1.0 with debt_grid up to 1e+308"),
+        (
+            {"income_grid": (1.0, 1e308)},
+            {"income_growth": 1.0},
+            "income_growth 1.0 with income_grid up to 1e+308",
+        ),
+    ],
+)
+def test_plan_overflow_from_a_grid_names_the_grid(grids, rates, want):
+    # A library grid near the largest double overflows at a modest rate, or
+    # with a deposit, so the message names each grid's top node beside the rate.
+    initial = _state(income="60000", debt="0", savings="0")
+    cfg = default_config(initial, 2, **grids, **rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            solve_plan(initial, cfg)
+    assert str(info.value).startswith(want)

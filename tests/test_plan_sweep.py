@@ -23,6 +23,7 @@ from thirdrule import DynamicConfig, HouseholdState, Money, UtilityParams, solve
 from thirdrule import dynamic
 from thirdrule.cli import main
 from thirdrule.dynamic import _bracket, _quad_nodes, _simplex_actions
+from thirdrule.errors import DomainError
 
 
 def _reference_sweep(cfg):
@@ -197,28 +198,41 @@ def test_ties_across_blocks_keep_the_first_action(monkeypatch, actions):
     assert (policy.values[0, 0] == 0.0).all()
 
 
+# A small grid whose top savings node lies far past the others.
+_FAR_SAVINGS = dict(
+    horizon=2,
+    income_grid=(1000.0, 3000.0),
+    debt_grid=(0.0, 1.0),
+    savings_grid=(0.0, 1500.0, 1e6),
+    action_step=Fraction(1, 6),
+)
+
+
 @pytest.mark.parametrize("actions", [None, 1, 5])
 def test_nan_beats_an_earlier_number_across_blocks(monkeypatch, actions):
-    # The state term overflows at the top savings node, and the zero
-    # weights of an unshocked income mix turn that inf into NaN (0 * inf).
-    # Actions that carry savings into the top cell then score NaN while
-    # the thirds stay finite, and np.argmax picks the first NaN action.
-    cfg = DynamicConfig(
-        horizon=2,
-        income_grid=(1000.0, 3000.0),
-        debt_grid=(0.0, 1.0),
-        savings_grid=(0.0, 1500.0, 1e6),
-        action_step=Fraction(1, 6),
-        state_weight=1.5e307,
-    )
+    # Every action but the thirds, which sorts first, scores NaN.  A NaN
+    # beats an earlier block's number, as in np.argmax, so it reaches the
+    # period's values check whatever block it comes from.
+    cfg = DynamicConfig(**_FAR_SAVINGS)
     if actions is not None:
         monkeypatch.setattr(dynamic, "SWEEP_BLOCK_BYTES", _block_bytes(cfg, actions))
-    with np.errstate(over="ignore", invalid="ignore"):
-        policy = solve_plan(_INITIAL, cfg)
-        numerators, values = _reference_sweep(cfg)
-    assert np.isnan(values[0]).any() and not np.isnan(values[0]).all()
-    assert np.array_equal(policy.numerators, numerators)
-    assert np.array_equal(policy.values, values, equal_nan=True)
+    utility = dynamic._cobb_douglas
+
+    def nan_past_the_first(params, *fractions):
+        u = utility(params, *fractions)
+        u[1:] = np.nan
+        return u
+
+    monkeypatch.setattr(dynamic, "_cobb_douglas", nan_past_the_first)
+    with pytest.raises(DomainError, match="^the plan's values overflow a float in period 2$"):
+        solve_plan(_INITIAL, cfg)
+
+
+def test_an_overflowing_state_term_names_state_weight():
+    # 1.5e307 * log1p(1e6) is past the float range at the top savings node
+    cfg = DynamicConfig(**_FAR_SAVINGS, state_weight=1.5e307)
+    with pytest.raises(DomainError, match=r"^state_weight 1.5e\+307 puts the state term"):
+        solve_plan(_INITIAL, cfg)
 
 
 def test_plan_deep_working_memory_stays_bounded():

@@ -824,27 +824,50 @@ def test_an_earlier_cells_trial_error_beats_a_later_cells_terms_error(monkeypatc
     assert calls == [("one_third", "a", k) for k in range(1, 41)]
 
 
-@pytest.mark.parametrize(
-    "bad, want", [("b", r"'b'\) failed"), ("a", "apr_multiplier")], ids=["later", "earlier"]
-)
-def test_interleaved_rows_of_profiles_that_share_an_id_raise_the_first_rows_error(
-    monkeypatch, bad, want
-):
-    # Rows sort by (profile_id, rule, scenario), so two profiles with one id
-    # interleave: (owes nothing, a), (indebted, a), (owes nothing, b),
-    # (indebted, b).  The first profile's row b fails in its 40th trial, and
-    # the indebted profile's schedule for scenario ``bad`` raises: a later
-    # row when bad is b, an earlier one when it is a.
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 2 * 24)  # 3 lanes of the first's 2 cells
-    calls = _failing_run_trial(monkeypatch, {("one_third", "b"): 40})
-    scenarios = [ScenarioSpec(name, apr_multiplier=1e300 if name == bad else 1.0) for name in "ab"]
-    indebted = HouseholdProfile(**dict(_BASE, baseline_expenses=Money(0)))
+def _counted_builds_and_streams(monkeypatch):
+    """Patch stress._cell_terms and stress.derive_trial_rng to count their
+    calls: (profile id, scenario name) per schedule, and streams in all."""
+    counts = Counter()
+    build, derive = stress._cell_terms, stress.derive_trial_rng
+
+    def counted_build(profile, scenario, horizon_months):
+        counts[profile.profile_id, scenario.name] += 1
+        return build(profile, scenario, horizon_months)
+
+    def counted_derive(master_seed, trial_index):
+        counts["streams"] += 1
+        return derive(master_seed, trial_index)
+
+    monkeypatch.setattr(stress, "_cell_terms", counted_build)
+    monkeypatch.setattr(stress, "derive_trial_rng", counted_derive)
+    return counts
+
+
+@pytest.mark.parametrize("twin", ["same_id", "same_profile"])
+def test_a_repeated_profile_id_raises_before_any_schedule_or_stream(monkeypatch, twin):
+    counts = _counted_builds_and_streams(monkeypatch)
+    other = HouseholdProfile(**dict(_BASE, profile_id="o"))
+    repeated = _UNSETTLED if twin == "same_profile" else HouseholdProfile(**_BASE)
+    cfg = PathConfig(horizon_years=2, trials=10, master_seed=2)
+    with pytest.raises(ValidationError, match="duplicate profile id 'p'"):
+        run_stress([_UNSETTLED, other, repeated], [AllocationRule.one_third()], [BASELINE_SCENARIO], cfg)
+    assert not counts
+
+
+def test_a_profile_that_fails_in_a_trial_stops_every_later_profile(monkeypatch):
+    # profile "o" sorts first, fails in its 40th trial, and profile "p"
+    # builds no schedule and derives no stream
+    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 24)  # 3 lanes of the one cell
+    calls = _failing_run_trial(monkeypatch, {("one_third", "baseline"): 40})
+    counts = _counted_builds_and_streams(monkeypatch)
+    earlier = HouseholdProfile(
+        **dict(_BASE, profile_id="o", debt_balance=Money(0), baseline_expenses=Money(0))
+    )
     cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
-    with pytest.raises(DomainError, match=want):
-        run_stress([_UNSETTLED, indebted], [AllocationRule.one_third()], scenarios, cfg)
-    # the rows before the first failed one ran every trial
-    ran = Counter(call[:2] for call in calls)
-    assert ran == {("one_third", "a"): 120 if bad == "b" else 60, ("one_third", "b"): 40}
+    with pytest.raises(DomainError, match="failed"):
+        run_stress([_UNSETTLED, earlier], [AllocationRule.one_third()], [BASELINE_SCENARIO], cfg)
+    assert calls == [("one_third", "baseline", k) for k in range(1, 41)]
+    assert counts == {("o", "baseline"): 1, "streams": 60}
 
 
 def _built_cell(profile, rule, scenario, horizon_months):
