@@ -34,9 +34,9 @@ MAX_CENTS = 2**53
 def _round_div(num, den: int):
     """Nearest-integer division with ties to even.  den must be positive.
     num may be an int or an int64 array, which rounds elementwise."""
-    q, r = divmod(num, den)
+    q = num // den
     # up when the remainder passes half of den, or is half of it and q is odd
-    return q + (2 * r + q % 2 > den)
+    return q + (2 * (num - q * den) + (q & 1) > den)
 
 
 @dataclass(frozen=True, order=True)

@@ -151,19 +151,35 @@ def transition(
     debt' = max(0, debt * (1 + apr) - debt_payment)
     savings' = savings * (1 + return) + savings_deposit
     income' = max(0, income * (1 + growth + shock_std * shock))
+
+    A next state past the money bound is a DomainError naming the field
+    behind it, as in ``solve_plan``: income_growth when the drift alone
+    passes it, else shock_std.
     """
     if action.income.cents != state.income.cents:
         raise ValidationError("action must allocate exactly the state's income")
+    growth = 1.0 + cfg.income_growth
+    drift = max(0.0, state.income.units * growth)
+    _next_money(drift, cfg, "income_growth", "income")  # the drift alone
+    income_next = max(0.0, state.income.units * (growth + cfg.shock_std * shock))
     debt_next = max(0.0, state.debt.units * (1.0 + cfg.debt_apr) - action.debt.units)
     savings_next = state.savings.units * (1.0 + cfg.savings_return) + action.savings.units
-    income_next = max(
-        0.0, state.income.units * (1.0 + cfg.income_growth + cfg.shock_std * shock)
-    )
     return HouseholdState(
-        income=Money.of(income_next),
-        debt=Money.of(debt_next),
-        savings=Money.of(savings_next),
+        income=_next_money(income_next, cfg, "shock_std", "income"),
+        debt=_next_money(debt_next, cfg, "debt_apr", "debt"),
+        savings=_next_money(savings_next, cfg, "savings_return", "savings"),
     )
+
+
+def _next_money(units: float, cfg: DynamicConfig, field: str, what: str) -> Money:
+    """A next-period amount as Money, or a DomainError naming ``field`` if
+    it is not a finite float or passes the money bound."""
+    try:
+        return Money.of(units)
+    except ValidationError:
+        raise DomainError(
+            f"{field} {getattr(cfg, field)!r} puts next-period {what} past the money bound"
+        ) from None
 
 
 def _simplex_actions(step: Fraction) -> tuple[np.ndarray, int]:

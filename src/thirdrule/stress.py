@@ -63,7 +63,9 @@ ahead of the recursion, in layers:
   largest size and each lane's overflow flag (``_draw_block``).  Every
   rule and scenario cell of the profile runs the block before the next is
   drawn, so ``run_stress`` makes one pass over a profile's trials.  The
-  lane count comes from a budget of row-months, ``ROW_MONTHS_PER_BLOCK``;
+  lane count (``_block_width``) charges a block for what it holds at once,
+  its draws (lanes × H) and four times the walk's window (cells × lanes ×
+  12), each within ``ROW_MONTHS_PER_BLOCK``;
 - for cells × lanes and a window of months: income in cents, the rule's
   cent split through ``_split_cents`` and the expense shortfall and
   residual (``_cell_block``), which the month-1 screen and the walk build.
@@ -317,9 +319,10 @@ def _overflow_cause(cell: _Cell, levels: Optional[list[float]], z_peak: float) -
     return _out_of_range("sigma_market", profile.sigma_market, who, "savings")
 
 
-# A block holds this many row-months: a profile's cells × lanes × horizon
-# months.  The draws keep a few floats a lane-month, and the walk about
-# twenty numbers a row-month of its 12-month window.
+# The row-months a block may hold at once (``_block_width``): its draws, a
+# few floats a lane-month of the horizon (lanes × H), and the walk's window,
+# about twenty numbers a row-month of a year (cells × lanes × 12), charged
+# four times over to keep the window's peak memory near the draws'.
 ROW_MONTHS_PER_BLOCK = 27_000
 # No standard normal numpy draws is larger in size.  Its ziggurat returns
 # a point of a rectangle, all within r = 3.6541528853610088, or from its
@@ -337,6 +340,13 @@ class _Draws(NamedTuple):
     growth: np.ndarray  # (lanes, H) savings growth factors, floored at zero
     z_peak: np.ndarray  # (lanes,) largest market shock in size
     overflowed: np.ndarray  # (lanes,) some raw level not finite, floored or not
+
+
+def _block_width(cells: int, horizon_months: int) -> int:
+    """Lanes in a block of one profile's ``cells``: the most whose draws and
+    walk window, four times over, each fit ``ROW_MONTHS_PER_BLOCK``."""
+    window = min(_MONTHS_PER_YEAR, horizon_months)
+    return max(1, ROW_MONTHS_PER_BLOCK // max(horizon_months, 4 * cells * window))
 
 
 def _draw_block(
@@ -397,8 +407,8 @@ def _split_limit(split: tuple[int, int, int, int]) -> int:
 def _cell_block(cells: Sequence[_Cell], levels: np.ndarray, months: slice) -> tuple:
     """The month terms of each of one profile's ``cells`` for the schedule's
     ``months``, given each lane's income levels in those months, (lanes, W):
-    (5, cells, lanes, W) int64 of income, debt bucket, savings bucket,
-    shortfall and residual, and the (cells, lanes, W) mask of exact ones,
+    five (cells, lanes, W) int64 arrays of income, debt bucket, savings
+    bucket, shortfall and residual, and the (cells, lanes, W) mask of exact ones,
     income past the money bound or a split int64 cannot hold.  Those read 0;
     run_trial computes them in Python ints."""
     factor = np.array([cell.income_factor[months] for cell in cells])
@@ -417,7 +427,7 @@ def _cell_block(cells: Sequence[_Cell], levels: np.ndarray, months: slice) -> tu
     debt_c, savings_c, expenses_c = _split_cents(income_c, *columns)
     due_c = np.array([cell.due_c[months] for cell in cells])[:, None]
     shortfall_c, residual_c = _expense_terms(expenses_c, due_c)
-    return np.stack((income_c, debt_c, savings_c, shortfall_c, residual_c)), exact
+    return (income_c, debt_c, savings_c, shortfall_c, residual_c), exact
 
 
 def _screenable(cells: list[_Cell]) -> bool:
@@ -448,7 +458,7 @@ def _screen(cells: list[_Cell], first: np.ndarray) -> np.ndarray:
     terms, exact = _cell_block(cells, levels[:, 1:], slice(0, 1))
     if exact.any():  # int64 cannot hold some cell's split
         return np.zeros(len(first), dtype=bool)
-    _, debt_c, _, shortfall_c, _ = terms[..., 0]
+    _, debt_c, _, shortfall_c, _ = (term[..., 0] for term in terms)
     interest_c = np.array([[round(profile.debt_balance.cents * cell.rate[0])] for cell in cells])
     return (shortfall_c + np.maximum(interest_c - debt_c, 0) > 0).all(axis=0)
 
@@ -515,11 +525,10 @@ def _walk_window(cells, draws, window: slice, rows: _Rows, rates, dues) -> None:
     lanes = rows.live.any(axis=0)
     position = np.cumsum(lanes) - 1
     terms, exact = _cell_block(cells, draws.levels[lanes, window], window)
-    # (W, rows) each, a month's row contiguous
-    income, alloc_debt, alloc_savings, shortfall, residual = np.ascontiguousarray(
-        terms[:, c, position[lane]].transpose(0, 2, 1)
-    )
-    exact = exact[c, position[lane]].T
+    at = c, position[lane]
+    # (W, rows) each: a month of the rows is a row
+    income, alloc_debt, alloc_savings, shortfall, residual = (term[at].T for term in terms)
+    exact = exact[at].T
     del terms
     rate = np.ascontiguousarray(rates[c, window].T)
     growth = np.ascontiguousarray(draws.growth[lane, window].T)
@@ -823,8 +832,7 @@ def run_stress(
             raise error
         tallies = [_Tally(cell) for cell in cells]  # each built with its row's cell
         stop = len(cells)  # the first failed row, or the count of cells
-        width = max(1, ROW_MONTHS_PER_BLOCK // (len(cells) * horizon_months))
-        for draws in _trial_blocks(cells, cfg, width):
+        for draws in _trial_blocks(cells, cfg, _block_width(len(cells), horizon_months)):
             if isinstance(draws, int):  # the run's settled trials
                 for tally in tallies[:stop]:
                     tally.add_settled(draws, profile.debt_balance.cents)

@@ -147,6 +147,30 @@ class TestTransition:
             transition(_state(), action, 0.0, cfg)
 
 
+@pytest.mark.parametrize(
+    "overrides, shock, field, what",
+    [
+        (dict(income_growth=1e308), 0.0, "income_growth", "income"),
+        (dict(income_growth=1e10), -1.0, "income_growth", "income"),  # finite, past the bound
+        (dict(shock_std=1e10), 1.0, "shock_std", "income"),
+        (dict(debt_apr=1e308), 0.0, "debt_apr", "debt"),
+        (dict(debt_apr=1e10), 0.0, "debt_apr", "debt"),
+        (dict(savings_return=1e308), 0.0, "savings_return", "savings"),
+        (dict(savings_return=1e11), 0.0, "savings_return", "savings"),
+    ],
+    ids=[
+        "growth-float", "growth-money", "shock-money", "apr-float", "apr-money", "return-float",
+        "return-money",
+    ],
+)
+def test_a_next_state_past_the_money_bound_names_its_field(overrides, shock, field, what):
+    state = _state(income="60000", debt="20000")
+    cfg = default_config(state, 2, **overrides)
+    action = make_allocation(state.income, (Fraction(1, 3),) * 3)
+    with pytest.raises(DomainError, match=f"^{field} .* puts next-period {what} past the money bound$"):
+        transition(state, action, shock, cfg)
+
+
 class TestSolvedPolicy:
     def test_thirds_at_every_node_without_state_pressure(self):
         # no shocks, no balance reward: per-period preferences alone decide,

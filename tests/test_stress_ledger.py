@@ -558,7 +558,7 @@ _MIXED_SCENARIOS = [
 ]
 _HORIZON = 120
 # lanes in a block of a profile's cells
-_WIDTH = stress.ROW_MONTHS_PER_BLOCK // (len(_MIXED_RULES) * len(_MIXED_SCENARIOS) * _HORIZON)
+_WIDTH = stress._block_width(len(_MIXED_RULES) * len(_MIXED_SCENARIOS), _HORIZON)
 
 
 @pytest.mark.parametrize("trials", [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 3 * _WIDTH + 2])
@@ -566,6 +566,42 @@ def test_run_stress_matches_reference_loop(trials):
     cfg = PathConfig(horizon_years=_HORIZON / 12, trials=trials, master_seed=trials)
     args = (_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, cfg)
     assert run_stress(*args) == _reference_run_stress(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.integers(1, 700), horizon=st.integers(1, MAX_STEPS))
+@example(cells=15, horizon=_HORIZON)
+@example(cells=1, horizon=1)
+@example(cells=563, horizon=12)  # one lane's window alone passes the budget
+@example(cells=1, horizon=27_001)  # so do one lane's draws
+def test_a_block_holds_its_draws_and_window_within_the_budget(cells, horizon):
+    # the most lanes whose draws (lanes × H) and walk window, four times
+    # over (cells × lanes × 12), each fit the budget; one lane at least
+    budget = stress.ROW_MONTHS_PER_BLOCK
+    lanes = stress._block_width(cells, horizon)
+    per_lane = max(horizon, 4 * cells * min(12, horizon))
+    assert lanes >= 1
+    assert lanes == 1 or lanes * per_lane <= budget
+    assert (lanes + 1) * per_lane > budget
+
+
+# 15 cells' window outweighs 50 years of draws, so a 50-year block has the
+# lanes of a 10-year one, but not 100 years of draws
+@pytest.mark.parametrize("years, lanes", [(50, _WIDTH), (100, stress.ROW_MONTHS_PER_BLOCK // 1200)])
+def test_run_stress_matches_reference_loop_over_long_horizons(monkeypatch, years, lanes):
+    # each profile walks a full block, then a part block
+    widths = []
+    draw = stress._draw_block
+
+    def recorded_draw(profile, horizon_months, rngs, first):
+        widths.append(len(rngs))
+        return draw(profile, horizon_months, rngs, first)
+
+    monkeypatch.setattr(stress, "_draw_block", recorded_draw)
+    cfg = PathConfig(horizon_years=years, trials=lanes + 3, master_seed=years)
+    args = (_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, cfg)
+    assert run_stress(*args) == _reference_run_stress(*args)
+    assert widths == [lanes, 3] * len(_MIXED_PROFILES)
 
 
 @st.composite
@@ -652,10 +688,20 @@ _SCREENED_GRID = (
 )  # fmt: skip
 
 
+def _patch_lanes(monkeypatch, lanes, cells):
+    """Patch stress._block_width to give each block ``lanes`` lanes,
+    checking that it is asked for a profile of ``cells`` cells."""
+
+    def block_width(n_cells, horizon_months):
+        assert n_cells == cells
+        return lanes
+
+    monkeypatch.setattr(stress, "_block_width", block_width)
+
+
 def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
-    # A block holds 3 lanes of the profile's 4 cells and 60 months, far
-    # fewer than the grid's 300 trials.
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 4 * 60)
+    # A block holds 3 lanes, far fewer than the grid's 300 trials.
+    _patch_lanes(monkeypatch, 3, cells=4)
     streams = Counter()
 
     def derive(master_seed, trial_index):
@@ -701,7 +747,7 @@ def test_run_stress_matches_reference_loop_at_any_lane_count(monkeypatch, grid, 
         widths.setdefault(profile.profile_id, []).append(len(rngs))
         return draw(profile, horizon_months, rngs, first)
 
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", lanes * cells * args[3].steps)
+    _patch_lanes(monkeypatch, lanes, cells)
     monkeypatch.setattr(stress, "_draw_block", recorded_draw)
     assert run_stress(*args) == _reference_run_stress(*args)
     # every block but a profile's last is full, whichever run its trials come from
@@ -797,7 +843,7 @@ _UNSETTLED = HouseholdProfile(**dict(_BASE, debt_balance=Money(0), baseline_expe
 
 
 def test_an_earlier_cells_later_trial_error_beats_a_later_cells_first(monkeypatch):
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 2 * 24)  # 3 lanes of 2 cells
+    _patch_lanes(monkeypatch, 3, cells=2)
     calls = _failing_run_trial(
         monkeypatch, {("one_third", "baseline"): 40, ("seventy_twenty_ten", "baseline"): 1}
     )
@@ -813,7 +859,7 @@ def test_an_earlier_cells_later_trial_error_beats_a_later_cells_first(monkeypatc
 
 
 def test_an_earlier_cells_trial_error_beats_a_later_cells_terms_error(monkeypatch):
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 24)  # 3 lanes of the one cell built
+    _patch_lanes(monkeypatch, 3, cells=1)  # the one cell built
     calls = _failing_run_trial(monkeypatch, {("one_third", "a"): 40})
     cfg = PathConfig(horizon_years=2, trials=60, master_seed=2)
     scenarios = [ScenarioSpec("a"), ScenarioSpec("b", onset_month=25)]  # b starts past the horizon
@@ -857,7 +903,7 @@ def test_a_repeated_profile_id_raises_before_any_schedule_or_stream(monkeypatch,
 def test_a_profile_that_fails_in_a_trial_stops_every_later_profile(monkeypatch):
     # profile "o" sorts first, fails in its 40th trial, and profile "p"
     # builds no schedule and derives no stream
-    monkeypatch.setattr(stress, "ROW_MONTHS_PER_BLOCK", 3 * 24)  # 3 lanes of the one cell
+    _patch_lanes(monkeypatch, 3, cells=1)
     calls = _failing_run_trial(monkeypatch, {("one_third", "baseline"): 40})
     counts = _counted_builds_and_streams(monkeypatch)
     earlier = HouseholdProfile(
@@ -1116,16 +1162,17 @@ def test_a_window_of_months_is_those_months_of_the_whole_block(rule):
     cells = [_built_cell(profile, rule, scenario, 12) for scenario in (_LATE_WINDOW, BASELINE_SCENARIO)]
     draws = _drawn(profile, 12, [derive_trial_rng(4, k) for k in range(5)])
     draws.levels[0] = 1e18  # lane 0's income is past the money bound in every month
-    months, exact = stress._cell_block(cells, draws.levels, slice(0, 12))
+    terms, exact = stress._cell_block(cells, draws.levels, slice(0, 12))
+    months = np.stack(terms)  # (5, cells, lanes, W)
     # int64 cannot hold the huge numerators' split, so every lane is exact
     assert exact.all(axis=2).tolist() == [[True] + [rule is _HUGE_NUMERATORS] * 4] * 2
     for k, cell in enumerate(cells):
         alone = _terms(cell, draws)
-        assert np.array_equal(alone[0], months[:, k : k + 1])
+        assert np.array_equal(np.stack(alone[0]), months[:, k : k + 1])
         assert np.array_equal(alone[1], exact[k : k + 1])
     for start, stop in ((0, 1), (0, 2), (1, 6), (5, 12), (11, 12)):
         window = stress._cell_block(cells, draws.levels[:, start:stop], slice(start, stop))
-        assert np.array_equal(window[0], months[..., start:stop])
+        assert np.array_equal(np.stack(window[0]), months[..., start:stop])
         assert np.array_equal(window[1], exact[..., start:stop])
 
 
