@@ -152,10 +152,13 @@ def transition(
     savings' = savings * (1 + return) + savings_deposit
     income' = max(0, income * (1 + growth + shock_std * shock))
 
-    A next state past the money bound is a DomainError naming the field
-    behind it, as in ``solve_plan``: income_growth when the drift alone
-    passes it, else shock_std.
+    A shock that is not a finite number is a ValidationError, since the
+    income floor would turn NaN into zero income.  A next state past the
+    money bound is a DomainError naming the field behind it, as in
+    ``solve_plan``: income_growth when the drift alone passes it, else
+    shock_std.
     """
+    finite_number(shock, "shock")
     if action.income.cents != state.income.cents:
         raise ValidationError("action must allocate exactly the state's income")
     growth = 1.0 + cfg.income_growth

@@ -24,21 +24,23 @@ numpy's PCG64 bit generator.  A trial's draws therefore depend only on
 
 ``PCG64(seed)`` spends most of its time in numpy's ``SeedSequence(seed)``,
 which hashes the seed into the 4 words that set PCG64's state.
-``derive_trial_rng`` computes those words for a block of 256 consecutive
-trial indices at once: the SplitMix64 mix and SeedSequence's pool mixing
-and output hash, in numpy uint64 and uint32 arithmetic over the whole
-block.  It keeps the last two blocks, keyed by (master_seed, block).  Each
-trial's PCG64 still takes its state through numpy's own seeding, from a
-seed sequence that hands over the trial's precomputed words.  Every block
-checks its first row against ``SeedSequence(seed).generate_state(4,
-np.uint64)`` from the installed numpy.  If they differ, the block falls
-back to ``PCG64(seed)`` for each of its trials.  The draws are the same
-either way.
+``derive_trial_rng`` computes the stream seeds and those words for a block
+of 512 consecutive trial indices at once: the SplitMix64 mix and
+SeedSequence's pool mixing and output hash, in numpy uint64 and uint32
+arithmetic over the whole block.  It keeps the last two blocks, keyed by
+(master_seed, block), and reads each trial's seed and words from its
+block.  Each trial's PCG64 still takes its state through numpy's own
+seeding, from a seed sequence that hands over the trial's precomputed
+words.  Every block checks its first row against
+``SeedSequence(seed).generate_state(4, np.uint64)`` from the installed
+numpy.  If they differ, the block falls back to ``PCG64(seed)`` for each
+of its trials.  The draws are the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +85,7 @@ _HASH_MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_BLOCK = 256
+_BLOCK = 512
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -138,20 +140,22 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _block_words(master_seed: int, block: int):
-    """PCG64 seeding words of trials block*256 .. block*256 + 255, one row
-    each, or None if the installed numpy hashes the block's first seed
-    differently."""
+    """Stream seeds and PCG64 seeding words of trials block*512 ..
+    block*512 + 511, as two lists indexed by row, or None if the installed
+    numpy hashes the block's first seed differently."""
     first = block * _BLOCK
+    first_seed = derive_stream_seed(master_seed, first)  # rejects a bad key before any numpy work
     start = (master_seed + (first + 1) * _SPLITMIX_GAMMA) & _MASK64
     z = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA) + np.uint64(start)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-    words = _seed_sequence_words(z ^ (z >> np.uint64(31)))
-    reference = np.random.SeedSequence(derive_stream_seed(master_seed, first))
+    seeds = z ^ (z >> np.uint64(31))
+    words = _seed_sequence_words(seeds)
+    reference = np.random.SeedSequence(first_seed)
     if words[0].tolist() != reference.generate_state(4, np.uint64).tolist():
         return None
     words.flags.writeable = False
-    return words
+    return seeds.tolist(), list(words)
 
 
 class _StreamSeedSequence(ISpawnableSeedSequence):
@@ -162,6 +166,8 @@ class _StreamSeedSequence(ISpawnableSeedSequence):
     ``entropy`` and the other attributes, and pickling go to a real
     ``SeedSequence(seed)``, built on first need.
     """
+
+    __slots__ = ("_seed", "_words", "_sequence")
 
     def __init__(self, seed: int, words: np.ndarray) -> None:
         self._seed = seed
@@ -195,12 +201,13 @@ class _StreamSeedSequence(ISpawnableSeedSequence):
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Per-trial generator: PCG64 seeded with the derived stream seed."""
-    seed = derive_stream_seed(master_seed, trial_index)
+    trial_index = operator.index(trial_index)  # a numpy int mixes as a Python int
     block, row = divmod(trial_index, _BLOCK)
-    words = _block_words(master_seed, block)
-    if words is None:
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(_StreamSeedSequence(seed, words[row])))
+    derived = _block_words(master_seed, block)
+    if derived is None:
+        return np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, trial_index)))
+    seeds, words = derived
+    return np.random.Generator(np.random.PCG64(_StreamSeedSequence(seeds[row], words[row])))
 
 
 def mix_correlated(rho: float, z_first: np.ndarray, z_second: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ ahead of the recursion, in layers:
   ``DomainError`` names the profile or scenario field that breaks the
   bound.  Each row's tally (``_Tally``) takes the expenses due in month H
   from it, the unit of the row's expense coverage;
-- per profile, for a run of up to 256 trials (the block that
+- per profile, for a run of up to 512 trials (the block that
   ``derive_trial_rng`` seeds at once): each trial draws its first normal,
   the month-1 income shock.  When a bound on the profile's income shows
   that no month of any trial can leave ``MAX_CENTS`` or overflow a float
@@ -747,7 +747,7 @@ def _aggregate(
 
 def _trial_blocks(cells: list[_Cell], cfg: PathConfig, width: int) -> Iterator[int | _Draws]:
     """The trials of one profile's built ``cells`` in the order each cell
-    runs them.  Per run of up to 256 trials, each trial draws its first
+    runs them.  Per run of up to 512 trials, each trial draws its first
     normal, and the count of those ``_screen`` settles comes (0 when
     ``_screenable`` rules the screen out): they draw nothing more.  The
     other trials are pooled across runs and follow in blocks of ``width``
@@ -782,7 +782,7 @@ def run_stress(
     Trial k always draws from the stream derived from
     (cfg.master_seed, k), so all combinations share shocks (common random
     numbers).  Each profile makes one pass over its trials, in runs of up
-    to 256: the month-1 screen settles the trials that default in month 1
+    to 512: the month-1 screen settles the trials that default in month 1
     in every cell, which draw only their first normal and are tallied in
     closed form, never reaching ``run_trial``; the others are pooled into
     blocks of lanes, one at a time.  Every cell of the profile walks a block

@@ -171,6 +171,25 @@ def test_a_next_state_past_the_money_bound_names_its_field(overrides, shock, fie
         transition(state, action, shock, cfg)
 
 
+@pytest.mark.parametrize(
+    "shock_std, shock, message",
+    [
+        (0.1, math.nan, "shock must be finite"),
+        (0.0, math.inf, "shock must be finite"),
+        (0.0, -math.inf, "shock must be finite"),
+        (0.1, "1.0", "shock must be a number"),
+    ],
+    ids=["nan", "inf", "minus-inf", "text"],
+)
+def test_a_shock_that_is_not_a_finite_number_is_rejected(shock_std, shock, message):
+    # max(0.0, nan) is 0.0, so an unchecked NaN income factor reads as zero income
+    state = _state(income="60000", debt="20000")
+    cfg = default_config(state, 2, shock_std=shock_std)
+    action = make_allocation(state.income, (Fraction(1, 3),) * 3)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        transition(state, action, shock, cfg)
+
+
 class TestSolvedPolicy:
     def test_thirds_at_every_node_without_state_pressure(self):
         # no shocks, no balance reward: per-period preferences alone decide,

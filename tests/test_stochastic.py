@@ -7,6 +7,7 @@ a simultaneous bug in both implementations cannot slip through.
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ class TestStreamSeeds:
 
 
 # First 4 raw PCG64 words and first 8 standard normals of derive_trial_rng(s, k),
-# pinned from numpy 2.4.6.  Report bytes rest on numpy's SeedSequence, PCG64 and
+# pinned from numpy 2.4.6's own PCG64(derive_stream_seed(s, k)) at the edges of
+# 256- and 512-trial blocks.  Report bytes rest on numpy's SeedSequence, PCG64 and
 # Generator.standard_normal as well as on derive_stream_seed.  NEP 19 keeps bit
 # generator streams stable but lets distribution methods change between
 # releases.  (k + 1) * 0x9E3779B97F4A7C15 wraps mod 2**64, so k = 2**64 draws
@@ -109,6 +111,18 @@ PINNED_DRAWS = {
          "-0x1.35aaa3344ef00p+0", "0x1.aa1927d3b0906p-5", "-0x1.2fd3d5479124fp-3",
          "-0x1.c93b8c2489d3ep+0", "0x1.61e9bad8bc2c6p-2"),
     ),
+    (0, 511): (
+        (0xa24c208583264e5d, 0x8533b29177ee443e, 0x7389eada2b0b1b98, 0x6c8fa56d49f515d1),
+        ("0x1.7e63aeddaeb65p-4", "0x1.67ede9bd9cc53p-3", "-0x1.0a23fdc6ecbf3p+0",
+         "-0x1.ba3361312b896p-1", "0x1.7a5786f3900ecp+0", "0x1.21cf9e217e33fp-1",
+         "0x1.1b4eacbcf2633p-1", "-0x1.6fcd2798197d5p-2"),
+    ),
+    (0, 512): (
+        (0xf1f7a56b2be90150, 0x86f14774238acbfc, 0xf6fe2d0d25377f49, 0x271e2c0108b570da),
+        ("-0x1.5c2e0eb89cc7dp-1", "-0x1.662f84b35d5f9p-1", "-0x1.ab63c148ec7eap-1",
+         "0x1.072d5eabb5e4fp-1", "0x1.d09a31ec3f95cp+0", "0x1.0295a09230cc1p-1",
+         "-0x1.77ad2df1b7ebdp+0", "-0x1.fdac68033e602p-3"),
+    ),
     (2**32 - 1, 0): (
         (0x9269d3e67b86ea55, 0x3da4142ff38ac795, 0xa6fd4af3bc249a59, 0x180b2cf7aed0c933),
         ("0x1.6f06d7a6b64f5p-1", "-0x1.8ea162349a9fdp+0", "0x1.1cc33c39aa2c2p-2",
@@ -126,6 +140,18 @@ PINNED_DRAWS = {
         ("0x1.3e30847a6ae05p-1", "-0x1.1e9016eaf1f66p-1", "-0x1.6683c3a3a2858p+0",
          "-0x1.09d0d39e23462p-1", "-0x1.77acc807f6176p-1", "-0x1.a92c48b8e7a53p-2",
          "-0x1.6bb81976e0c74p-2", "0x1.d5bb2e46599c9p-1"),
+    ),
+    (2**32 - 1, 511): (
+        (0xa6c699df8f526678, 0xe23442dbb2ea4e9a, 0x3251be49d552acdc, 0x06321b0efc6aad2d),
+        ("0x1.413415f9ace52p-2", "0x1.e476af155f46ep-4", "0x1.56a4d0804e834p+0",
+         "-0x1.76bda1330acb4p-3", "0x1.8aab63d15d768p-5", "0x1.ec55675b5169fp-1",
+         "0x1.3893de02c549cp-1", "0x1.4ee77dd798bcbp+0"),
+    ),
+    (2**32 - 1, 512): (
+        (0x8ba0f4a5d6fa704f, 0x7de320d87edd9f8c, 0x8f1a0995de152ea4, 0x77011491c32b8c2a),
+        ("0x1.c0180a484dee7p-2", "-0x1.82c733bb8e235p+0", "0x1.b0e8d1769cac6p-1",
+         "0x1.5237719b85732p-1", "-0x1.0448ed4b240dcp+0", "-0x1.34dec542936a8p-1",
+         "0x1.45f8d13931c3ap-2", "0x1.5c12579970c59p+0"),
     ),
     (2**32, 0): (
         (0xdc754e47321c9d45, 0x861d5b7a60bcf8a3, 0x4552e2944e763441, 0x09c66f01bfac7101),
@@ -145,6 +171,18 @@ PINNED_DRAWS = {
          "0x1.5e6ee37593528p+0", "-0x1.bb3ea2c2ab02cp-1", "0x1.44ba047540752p-1",
          "-0x1.4af92ccd1c970p+0", "-0x1.f555f53a90c53p-1"),
     ),
+    (2**32, 511): (
+        (0xb2e839779783cc3e, 0x1fc0f5c347252280, 0x4c2ece75c4cd4a59, 0xc8c706f7248233bd),
+        ("0x1.470d62073eedep-1", "0x1.8605e82c9fcfdp+0", "0x1.f05a2f5cfe315p-2",
+         "-0x1.189dba7d2a668p-1", "-0x1.4230cc48e9f2dp+1", "-0x1.11360bbfe0c2fp+0",
+         "0x1.b6d3d874a77c7p-1", "0x1.59b74818b5be8p-5"),
+    ),
+    (2**32, 512): (
+        (0x9d5107497bd6cf15, 0xe565aed35d039902, 0x50a73bc1214e8e1e, 0xddfaa2e7cce6e6a8),
+        ("-0x1.48a7cb01610a6p-1", "-0x1.8b670d1778c3bp-5", "0x1.ac6acc9930f04p-2",
+         "0x1.b516a28300c05p+0", "0x1.caa27e07dbbccp-2", "0x1.0b27f1b2fd4edp+1",
+         "-0x1.baa85ddff625cp-3", "0x1.251357e910db0p-4"),
+    ),
     (2**64 - 1, 0): (
         (0xf864c0621d944054, 0x5d86245ef54ff552, 0xe4aba1403653b1e0, 0xbe20abd09a1d1aa8),
         ("0x1.e389c059688b8p-1", "-0x1.2159b43c10917p+0", "-0x1.660d819fe3a7ap-2",
@@ -163,11 +201,23 @@ PINNED_DRAWS = {
          "0x1.c8e1e5fb2e7e3p+0", "0x1.dec461bcfd980p-4", "-0x1.c3d8ef569682bp-2",
          "-0x1.a1b10bc213667p-5", "0x1.ca761e63d4cabp-2"),
     ),
+    (2**64 - 1, 511): (
+        (0x3fbfcef326fd417a, 0x0550f63c17dde759, 0xeea7df0dfae904b5, 0xa5757cf4e8223b67),
+        ("-0x1.7badc36282d16p+0", "-0x1.b1306a845ade8p-3", "0x1.c41a776c14c88p-1",
+         "-0x1.ddd172e23a6c2p-3", "-0x1.7fe0a5a078139p-2", "-0x1.689f65b92457fp-1",
+         "0x1.509ff67749471p-2", "0x1.45732103d24c2p-2"),
+    ),
+    (2**64 - 1, 512): (
+        (0x49faaa0fc3df0002, 0xb8807e8464ce2ee3, 0xfd91748d5f6fde21, 0xf1739ccec9ca3c04),
+        ("0x1.6d8a3de6dc5d4p-4", "0x1.decfd7e0d9c2ap+0", "0x1.8ad212289bde6p-1",
+         "0x1.a2f964a21b068p-3", "0x1.ae60d14e3ef2dp-3", "0x1.49f7374526067p+0",
+         "0x1.58a0666d7cf5cp+0", "-0x1.1c7dff1add6c1p+0"),
+    ),
 }
 
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
-EDGE_TRIALS = (0, 255, 256, 2**64)
+EDGE_TRIALS = (0, 255, 256, stochastic._BLOCK - 1, stochastic._BLOCK, 2**64)
 
 
 @pytest.mark.parametrize("master_seed", EDGE_SEEDS)
@@ -205,8 +255,8 @@ def _derivation_pairs():
     random pairs."""
     seeds = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15)
     pairs = [(s, k) for s in seeds for k in range(1100)]
-    for base in (2**32, 2**63, 2**64 - 256, 2**64, 2**65 + 7):
-        pairs += [(s, base + k) for s in seeds for k in range(-2, 259)]
+    for base in (2**32, 2**63, 2**64 - stochastic._BLOCK, 2**64, 2**65 + 7):
+        pairs += [(s, base + k) for s in seeds for k in range(-2, stochastic._BLOCK + 3)]
     draws = np.random.default_rng(20261019).integers(0, 2**64, size=(1000, 3), dtype=np.uint64)
     pairs += [(int(s), int(k)) for s, k, _ in draws]
     pairs += [(int(s), int(k) * 300) for s, _, k in draws]
@@ -233,16 +283,56 @@ def test_a_block_that_fails_its_check_falls_back_to_pcg64(fresh_blocks, monkeypa
     monkeypatch.setattr(stochastic, "_seed_sequence_words", off_by_one_bit)
     for master_seed, trial_index in ((0, 0), (2**64 - 1, 255), (5, 2**64 + 300)):
         rng = derive_trial_rng(master_seed, trial_index)
-        assert stochastic._block_words(master_seed, trial_index // 256) is None
+        assert stochastic._block_words(master_seed, trial_index // stochastic._BLOCK) is None
         assert type(rng.bit_generator.seed_seq) is np.random.SeedSequence
         want = _plain_rng(master_seed, trial_index)
         assert rng.standard_normal(64).tobytes() == want.standard_normal(64).tobytes()
 
 
+# Each bad key beside the good key whose stream it would wrap to mod 2**64.
+_BAD_KEYS = {
+    "seed_below_zero": ((-1, 0), (2**64 - 1, 0)),
+    "seed_past_64_bits": ((2**64, 0), (0, 0)),
+    "trial_below_zero": ((0, -1), (0, 2**64 - 1)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case", sorted(_BAD_KEYS))
+def test_a_bad_key_raises_derive_stream_seeds_error(fresh_blocks, case, warm):
+    bad, twin = _BAD_KEYS[case]
+    with pytest.raises(ValidationError) as want:
+        derive_stream_seed(*bad)
+    if warm:  # the twin's block is cached, and so is the block of trial 0
+        derive_trial_rng(*twin)
+        derive_trial_rng(bad[0] % 2**64, 0)
+    for _ in range(2):  # the error is raised again, not cached
+        with pytest.raises(ValidationError) as got:
+            derive_trial_rng(*bad)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+def test_a_numpy_int_trial_index_derives_the_same_stream(fresh_blocks, kind):
+    for trial_index in (0, stochastic._BLOCK - 1, stochastic._BLOCK, 2**31 - 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's scalar overflow, too
+            got = derive_trial_rng(9, kind(trial_index)).bit_generator
+        assert got.state == _plain_rng(9, trial_index).bit_generator.state
+        assert got.seed_seq.entropy == derive_stream_seed(9, trial_index)
+
+
 class TestStreamSeedSequence:
     """derive_trial_rng's seed sequence behaves as SeedSequence(stream seed)."""
 
-    PAIRS = ((0, 0), (7, 255), (2**64 - 1, 256), (2**32, 2**64 + 1))
+    PAIRS = (
+        (0, 0),
+        (7, 255),
+        (2**64 - 1, 256),
+        (7, stochastic._BLOCK - 1),
+        (2**64 - 1, stochastic._BLOCK),
+        (2**32, 2**64 + 1),
+    )
 
     @pytest.mark.parametrize("master_seed, trial_index", PAIRS)
     def test_attributes_and_other_state_sizes(self, master_seed, trial_index):
@@ -585,7 +675,7 @@ class TestSavingsPath:
 
 
 @pytest.mark.parametrize("steps", [1, 2, 12, 120, 1200])
-@pytest.mark.parametrize("trial_index", [0, 255, 256, 4097])
+@pytest.mark.parametrize("trial_index", [0, 255, 256, stochastic._BLOCK - 1, stochastic._BLOCK, 4097])
 def test_a_draw_split_after_its_first_normal_gives_the_same_bytes(steps, trial_index):
     # The screen draws a trial's first normal alone and its other 2H - 1
     # later, from the same generator.

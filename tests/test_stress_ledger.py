@@ -41,6 +41,7 @@ from thirdrule import (
     derive_trial_rng,
     run_stress,
     run_trial,
+    stochastic,
     stress,
 )
 from thirdrule.cli import main
@@ -673,7 +674,9 @@ _DROPS = [
 
 
 # Two profiles and 8 cells: "p" mixes settled and unsettled trials in both
-# seeding runs of its 300 trials, and the screen settles every trial of "q".
+# seeding runs of its trials, a full run and a part run of 44, and the
+# screen settles every trial of "q".
+_SCREENED_TRIALS = stochastic._BLOCK + 44
 _SCREENED_GRID = (
     [
         HouseholdProfile(**_BASE),
@@ -684,7 +687,7 @@ _SCREENED_GRID = (
     ],
     [AllocationRule.one_third(), _custom(Fraction(1, 3), Fraction(1, 2))],
     _DROPS,
-    PathConfig(horizon_years=5, trials=300, master_seed=5),
+    PathConfig(horizon_years=5, trials=_SCREENED_TRIALS, master_seed=5),
 )  # fmt: skip
 
 
@@ -700,7 +703,7 @@ def _patch_lanes(monkeypatch, lanes, cells):
 
 
 def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
-    # A block holds 3 lanes, far fewer than the grid's 300 trials.
+    # A block holds 3 lanes, far fewer than the grid's trials.
     _patch_lanes(monkeypatch, 3, cells=4)
     streams = Counter()
 
@@ -719,8 +722,9 @@ def test_each_stream_is_derived_once_per_profile_for_all_its_cells(monkeypatch):
     monkeypatch.setattr(stress, "derive_trial_rng", derive)
     monkeypatch.setattr(stress, "_screen", counted_screen)
     assert run_stress(*_SCREENED_GRID) == _reference_run_stress(*_SCREENED_GRID)
-    assert streams == {(5, k): 2 for k in range(300)}
-    assert [(pid, n) for pid, n, _ in screened] == [("p", 256), ("p", 44), ("q", 256), ("q", 44)]
+    assert streams == {(5, k): 2 for k in range(_SCREENED_TRIALS)}
+    runs = [stochastic._BLOCK, 44]
+    assert [(pid, n) for pid, n, _ in screened] == [("p", n) for n in runs] + [("q", n) for n in runs]
     assert all(0 < settled < n for pid, n, settled in screened if pid == "p")
     assert all(settled == n for pid, n, settled in screened if pid == "q")
 
@@ -731,7 +735,7 @@ _LANE_GRIDS = {
     # walked rows beside the rows of splits int64 cannot hold, which the
     # walk hands to the Python-int loop
     "mixed": ((_MIXED_PROFILES, _MIXED_RULES, _MIXED_SCENARIOS, _grid_config(_HORIZON, 7, 11)), 15),
-    # survivors pooled across two 256-trial runs
+    # survivors pooled across a full seeding run and a part run
     "screened": (_SCREENED_GRID, 4),
 }
 
@@ -1365,5 +1369,6 @@ def test_run_stress_calls_its_seams_once_per_row_and_trial(monkeypatch):
     rows = run_stress(*_SCREENED_GRID)
     assert aggregated == [(row.profile_id, row.rule.value, row.scenario) for row in rows]
     assert len(rows) == 8
-    assert {row: trials[row] for row in aggregated} == {row: 300 - settled[row[0]] for row in aggregated}
-    assert settled["q"] == 300 and 0 < settled["p"] < 300
+    n = _SCREENED_TRIALS
+    assert {row: trials[row] for row in aggregated} == {row: n - settled[row[0]] for row in aggregated}
+    assert settled["q"] == n and 0 < settled["p"] < n
